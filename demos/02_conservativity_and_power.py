@@ -10,7 +10,7 @@ optionally draw the panels when matplotlib is available.
 
 import numpy as np
 
-from equilab import (BetaPrior, CurveSpec, EquivalenceMargin, binom_measure_cdf)
+from equilab import BetaPrior, CurveSpec, EquivalenceMargin, binom_cdf_curve
 
 n = 50
 margin = EquivalenceMargin(0.25, 0.75)
@@ -22,8 +22,7 @@ for label, prior in priors.items():
     for theta, panel in ((margin.theta1, "null"), (0.4, "alternative")):
         spec = CurveSpec(model="binomial", n=n, margin=margin, prior=prior,
                          grid=t_grid, theta_true=theta)
-        pts = [binom_measure_cdf(spec, float(t)) for t in t_grid]
-        curves[(label, panel)] = pts
+        curves[(label, panel)] = binom_cdf_curve(spec)
 
 print(f"evidence-measure CDFs, n={n}, margin ({margin.theta1}, {margin.theta2})")
 print("null panel at theta = lower boundary; alternative panel at theta = 0.4\n")

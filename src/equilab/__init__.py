@@ -27,8 +27,9 @@ from .normal import (NormalPrior, NormalSampling, normal_critical_constants,
                      normal_pvalue_cdf, normal_tost_pvalue,
                      posterior_coefficient)
 from .power import (CurvePoint, CurveSpec, TableResult, bayes_combined_level,
-                    binom_evidence_values, binom_measure_cdf, binom_power,
-                    normal_curves, table_simulation, theta_max)
+                    binom_cdf_curve, binom_evidence_values, binom_measure_cdf,
+                    binom_power, binom_power_curve, normal_curves,
+                    table_simulation, theta_max)
 from .rng import spawn_rng
 from .special import (binomial_cdf, binomial_pmf, binomial_pmf_vector,
                       binomial_quantile, binomial_sf, log_gamma, normal_cdf,
@@ -53,7 +54,8 @@ __all__ = [
     "normal_tost_pvalue", "normal_posterior_probs", "normal_pvalue_cdf",
     # power analysis
     "CurveSpec", "CurvePoint", "TableResult", "binom_evidence_values",
-    "binom_measure_cdf", "binom_power", "theta_max", "normal_curves",
+    "binom_measure_cdf", "binom_power", "binom_cdf_curve", "binom_power_curve",
+    "theta_max", "normal_curves",
     "table_simulation", "bayes_combined_level",
     # correlation
     "CorrelationResult", "expected_phi_product", "sample_correlation",

@@ -61,7 +61,8 @@ def posterior_prob_lower(post: BetaPosterior, theta2: float) -> EvidenceMeasure:
     """P(theta >= theta2 | data): posterior evidence for the lower-tailed null."""
     if not 0.0 < theta2 < 1.0:
         raise ValueError(f"theta2 must lie in (0, 1), got {theta2}")
-    return EvidenceMeasure(1.0 - reg_inc_beta(post.a, post.b, theta2), "lower", "bayesian")
+    # I_{1-x}(b, a) rather than 1 - I_x(a, b), which cancels in the far tail
+    return EvidenceMeasure(reg_inc_beta(post.b, post.a, 1.0 - theta2), "lower", "bayesian")
 
 
 def posterior_prob_equiv(post: BetaPosterior, margin: EquivalenceMargin) -> EvidenceMeasure:

@@ -29,7 +29,7 @@ from .correlation import (corr_equivalence_closed, corr_equivalence_mc,
 from .equivalence import EquivalenceMargin, SignificanceLevels
 from .fdr import FdrExperiment, fdr_power_simulation
 from .normal import NormalPrior, NormalSampling
-from .power import CurveSpec, binom_measure_cdf, binom_power, normal_curves, \
+from .power import CurveSpec, binom_cdf_curve, binom_power_curve, normal_curves, \
     table_simulation, theta_max
 
 RNG_NOTE = "philox counter-based; streams via SeedSequence(seed, spawn_key=path)"
@@ -143,14 +143,22 @@ def _require(resolved: dict, key: str):
     return resolved[key]
 
 
+def _opt(resolved: dict, key: str, default, convert=float):
+    """The option converted, or ``default`` only when it was not given at all."""
+    value = resolved.get(key)
+    return default if value is None else convert(value)
+
+
 def _levels(resolved: dict) -> SignificanceLevels:
-    alpha = float(resolved.get("alpha") or 0.05)
-    upper = resolved.get("alpha_upper")
-    lower = resolved.get("alpha_lower")
-    return SignificanceLevels(
-        float(upper) if upper is not None else alpha,
-        float(lower) if lower is not None else alpha,
-    )
+    alpha = _opt(resolved, "alpha", 0.05)
+    return SignificanceLevels(_opt(resolved, "alpha_upper", alpha),
+                              _opt(resolved, "alpha_lower", alpha))
+
+
+def _curve_records(points):
+    records = [{"x": _q(point.x), "y_frequentist": _q(point.y_frequentist),
+                "y_bayes": _q(point.y_bayes)} for point in points]
+    return records, ["x", "y_frequentist", "y_bayes"]
 
 
 # ---------------------------------------------------------------------------
@@ -159,41 +167,31 @@ def _levels(resolved: dict) -> SignificanceLevels:
 
 def run_conservativity(resolved):
     margin = parse_margin(_require(resolved, "margin"))
-    prior = parse_beta_prior(resolved["prior_beta"]) if resolved.get("prior_beta") else None
+    prior = _opt(resolved, "prior_beta", None, parse_beta_prior)
     n = int(_require(resolved, "n"))
-    theta = float(resolved["theta"]) if resolved.get("theta") is not None else margin.theta1
-    grid = parse_grid(resolved.get("t_grid") or "0.05:0.95:0.05")
+    theta = _opt(resolved, "theta", margin.theta1)
+    grid = parse_grid(_opt(resolved, "t_grid", "0.05:0.95:0.05", str))
     spec = CurveSpec(model="binomial", n=n, margin=margin, prior=prior,
                      levels=_levels(resolved), grid=grid, theta_true=theta)
-    records = []
-    for t in grid:
-        point = binom_measure_cdf(spec, float(t))
-        records.append({"x": _q(point.x), "y_frequentist": _q(point.y_frequentist),
-                        "y_bayes": _q(point.y_bayes)})
-    return records, ["x", "y_frequentist", "y_bayes"]
+    return _curve_records(binom_cdf_curve(spec))
 
 
 def run_power_curve(resolved):
     margin = parse_margin(_require(resolved, "margin"))
-    prior = parse_beta_prior(resolved["prior_beta"]) if resolved.get("prior_beta") else None
+    prior = _opt(resolved, "prior_beta", None, parse_beta_prior)
     n = int(_require(resolved, "n"))
-    grid = parse_grid(resolved.get("theta_grid") or "0.01:0.99:0.01")
+    grid = parse_grid(_opt(resolved, "theta_grid", "0.01:0.99:0.01", str))
     spec = CurveSpec(model="binomial", n=n, margin=margin, prior=prior,
                      levels=_levels(resolved), grid=grid)
-    records = []
-    for theta in grid:
-        point = binom_power(spec, float(theta))
-        records.append({"x": _q(point.x), "y_frequentist": _q(point.y_frequentist),
-                        "y_bayes": _q(point.y_bayes)})
-    return records, ["x", "y_frequentist", "y_bayes"]
+    return _curve_records(binom_power_curve(spec))
 
 
 def run_theta_max(resolved):
     margin = parse_margin(_require(resolved, "margin"))
-    prior = parse_beta_prior(resolved["prior_beta"]) if resolved.get("prior_beta") else None
+    prior = _opt(resolved, "prior_beta", None, parse_beta_prior)
     spec = CurveSpec(model="binomial", n=int(_require(resolved, "n")), margin=margin,
                      prior=prior, levels=_levels(resolved))
-    resolution = float(resolved.get("resolution") or 1e-3)
+    resolution = _opt(resolved, "resolution", 1e-3)
     theta_f, theta_b = theta_max(spec, resolution)
     record = {"theta_f": _q(theta_f), "theta_b": _q(theta_b)}
     return [record], ["theta_f", "theta_b"]
@@ -204,22 +202,17 @@ def run_noise_cdf(resolved):
     n = int(_require(resolved, "n"))
     sigma = float(_require(resolved, "sigma"))
     theta = float(_require(resolved, "theta"))
-    grid = parse_grid(resolved.get("t_grid") or "0.05:0.95:0.05")
-    prior = NormalPrior(float(resolved["tau"])) if resolved.get("tau") else None
+    grid = parse_grid(_opt(resolved, "t_grid", "0.05:0.95:0.05", str))
+    prior = _opt(resolved, "tau", None, lambda tau: NormalPrior(float(tau)))
     spec = CurveSpec(model="normal", n=n, margin=margin, prior=prior,
                      grid=grid, theta_true=theta, sigma=sigma)
-    reps = int(resolved.get("reps") or 100_000)
-    seed = int(resolved.get("seed") or 0)
-    records = []
-    for point in normal_curves(spec, mc_reps=reps, seed=seed):
-        records.append({"x": _q(point.x), "y_frequentist": _q(point.y_frequentist),
-                        "y_bayes": _q(point.y_bayes)})
-    return records, ["x", "y_frequentist", "y_bayes"]
+    return _curve_records(normal_curves(spec, mc_reps=_opt(resolved, "reps", 100_000, int),
+                                        seed=_opt(resolved, "seed", 0, int)))
 
 
 def run_correlation(resolved):
-    draws = int(resolved.get("draws") or 1_000_000)
-    seed = int(resolved.get("seed") or 0)
+    draws = _opt(resolved, "draws", 1_000_000, int)
+    seed = _opt(resolved, "seed", 0, int)
     want_mc = bool(resolved.get("mc"))
     records = []
 
@@ -255,23 +248,23 @@ def run_correlation(resolved):
 
 def run_fdr_power(resolved):
     margin = parse_margin(_require(resolved, "margin"))
-    k1_grid = [int(v) for v in parse_grid(resolved.get("k1_grid") or "10:990:50")]
+    k1_grid = [int(v) for v in parse_grid(_opt(resolved, "k1_grid", "10:990:50", str))]
     exp = FdrExperiment(
-        k=int(resolved.get("k") or 1000),
+        k=_opt(resolved, "k", 1000, int),
         k1_grid=k1_grid,
         n=int(_require(resolved, "n")),
         margin=margin,
-        sigma=float(resolved.get("sigma") or 1.0),
-        tau=float(resolved.get("tau") or 0.25),
-        epsilon_star=float(resolved.get("epsilon_star") or 0.5),
-        alpha=float(resolved.get("alpha") or 0.05),
-        reps=int(resolved.get("reps") or 1000),
-        seed=int(resolved.get("seed") or 0),
-        evidence=resolved.get("evidence") or "frequentist",
-        sampling=resolved.get("sampling") or "per_tail",
-        combination=resolved.get("combination") or "max",
+        sigma=_opt(resolved, "sigma", 1.0),
+        tau=_opt(resolved, "tau", 0.25),
+        epsilon_star=_opt(resolved, "epsilon_star", 0.5),
+        alpha=_opt(resolved, "alpha", 0.05),
+        reps=_opt(resolved, "reps", 1000, int),
+        seed=_opt(resolved, "seed", 0, int),
+        evidence=_opt(resolved, "evidence", "frequentist", str),
+        sampling=_opt(resolved, "sampling", "per_tail", str),
+        combination=_opt(resolved, "combination", "max", str),
         adaptive=bool(resolved.get("adaptive")),
-        storey_lambda=float(resolved.get("storey_lambda") or 0.5),
+        storey_lambda=_opt(resolved, "storey_lambda", 0.5),
     )
     records = []
     for point in fdr_power_simulation(exp):
@@ -283,15 +276,15 @@ def run_fdr_power(resolved):
 
 def run_tables(resolved):
     margin = parse_margin(_require(resolved, "margin"))
-    prior = parse_beta_prior(resolved["prior_beta"]) if resolved.get("prior_beta") else None
+    prior = _opt(resolved, "prior_beta", None, parse_beta_prior)
     rows = resolved.get("row") or []
     if isinstance(rows, str):
         rows = [rows]
     if not rows:
         raise ConfigError("pass at least one --row n=<value>")
-    reps = int(resolved.get("reps") or 10_000)
-    seed = int(resolved.get("seed") or 0)
-    theta_alt = float(resolved.get("theta_alt") or 0.4)
+    reps = _opt(resolved, "reps", 10_000, int)
+    seed = _opt(resolved, "seed", 0, int)
+    theta_alt = _opt(resolved, "theta_alt", 0.4)
     measure = "p_value" if prior is None else f"beta_{prior.p:g}_{prior.q:g}"
     records = []
     for row_idx, row in enumerate(rows):
@@ -330,6 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def levels(p):
+        p.add_argument("--alpha", type=float)
+        p.add_argument("--alpha-upper", dest="alpha_upper", type=float)
+        p.add_argument("--alpha-lower", dest="alpha_lower", type=float)
+
     def common(p):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--reps", type=int, default=None)
@@ -347,9 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prior-beta", dest="prior_beta")
     p.add_argument("--theta", type=float, help="true parameter (default: lower margin)")
     p.add_argument("--t-grid", dest="t_grid")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--alpha-upper", dest="alpha_upper", type=float)
-    p.add_argument("--alpha-lower", dest="alpha_lower", type=float)
+    levels(p)
 
     p = sub.add_parser("power-curve", help="exact power curve, binomial model")
     common(p)
@@ -357,9 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin")
     p.add_argument("--prior-beta", dest="prior_beta")
     p.add_argument("--theta-grid", dest="theta_grid")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--alpha-upper", dest="alpha_upper", type=float)
-    p.add_argument("--alpha-lower", dest="alpha_lower", type=float)
+    levels(p)
 
     p = sub.add_parser("theta-max", help="power-maximizing parameter search")
     common(p)
@@ -368,9 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin")
     p.add_argument("--prior-beta", dest="prior_beta")
     p.add_argument("--resolution", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--alpha-upper", dest="alpha_upper", type=float)
-    p.add_argument("--alpha-lower", dest="alpha_lower", type=float)
+    levels(p)
 
     p = sub.add_parser("noise-cdf", help="p-value CDF curve, normal model")
     common(p)
@@ -417,9 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin")
     p.add_argument("--prior-beta", dest="prior_beta")
     p.add_argument("--theta-alt", dest="theta_alt", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--alpha-upper", dest="alpha_upper", type=float)
-    p.add_argument("--alpha-lower", dest="alpha_lower", type=float)
+    levels(p)
 
     return parser
 
@@ -444,7 +434,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "config": config_for_digest,
             "config_digest": _digest(config_for_digest),
-            "seed": int(resolved.get("seed") or 0),
+            "seed": _opt(resolved, "seed", 0, int),
             "tool_version": __version__,
             "rng": RNG_NOTE,
             "started": started,

@@ -13,18 +13,17 @@ s = 0..n; Monte Carlo appears only where it mirrors a simulation protocol
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .beta_binomial import BetaPrior, posterior_update, posterior_prob_equiv
-from .equivalence import (EquivalenceMargin, SignificanceLevels,
-                          binom_onesided_pvalues, _check_binom_margin)
+from .equivalence import EquivalenceMargin, SignificanceLevels, _check_binom_margin
 from .normal import NormalPrior, NormalSampling, normal_pvalue_cdf, \
     _posterior_tail_values
 from .rng import spawn_rng
-from .special import binomial_pmf_vector
+from .special import binomial_pmf_vector, binomial_tail_vectors
 
 MODELS = ("binomial", "normal")
 
@@ -72,6 +71,22 @@ class TableResult:
     reps: int
 
 
+def _pvalue_tails(n: int, margin: EquivalenceMargin):
+    """One-sided p-values per count: P_theta1(T >= s) and P_theta2(T <= s)."""
+    _check_binom_margin(margin)
+    upper = binomial_tail_vectors(n, margin.theta1)[1]
+    lower = binomial_tail_vectors(n, margin.theta2)[0]
+    return upper, lower
+
+
+def _posterior_values(n: int, margin: EquivalenceMargin,
+                      prior: Optional[BetaPrior]) -> Optional[np.ndarray]:
+    if prior is None:
+        return None
+    return np.array([posterior_prob_equiv(posterior_update(prior, n, s), margin).value
+                     for s in range(n + 1)])
+
+
 def binom_evidence_values(n: int, margin: EquivalenceMargin,
                           prior: Optional[BetaPrior] = None):
     """Evidence value per success count s = 0..n.
@@ -79,27 +94,8 @@ def binom_evidence_values(n: int, margin: EquivalenceMargin,
     Returns (pf, pb): combined p-values and, when a prior is supplied,
     combined posterior probabilities (otherwise None).
     """
-    _check_binom_margin(margin)
-    pf = np.empty(n + 1)
-    for s in range(n + 1):
-        up, lo = binom_onesided_pvalues(n, s, margin)
-        pf[s] = max(up.value, lo.value)
-    pb = None
-    if prior is not None:
-        pb = np.empty(n + 1)
-        for s in range(n + 1):
-            post = posterior_update(prior, n, s)
-            pb[s] = posterior_prob_equiv(post, margin).value
-    return pf, pb
-
-
-def _freq_reject_mask(n: int, margin: EquivalenceMargin,
-                      levels: SignificanceLevels) -> np.ndarray:
-    mask = np.empty(n + 1, dtype=bool)
-    for s in range(n + 1):
-        up, lo = binom_onesided_pvalues(n, s, margin)
-        mask[s] = (up.value <= levels.alpha_upper) and (lo.value <= levels.alpha_lower)
-    return mask
+    upper, lower = _pvalue_tails(n, margin)
+    return np.maximum(upper, lower), _posterior_values(n, margin, prior)
 
 
 def bayes_combined_level(levels: SignificanceLevels) -> float:
@@ -107,36 +103,51 @@ def bayes_combined_level(levels: SignificanceLevels) -> float:
     return 0.5 * (levels.alpha_upper + levels.alpha_lower)
 
 
-def _bayes_reject_mask(n: int, margin: EquivalenceMargin, prior: BetaPrior,
-                       levels: SignificanceLevels) -> np.ndarray:
-    _, pb = binom_evidence_values(n, margin, prior)
-    return pb <= bayes_combined_level(levels)
+def _reject_masks(spec: CurveSpec):
+    """Rejection masks over s = 0..n: (frequentist, Bayesian or None)."""
+    upper, lower = _pvalue_tails(spec.n, spec.margin)
+    mask_f = (upper <= spec.levels.alpha_upper) & (lower <= spec.levels.alpha_lower)
+    pb = _posterior_values(spec.n, spec.margin, spec.prior)
+    mask_b = None if pb is None else pb <= bayes_combined_level(spec.levels)
+    return mask_f, mask_b
+
+
+def _require_model(spec: CurveSpec, model: str, name: str) -> None:
+    if spec.model != model:
+        raise ValueError(f"{name} needs a {model} CurveSpec")
+
+
+def _point(x: float, pmf: np.ndarray, sel_f: np.ndarray, sel_b) -> CurvePoint:
+    """Probability under pmf of each measure's selected counts."""
+    y_b = float(pmf @ sel_b) if sel_b is not None else math.nan
+    return CurvePoint(x, float(pmf @ sel_f), y_b)
+
+
+def binom_cdf_curve(spec: CurveSpec):
+    """Exact P_theta(measure <= t) at theta_true for each t of the grid."""
+    _require_model(spec, "binomial", "binom_cdf_curve")
+    pf, pb = binom_evidence_values(spec.n, spec.margin, spec.prior)
+    pmf = binomial_pmf_vector(spec.n, spec.theta_true)
+    return [_point(float(t), pmf, pf <= t, None if pb is None else pb <= t)
+            for t in spec.grid]
+
+
+def binom_power_curve(spec: CurveSpec):
+    """Exact rejection probability at each parameter theta of the grid."""
+    _require_model(spec, "binomial", "binom_power_curve")
+    mask_f, mask_b = _reject_masks(spec)
+    return [_point(float(theta), binomial_pmf_vector(spec.n, float(theta)), mask_f, mask_b)
+            for theta in spec.grid]
 
 
 def binom_measure_cdf(spec: CurveSpec, t: float) -> CurvePoint:
     """Exact P_theta(measure <= t) at theta_true, for both measures."""
-    if spec.model != "binomial":
-        raise ValueError("binom_measure_cdf needs a binomial CurveSpec")
-    pf, pb = binom_evidence_values(spec.n, spec.margin, spec.prior)
-    pmf = binomial_pmf_vector(spec.n, spec.theta_true)
-    y_f = float(pmf @ (pf <= t))
-    y_b = float(pmf @ (pb <= t)) if pb is not None else math.nan
-    return CurvePoint(t, y_f, y_b)
+    return binom_cdf_curve(replace(spec, grid=(t,)))[0]
 
 
 def binom_power(spec: CurveSpec, theta: float) -> CurvePoint:
     """Exact rejection probability at parameter theta, for both measures."""
-    if spec.model != "binomial":
-        raise ValueError("binom_power needs a binomial CurveSpec")
-    mask_f = _freq_reject_mask(spec.n, spec.margin, spec.levels)
-    pmf = binomial_pmf_vector(spec.n, theta)
-    y_f = float(pmf @ mask_f)
-    if spec.prior is not None:
-        mask_b = _bayes_reject_mask(spec.n, spec.margin, spec.prior, spec.levels)
-        y_b = float(pmf @ mask_b)
-    else:
-        y_b = math.nan
-    return CurvePoint(theta, y_f, y_b)
+    return binom_power_curve(replace(spec, grid=(theta,)))[0]
 
 
 def _argmax_toward_center(thetas: np.ndarray, values: np.ndarray,
@@ -154,21 +165,17 @@ def theta_max(spec: CurveSpec, resolution: float = 1e-3):
     Returns (theta_f, theta_b); theta_b is NaN when the spec carries no
     prior.  The grid is i * resolution for i = 1 .. ceil(1/resolution)-1.
     """
-    if spec.model != "binomial":
-        raise ValueError("theta_max needs a binomial CurveSpec")
+    _require_model(spec, "binomial", "theta_max")
     if not 0.0 < resolution <= 1e-3:
         raise ValueError(f"resolution must lie in (0, 1e-3], got {resolution}")
     steps = int(math.ceil(1.0 / resolution))
     thetas = np.arange(1, steps) * resolution
     thetas = thetas[(thetas > 0.0) & (thetas < 1.0)]
-    pmf_rows = np.vstack([binomial_pmf_vector(spec.n, th) for th in thetas])
-    mask_f = _freq_reject_mask(spec.n, spec.margin, spec.levels)
-    theta_f = _argmax_toward_center(thetas, pmf_rows @ mask_f)
+    points = binom_power_curve(replace(spec, grid=thetas))
+    theta_f = _argmax_toward_center(thetas, np.array([p.y_frequentist for p in points]))
     if spec.prior is None:
         return theta_f, math.nan
-    mask_b = _bayes_reject_mask(spec.n, spec.margin, spec.prior, spec.levels)
-    theta_b = _argmax_toward_center(thetas, pmf_rows @ mask_b)
-    return theta_f, theta_b
+    return theta_f, _argmax_toward_center(thetas, np.array([p.y_bayes for p in points]))
 
 
 def normal_curves(spec: CurveSpec, mc_reps: int = 100_000, seed: int = 0):
@@ -177,8 +184,9 @@ def normal_curves(spec: CurveSpec, mc_reps: int = 100_000, seed: int = 0):
     The p-value CDF is analytic; the posterior-measure CDF is a seeded
     Monte Carlo estimate (mc_reps draws of the sample mean at theta_true).
     """
-    if spec.model != "normal":
-        raise ValueError("normal_curves needs a normal CurveSpec")
+    _require_model(spec, "normal", "normal_curves")
+    if mc_reps < 1:
+        raise ValueError(f"mc_reps must be positive, got {mc_reps}")
     samp = NormalSampling(sigma=spec.sigma, n=spec.n)
     points = []
     pb = None
@@ -205,26 +213,17 @@ def table_simulation(spec: CurveSpec, reps: int, seed: int,
     decision rule at the spec's levels; the exact enumeration values are
     returned alongside so simulation noise can be checked directly.
     """
-    if spec.model != "binomial":
-        raise ValueError("table_simulation needs a binomial CurveSpec")
+    _require_model(spec, "binomial", "table_simulation")
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
-    if spec.prior is None:
-        mask = _freq_reject_mask(spec.n, spec.margin, spec.levels)
-    else:
-        mask = _bayes_reject_mask(spec.n, spec.margin, spec.prior, spec.levels)
-    pmf_null = binomial_pmf_vector(spec.n, spec.margin.theta1)
-    pmf_alt = binomial_pmf_vector(spec.n, theta_alt)
-    exact_t1 = float(pmf_null @ mask)
-    exact_pw = float(pmf_alt @ mask)
-    rng_null = spawn_rng(seed, 0)
-    rng_alt = spawn_rng(seed, 1)
-    s_null = rng_null.binomial(spec.n, spec.margin.theta1, size=reps)
-    s_alt = rng_alt.binomial(spec.n, theta_alt, size=reps)
+    mask_f, mask_b = _reject_masks(spec)
+    mask = mask_f if mask_b is None else mask_b
+    s_null = spawn_rng(seed, 0).binomial(spec.n, spec.margin.theta1, size=reps)
+    s_alt = spawn_rng(seed, 1).binomial(spec.n, theta_alt, size=reps)
     return TableResult(
         mc_type1=float(np.mean(mask[s_null])),
         mc_power=float(np.mean(mask[s_alt])),
-        exact_type1=exact_t1,
-        exact_power=exact_pw,
+        exact_type1=float(binomial_pmf_vector(spec.n, spec.margin.theta1) @ mask),
+        exact_power=float(binomial_pmf_vector(spec.n, theta_alt) @ mask),
         reps=reps,
     )

@@ -1,9 +1,12 @@
 """Numeric kernel: log-gamma, regularized incomplete beta, normal CDF and
-quantile, binomial PMF/CDF/quantile.
+quantile, binomial PMF, tail vectors, CDF/SF and quantile.
 
 Everything here is self-contained (stdlib ``math`` plus numpy for array
 convenience).  Mass functions are evaluated in log space so that sample
-sizes up to ~1e4 neither overflow nor lose the tails; the incomplete beta
+sizes up to ~1e4 neither overflow nor lose the tails; each binomial tail is
+a cumulative sum of the PMF vector started at its own small end, so both
+tails keep their relative accuracy over the whole support, and the scalar
+CDF, SF and quantile are lookups into those vectors.  The incomplete beta
 uses the modified Lentz continued fraction with the usual symmetry switch.
 All functions are pure and safe to call from concurrent workers.
 """
@@ -165,12 +168,17 @@ def _check_binomial_args(n: int, theta: float) -> None:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
 
 
+def _check_count(n: int, s: int) -> None:
+    if not 0 <= s <= n:
+        raise ValueError(f"s must lie in [0, {n}], got {s}")
+
+
 def binomial_logpmf_vector(n: int, theta: float) -> np.ndarray:
     """Log PMF of Bin(n, theta) over the whole support s = 0..n."""
     _check_binomial_args(n, theta)
     s = np.arange(n + 1)
-    log_choose = np.array([math.lgamma(n + 1) - math.lgamma(k + 1)
-                           - math.lgamma(n - k + 1) for k in s])
+    log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
+    log_choose = log_fact[n] - log_fact - log_fact[::-1]
     return log_choose + s * math.log(theta) + (n - s) * math.log1p(-theta)
 
 
@@ -182,40 +190,39 @@ def binomial_pmf_vector(n: int, theta: float) -> np.ndarray:
 def binomial_pmf(n: int, theta: float, s: int) -> float:
     """P(T = s) for T ~ Bin(n, theta), computed in log space."""
     _check_binomial_args(n, theta)
-    if not 0 <= s <= n:
-        raise ValueError(f"s must lie in [0, {n}], got {s}")
+    _check_count(n, s)
     log_p = (math.lgamma(n + 1) - math.lgamma(s + 1) - math.lgamma(n - s + 1)
              + s * math.log(theta) + (n - s) * math.log1p(-theta))
     return math.exp(log_p)
 
 
-def binomial_cdf(n: int, theta: float, s: int) -> float:
-    """P(T <= s) for T ~ Bin(n, theta), summed over the shorter tail.
+def binomial_tail_vectors(n: int, theta: float):
+    """Both tails of T ~ Bin(n, theta) over the whole support s = 0..n.
 
-    Terms are accumulated with ``math.fsum`` so the result is exact to a
-    rounding of the true tail sum (relative error ~1e-15).
+    Returns (cdf, sf) with cdf[s] = P(T <= s) and sf[s] = P(T >= s): a
+    forward and a reverse cumulative sum of the PMF vector, so each tail
+    adds up from its own small end and keeps its relative accuracy.
     """
+    pmf = binomial_pmf_vector(n, theta)
+    cdf = np.minimum(np.cumsum(pmf), 1.0)
+    sf = np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0)
+    # whole-support sums are exactly 1, so a quantile search stays within 0..n
+    cdf[n] = sf[0] = 1.0
+    return cdf, sf
+
+
+def binomial_cdf(n: int, theta: float, s: int) -> float:
+    """P(T <= s) for T ~ Bin(n, theta); see :func:`binomial_tail_vectors`."""
     _check_binomial_args(n, theta)
-    if not 0 <= s <= n:
-        raise ValueError(f"s must lie in [0, {n}], got {s}")
-    if s == n:
-        return 1.0
-    if s + 1 <= n - s:
-        return min(1.0, math.fsum(binomial_pmf(n, theta, j) for j in range(s + 1)))
-    upper = math.fsum(binomial_pmf(n, theta, j) for j in range(s + 1, n + 1))
-    return max(0.0, 1.0 - upper)
+    _check_count(n, s)
+    return float(binomial_tail_vectors(n, theta)[0][s])
 
 
 def binomial_sf(n: int, theta: float, s: int) -> float:
     """P(T >= s) for T ~ Bin(n, theta); the upper tail including s."""
     _check_binomial_args(n, theta)
-    if not 0 <= s <= n:
-        raise ValueError(f"s must lie in [0, {n}], got {s}")
-    if s == 0:
-        return 1.0
-    if n - s + 1 <= s:
-        return min(1.0, math.fsum(binomial_pmf(n, theta, j) for j in range(s, n + 1)))
-    return max(0.0, 1.0 - binomial_cdf(n, theta, s - 1))
+    _check_count(n, s)
+    return float(binomial_tail_vectors(n, theta)[1][s])
 
 
 def binomial_quantile(n: int, theta: float, u: float) -> int:
@@ -227,11 +234,4 @@ def binomial_quantile(n: int, theta: float, u: float) -> int:
     _check_binomial_args(n, theta)
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u}")
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if binomial_cdf(n, theta, mid) >= u:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return int(np.searchsorted(binomial_tail_vectors(n, theta)[0], u, side="left"))

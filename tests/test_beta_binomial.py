@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from equilab import (BetaPrior, EquivalenceMargin, binom_tost_pvalue,
                      binomial_pmf_vector, posterior_prob_equiv,
@@ -111,6 +111,18 @@ class TestTailProbabilities:
                for s in range(41)]
         assert all(b <= a for a, b in zip(ups, ups[1:]))
         assert all(b >= a for a, b in zip(los, los[1:]))
+
+    def test_far_tail_relative_accuracy(self):
+        # Beta(0.5, 0.5), n = 1000, s = 520: both tails lie far below 1e-16,
+        # where 1 - I_x(a, b) cancels to nothing
+        margin = EquivalenceMargin(0.25, 0.75)
+        post = posterior_update(BetaPrior(0.5, 0.5), 1000, 520)
+        lower = posterior_prob_lower(post, margin.theta2).value
+        assert lower == pytest.approx(special.betaincc(post.a, post.b, 0.75), rel=1e-10, abs=0)
+        ref = special.betainc(post.a, post.b, 0.25) + special.betaincc(post.a, post.b, 0.75)
+        combined = posterior_prob_equiv(post, margin).value
+        assert combined == pytest.approx(ref, rel=1e-10, abs=0)
+        assert combined == pytest.approx(1.257e-55, rel=1e-3, abs=0)
 
     def test_domain_checks(self):
         post = posterior_update(BetaPrior(1, 1), 10, 5)

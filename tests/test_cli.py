@@ -176,6 +176,20 @@ class TestConfigAndErrors:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("args, flag", [
+        (["tables", "--row", "n=20", "--margin", "0.25,0.75", "--reps", "0"], "reps"),
+        (["noise-cdf", "--n", "30", "--sigma", "2", "--margin", "1,4",
+          "--theta", "1.5", "--tau", "0"], "tau"),
+        (["noise-cdf", "--n", "30", "--sigma", "2", "--margin", "1,4",
+          "--theta", "1.5", "--tau", "0.5", "--reps", "0"], "reps"),
+        (["power-curve", "--n", "10", "--margin", "0.2,0.8", "--alpha", "0"], "alpha"),
+    ])
+    def test_zero_values_are_not_replaced_by_defaults(self, tmp_path, capsys, args, flag):
+        code = main(args + ["--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_correlation_without_mode_exits_2(self, tmp_path, capsys):
         code = main(["correlation", "--out", str(tmp_path / "x.csv")])
         assert code == 2

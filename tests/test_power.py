@@ -1,13 +1,15 @@
 """Exact curves, power maximizer search, and the simulation-table protocol."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from equilab import (BetaPrior, CurveSpec, EquivalenceMargin, NormalPrior,
                      SignificanceLevels, binom_evidence_values,
-                     binom_measure_cdf, binom_power, binomial_pmf_vector,
+                     binom_measure_cdf, binom_power, binom_power_curve,
+                     binomial_pmf_vector,
                      normal_curves, table_simulation, theta_max)
 from equilab.power import _argmax_toward_center
 
@@ -69,11 +71,8 @@ class TestPower:
 
     def test_pvalue_power_unimodal(self):
         for n in (10, 30):
-            spec = spec_binom(n, (0.2, 0.8))
-            thetas = np.arange(1, 1000) * 1e-3
-            pmf_rows = np.vstack([binomial_pmf_vector(n, th) for th in thetas])
-            from equilab.power import _freq_reject_mask
-            power = pmf_rows @ _freq_reject_mask(n, spec.margin, spec.levels)
+            spec = replace(spec_binom(n, (0.2, 0.8)), grid=np.arange(1, 1000) * 1e-3)
+            power = np.array([p.y_frequentist for p in binom_power_curve(spec)])
             peak = int(np.argmax(power))
             assert np.all(np.diff(power[: peak + 1]) >= -1e-12)
             assert np.all(np.diff(power[peak:]) <= 1e-12)

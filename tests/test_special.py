@@ -9,11 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
+from equilab import EquivalenceMargin, binom_tost_pvalue
 from equilab.special import (binomial_cdf, binomial_pmf, binomial_pmf_vector,
-                             binomial_quantile, binomial_sf, log_gamma,
-                             normal_cdf, normal_quantile, reg_inc_beta)
+                             binomial_quantile, binomial_sf,
+                             binomial_tail_vectors, log_gamma, normal_cdf,
+                             normal_quantile, reg_inc_beta)
 
 mpmath.mp.dps = 40
 
@@ -208,3 +210,40 @@ class TestBinomial:
             binomial_cdf(10, 0.5, 11)
         with pytest.raises(ValueError):
             binomial_quantile(10, 0.5, 0.0)
+
+
+def assert_relative(got, ref, rel=1e-10):
+    """Relative error at most ``rel`` wherever the reference exceeds 1e-300."""
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    keep = ref > 1e-300
+    err = np.abs(got[keep] - ref[keep]) / ref[keep]
+    assert err.max() <= rel, f"worst relative error {err.max():.3g}"
+
+
+class TestBinomialTailAccuracy:
+    """Both tails and the TOST p-value against scipy in relative terms,
+    including the far tails near the margin centre."""
+
+    margin = EquivalenceMargin(0.25, 0.75)
+
+    @pytest.mark.parametrize("n", [50, 1000, 10_000])
+    def test_tail_vectors_whole_support(self, n):
+        counts = np.arange(n + 1)
+        for theta in (0.25, 0.5, 0.75):
+            cdf, sf = binomial_tail_vectors(n, theta)
+            assert_relative(cdf, stats.binom.cdf(counts, n, theta))
+            assert_relative(sf, stats.binom.sf(counts - 1, n, theta))
+
+    # every count at n <= 1000; every 97th at n = 1e4, where each scalar
+    # call builds an O(n) vector (the whole support is checked above)
+    @pytest.mark.parametrize("n, step", [(50, 1), (1000, 1), (10_000, 97)])
+    def test_scalar_tails_and_tost_pvalue(self, n, step):
+        counts = np.arange(0, n + 1, step)
+        for theta in (self.margin.theta1, self.margin.theta2):
+            assert_relative([binomial_cdf(n, theta, int(s)) for s in counts],
+                            stats.binom.cdf(counts, n, theta))
+            assert_relative([binomial_sf(n, theta, int(s)) for s in counts],
+                            stats.binom.sf(counts - 1, n, theta))
+        ref = np.maximum(stats.binom.sf(counts - 1, n, self.margin.theta1),
+                         stats.binom.cdf(counts, n, self.margin.theta2))
+        assert_relative([binom_tost_pvalue(n, int(s), self.margin).value for s in counts], ref)

@@ -149,6 +149,21 @@ def _opt(resolved: dict, key: str, default, convert=float):
     return default if value is None else convert(value)
 
 
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _flag(resolved: dict, key: str) -> bool:
+    """A store-const flag: True from the command line, or a true/false,
+    1/0, yes/no word (any case) from a config file; absent means False."""
+    value = resolved.get(key)
+    if value is None or isinstance(value, bool):
+        return bool(value)
+    word = str(value).strip().lower()
+    if word not in _BOOLEANS:
+        raise ConfigError(f"invalid value {value!r} for {key}: use true/false, 1/0 or yes/no")
+    return _BOOLEANS[word]
+
+
 def _levels(resolved: dict) -> SignificanceLevels:
     alpha = _opt(resolved, "alpha", 0.05)
     return SignificanceLevels(_opt(resolved, "alpha_upper", alpha),
@@ -213,7 +228,7 @@ def run_noise_cdf(resolved):
 def run_correlation(resolved):
     draws = _opt(resolved, "draws", 1_000_000, int)
     seed = _opt(resolved, "seed", 0, int)
-    want_mc = bool(resolved.get("mc"))
+    want_mc = _flag(resolved, "mc")
     records = []
 
     def add(mode, result):
@@ -224,12 +239,12 @@ def run_correlation(resolved):
             "std_error": _q(result.std_error) if result.std_error is not None else "",
         })
 
-    if resolved.get("two_sided"):
+    if _flag(resolved, "two_sided"):
         w = float(_require(resolved, "w"))
         add("two_sided", corr_two_sided(w))
         if want_mc:
             add("two_sided_mc", corr_two_sided_mc(w, draws=draws, seed=seed))
-    elif resolved.get("equivalence"):
+    elif _flag(resolved, "equivalence"):
         samp = NormalSampling(float(_require(resolved, "sigma")), int(_require(resolved, "n")))
         prior = NormalPrior(float(_require(resolved, "tau")))
         margin = parse_margin(_require(resolved, "margin"))
@@ -237,7 +252,7 @@ def run_correlation(resolved):
         if want_mc:
             add("equivalence_mc",
                 corr_equivalence_mc(samp, prior, margin, draws=draws, seed=seed))
-    elif resolved.get("partial"):
+    elif _flag(resolved, "partial"):
         samp = NormalSampling(float(_require(resolved, "sigma")), int(_require(resolved, "n")))
         margin = parse_margin(_require(resolved, "margin"))
         add("partial", corr_partial_pvalues(samp, margin, draws=draws, seed=seed))
@@ -263,7 +278,7 @@ def run_fdr_power(resolved):
         evidence=_opt(resolved, "evidence", "frequentist", str),
         sampling=_opt(resolved, "sampling", "per_tail", str),
         combination=_opt(resolved, "combination", "max", str),
-        adaptive=bool(resolved.get("adaptive")),
+        adaptive=_flag(resolved, "adaptive"),
         storey_lambda=_opt(resolved, "storey_lambda", 0.5),
     )
     records = []
@@ -333,8 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--reps", type=int, default=None)
         p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=None,
-                       help="scheduling hint; results never depend on it")
         p.add_argument("--config", default=None,
                        help="key = value file supplying defaults for any flag")
 
@@ -429,7 +442,7 @@ def main(argv=None) -> int:
         out_path = resolved.get("out") or f"{args.command}.csv"
         fmt = resolved.get("format") or "csv"
         config_for_digest = {k: v for k, v in sorted(resolved.items())
-                             if k not in ("out", "format", "config", "threads")}
+                             if k not in ("out", "format", "config")}
         manifest = {
             "command": args.command,
             "config": config_for_digest,

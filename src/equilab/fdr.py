@@ -12,7 +12,7 @@ import numpy as np
 from .equivalence import EquivalenceMargin
 from .normal import NormalPrior, NormalSampling, posterior_coefficient
 from .rng import spawn_rng
-from .special import normal_cdf
+from .special import SLICE_ELEMENTS, normal_cdf
 
 EVIDENCE_KINDS = ("frequentist", "bayesian")
 SAMPLING_MODES = ("per_tail", "per_tail_literal", "shared")
@@ -63,24 +63,49 @@ class DecisionTable:
         return self.S / max(self.k1, 1)
 
 
+def _step_up(p: np.ndarray, alpha: float, lam=None):
+    """Row-wise step-up over a (rows x k) matrix of evidence values.
+
+    Each row rejects its D smallest values, D = max{j : p_(j) <= alpha j / k0}
+    (0 if no j qualifies), where k0 is k or, when ``lam`` is given, the
+    plug-in k0_hat = min(k, (1 + #{p > lam}) / (1 - lam)).  No row is
+    sorted: a value passes at every rank from the first j with
+    p <= alpha j / k0 on, D is the largest j at which at least j values
+    pass, and exactly D values pass there.  Returns (rank, d, k0) per row:
+    each value's first passing rank (k + 1 for none), so a row rejects
+    ``rank <= d``, and the k0 used.
+    """
+    if p.ndim != 2 or p.shape[1] == 0:
+        raise ValueError("need a non-empty 1-d vector of evidence values")
+    if np.any((p < 0) | (p > 1)):
+        raise ValueError("evidence values must lie in [0, 1]")
+    rows, k = p.shape
+    if lam is None:
+        k0 = np.full(rows, float(k))
+    else:
+        k0 = np.minimum(float(k), (1.0 + np.sum(p > lam, axis=1)) / (1.0 - lam))
+    thresholds = alpha * np.arange(1, k + 1) / k0[:, np.newaxis]
+    rank = 1 + np.array([np.searchsorted(t, row) for t, row in zip(thresholds, p)])
+    # passing[r, j - 1]: values of row r that pass at rank j (a bincount per row)
+    offsets = (k + 2) * np.arange(rows)[:, np.newaxis]
+    counts = np.bincount((rank + offsets).ravel(), minlength=rows * (k + 2))
+    passing = np.cumsum(counts.reshape(rows, k + 2), axis=1)[:, 1:k + 1]
+    qualifies = passing >= np.arange(1, k + 1)
+    # the last qualifying rank, 0 where none qualifies
+    d = np.where(qualifies.any(axis=1), k - np.argmax(qualifies[:, ::-1], axis=1), 0)
+    return rank, d, k0
+
+
 def bh_procedure(pvals: Sequence[float], alpha: float):
     """Step-up procedure: reject the D smallest values where
     D = max{j : p_(j) <= j alpha / k} (0 if no j qualifies).
 
-    Ties keep their original order (stable sort).  Returns (D, rejected)
-    with ``rejected`` the sorted array of rejected indices; indices ranked
+    Tied values are rejected together.  Returns (D, rejected) with
+    ``rejected`` the sorted array of rejected indices; indices ranked
     below a qualifying j are rejected even if their own inequality fails.
     """
-    p = np.asarray(pvals, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("need a non-empty 1-d vector of evidence values")
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("evidence values must lie in [0, 1]")
-    k = p.size
-    order = np.argsort(p, kind="stable")
-    qualifying = np.nonzero(p[order] <= alpha * np.arange(1, k + 1) / k)[0]
-    d = 0 if qualifying.size == 0 else int(qualifying[-1]) + 1
-    return d, np.sort(order[:d])
+    rank, d, _ = _step_up(np.asarray(pvals, dtype=float)[np.newaxis], alpha)
+    return int(d[0]), np.flatnonzero(rank[0] <= d[0])
 
 
 def adaptive_bh(pvals: Sequence[float], alpha: float, lam: float = 0.5):
@@ -92,13 +117,8 @@ def adaptive_bh(pvals: Sequence[float], alpha: float, lam: float = 0.5):
     """
     if not 0.0 < lam < 1.0:
         raise ValueError(f"lambda must lie in (0, 1), got {lam}")
-    p = np.asarray(pvals, dtype=float)
-    k = p.size
-    k0_hat = min(float(k), (1.0 + float(np.sum(p > lam))) / (1.0 - lam))
-    order = np.argsort(p, kind="stable")
-    qualifying = np.nonzero(p[order] <= alpha * np.arange(1, k + 1) / k0_hat)[0]
-    d = 0 if qualifying.size == 0 else int(qualifying[-1]) + 1
-    return d, np.sort(order[:d]), k0_hat
+    rank, d, k0 = _step_up(np.asarray(pvals, dtype=float)[np.newaxis], alpha, lam)
+    return int(d[0]), np.flatnonzero(rank[0] <= d[0]), float(k0[0])
 
 
 def score_decisions(rejected: Sequence[int], truth: Sequence[bool]) -> DecisionTable:
@@ -175,14 +195,20 @@ class FdrPoint:
     se_fdr: float
 
 
-def _tail_z_stats(exp: FdrExperiment, truth: np.ndarray, rng) -> tuple:
-    """Standardized per-tail statistics for one replication."""
+def _tail_z_stats(exp: FdrExperiment, truth: np.ndarray, rngs) -> tuple:
+    """Standardized per-tail statistics, one row per replication stream."""
     t1, t2 = exp.margin.theta1, exp.margin.theta2
-    if exp.sampling == "shared":
+    first = np.empty((len(rngs), exp.k))
+    second = np.empty_like(first)
+    shared = exp.sampling == "shared"
+    for rng, row_1, row_2 in zip(rngs, first, second):
+        (rng.random if shared else rng.standard_normal)(out=row_1)
+        rng.standard_normal(out=row_2)
+    if shared:
         # one latent mean per hypothesis; nulls sit on a randomly chosen boundary
-        boundary = np.where(rng.random(exp.k) < 0.5, t1, t2)
+        boundary = np.where(first < 0.5, t1, t2)
         theta = np.where(truth, t1 + exp.epsilon_star, boundary)
-        xbar = theta + exp.sigma / math.sqrt(exp.n) * rng.standard_normal(exp.k)
+        xbar = theta + exp.sigma / math.sqrt(exp.n) * second
         z_r = math.sqrt(exp.n) * (xbar - t1) / exp.sigma
         z_l = math.sqrt(exp.n) * (xbar - t2) / exp.sigma
         return z_r, z_l
@@ -194,8 +220,8 @@ def _tail_z_stats(exp: FdrExperiment, truth: np.ndarray, rng) -> tuple:
     else:  # per_tail_literal
         sd = exp.sigma
         scale = 1.0 / exp.sigma
-    x_r = mu_r + sd * rng.standard_normal(exp.k)
-    x_l = mu_l + sd * rng.standard_normal(exp.k)
+    x_r = mu_r + sd * first
+    x_l = mu_l + sd * second
     return scale * (x_r - t1), scale * (x_l - t2)
 
 
@@ -220,25 +246,27 @@ def fdr_power_simulation(exp: FdrExperiment):
     Streams derive from (seed, k1-index, replication-index), so results are
     reproducible and identical under any work scheduling; running the same
     seed with the other evidence kind reuses the very same draws, giving
-    paired comparisons.
+    paired comparisons.  Replications run in blocks of up to
+    ``SLICE_ELEMENTS // k`` rows, each row filled from its own stream, so
+    a block is one evidence evaluation and one row-wise step-up.
     """
+    block = max(1, SLICE_ELEMENTS // exp.k)
+    lam = exp.storey_lambda if exp.adaptive else None
     results = []
     for k1_idx, k1 in enumerate(exp.k1_grid):
         truth = np.zeros(exp.k, dtype=bool)
         truth[:k1] = True
         powers = np.empty(exp.reps)
         fdps = np.empty(exp.reps)
-        for rep in range(exp.reps):
-            rng = spawn_rng(exp.seed, k1_idx, rep)
-            z_r, z_l = _tail_z_stats(exp, truth, rng)
-            evidence = _combine_evidence(exp, z_r, z_l)
-            if exp.adaptive:
-                _, rejected, _ = adaptive_bh(evidence, exp.alpha, exp.storey_lambda)
-            else:
-                _, rejected = bh_procedure(evidence, exp.alpha)
-            table = score_decisions(rejected, truth)
-            powers[rep] = table.power()
-            fdps[rep] = table.fdp()
+        for start in range(0, exp.reps, block):
+            reps = range(start, min(start + block, exp.reps))
+            z_r, z_l = _tail_z_stats(exp, truth, [spawn_rng(exp.seed, k1_idx, rep)
+                                                  for rep in reps])
+            rank, d, _ = _step_up(_combine_evidence(exp, z_r, z_l), exp.alpha, lam)
+            # S: rejected false nulls, the first k1 hypotheses
+            s = np.sum(rank[:, :k1] <= d[:, np.newaxis], axis=1)
+            powers[reps.start:reps.stop] = s / max(k1, 1)
+            fdps[reps.start:reps.stop] = (d - s) / np.maximum(d, 1)
         results.append(FdrPoint(
             k1=int(k1),
             mean_power=float(powers.mean()),

@@ -1,22 +1,28 @@
-"""Numeric kernel: log-gamma, regularized incomplete beta, normal CDF and
-quantile, binomial PMF, tail vectors, CDF/SF and quantile.
+"""Numeric kernel: log-gamma, regularized incomplete beta, erfc and the
+normal CDF and quantile, binomial PMF, tail vectors, CDF/SF and quantile.
 
-Everything here is self-contained (stdlib ``math`` plus numpy for array
-convenience).  Mass functions are evaluated in log space so that sample
-sizes up to ~1e4 neither overflow nor lose the tails; each binomial tail is
-a cumulative sum of the PMF vector started at its own small end, so both
-tails keep their relative accuracy over the whole support, and the scalar
-CDF, SF and quantile are lookups into those vectors.  The incomplete beta
-uses the modified Lentz continued fraction with the usual symmetry switch.
+Everything here is self-contained (stdlib ``math`` plus numpy).  Mass
+functions are evaluated in log space so that sample sizes up to ~1e4
+neither overflow nor lose the tails; each binomial tail is a cumulative sum
+of the PMF vector started at its own small end, so both tails keep their
+relative accuracy over the whole support, and the scalar CDF, SF and
+quantile are lookups into those vectors.  The incomplete beta uses the
+modified Lentz continued fraction with the usual symmetry switch.  erfc is
+a numpy port of fdlibm's rational approximations (the algorithm of the C
+library ``erfc``), evaluated in slices of at most ``SLICE_ELEMENTS`` so its
+temporaries stay cache-sized; scalars and arrays take the same path.
 All functions are pure and safe to call from concurrent workers.
 """
 
+import functools
 import math
 
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-_ERFC = np.vectorize(math.erfc, otypes=[float])
+
+# elements per erfc slice; also bounds the FDR simulation's replication blocks
+SLICE_ELEMENTS = 8192
 
 
 def log_gamma(x: float) -> float:
@@ -108,15 +114,116 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     return 1.0 - math.exp(log_front) * _beta_cont_frac(b, a, 1.0 - x) / b
 
 
-def normal_cdf(z):
-    """Standard normal CDF, elementwise on arrays, via erfc.
+# fdlibm s_erf.c coefficients, by interval of |x|: [0, 0.84375) in x^2,
+# [0.84375, 1.25) in |x| - 1, [1.25, 1/0.35) and [1/0.35, 28) in 1/x^2
+_ERX = 8.45062911510467529297e-01
+_PP = (1.28379167095512558561e-01, -3.25042107247001499370e-01, -2.84817495755985104766e-02,
+       -5.77027029648944159157e-03, -2.37630166566501626084e-05)
+_QQ = (1.0, 3.97917223959155352819e-01, 6.50222499887672944485e-02,
+       5.08130628187576562776e-03, 1.32494738004321644526e-04, -3.96022827877536812320e-06)
+_PA = (-2.36211856075265944077e-03, 4.14856118683748331666e-01, -3.72207876035701323847e-01,
+       3.18346619901161753674e-01, -1.10894694282396677476e-01, 3.54783043256182359371e-02,
+       -2.16637559486879084300e-03)
+_QA = (1.0, 1.06420880400844228286e-01, 5.40397917702171048937e-01,
+       7.18286544141962662868e-02, 1.26171219808761642112e-01, 1.36370839120290507362e-02,
+       1.19844998467991074170e-02)
+_RA = (-9.86494403484714822705e-03, -6.93858572707181764372e-01, -1.05586262253232909814e+01,
+       -6.23753324503260060396e+01, -1.62396669462573470355e+02, -1.84605092906711035994e+02,
+       -8.12874355063065934246e+01, -9.81432934416914548592e+00)
+_SA = (1.0, 1.96512716674392571292e+01, 1.37657754143519042600e+02,
+       4.34565877475229228821e+02, 6.45387271733267880336e+02, 4.29008140027567833386e+02,
+       1.08635005541779435134e+02, 6.57024977031928170135e+00, -6.04244152148580987438e-02)
+_RB = (-9.86494292470009928597e-03, -7.99283237680523006574e-01, -1.77579549177547519889e+01,
+       -1.60636384855821916062e+02, -6.37566443368389627722e+02, -1.02509513161107724954e+03,
+       -4.83519191608651397019e+02)
+_SB = (1.0, 3.03380607434824582924e+01, 3.25792512996573918826e+02,
+       1.53672958608443695994e+03, 3.19985821950859553908e+03, 2.55305040643316442583e+03,
+       4.74528541206955367215e+02, -2.24409524465858183362e+01)
+_ONE_OVER_035 = 2.8571414947509766  # 1/0.35 cut at the high word 0x4006DB6D
+_HIGH_WORD = np.uint64(0xFFFFFFFF00000000)
 
-    Absolute error is at the level of the C library ``erfc`` (a few ulp),
-    comfortably below 1e-15.
+
+def _poly(s, coefs):
+    """sum_i coefs[i] s^i grouped as the C library groups it: the pairs
+    c_2i + s c_2i+1 weighted by s^0, s^2, s^4, s^6 (s^4 s^2), s^8 (s^4 s^4),
+    added in order, so the roundings match."""
+    s2 = s * s
+    s4 = s2 * s2
+    powers = (s2, s4) if len(coefs) <= 6 else (s2, s4, s4 * s2, s4 * s4)
+    total = coefs[0] + s * coefs[1]
+    for power, i in zip(powers, range(2, len(coefs), 2)):
+        term = coefs[i] + s * coefs[i + 1] if i + 1 < len(coefs) else coefs[i]
+        total = total + power * term
+    return total
+
+
+def _erfc_small(x):
+    """|x| < 0.84375: erfc = 1 - x - x P(x^2)/Q(x^2)."""
+    z = x * x
+    xy = x * (_poly(z, _PP) / _poly(z, _QQ))
+    return np.where(x < 0.25, 1.0 - (x + xy), 0.5 - (xy + (x - 0.5)))
+
+
+def _erfc_mid(x):
+    """0.84375 <= |x| < 1.25: erfc = 1 - erx - P(s)/Q(s), s = |x| - 1."""
+    s = np.abs(x) - 1.0
+    pq = _poly(s, _PA) / _poly(s, _QA)
+    return np.where(x >= 0.0, (1.0 - _ERX) - pq, 1.0 + (_ERX + pq))
+
+
+def _erfc_tail(r_coefs, s_coefs, x):
+    """1.25 <= |x| < 28: erfc(|x|) = exp(-x^2 - 0.5625 + R/S) / |x| in
+    1/x^2, with x^2 split at the high word of |x| so that the large exp
+    argument is exact; 2 - erfc(|x|) for negative x."""
+    a = np.abs(x)
+    s = 1.0 / (a * a)
+    z = (a.view(np.uint64) & _HIGH_WORD).view(np.float64)
+    q = np.exp(-z * z - 0.5625) * np.exp((z - a) * (z + a)
+                                         + _poly(s, r_coefs) / _poly(s, s_coefs)) / a
+    return np.where(x > 0.0, q, 2.0 - q)
+
+
+_ERFC_BRANCHES = ((0.0, 0.84375, _erfc_small), (0.84375, 1.25, _erfc_mid),
+                  (1.25, _ONE_OVER_035, functools.partial(_erfc_tail, _RA, _SA)),
+                  (_ONE_OVER_035, 28.0, functools.partial(_erfc_tail, _RB, _SB)))
+
+
+def _erfc_slice(x: np.ndarray, out: np.ndarray) -> None:
+    """fdlibm's erfc on one slice, written into ``out``."""
+    ax = np.abs(x)
+    out[:] = 1.0 - np.sign(x)  # 0 / 2 for |x| >= 28 and +-inf, nan for nan
+    for lo, hi, branch in _ERFC_BRANCHES:
+        idx = np.flatnonzero((ax >= lo) & (ax < hi))
+        if idx.size:
+            out[idx] = branch(x[idx])
+
+
+def erfc(x):
+    """Complementary error function, elementwise, as a float array.
+
+    A numpy port of fdlibm's ``s_erf.c`` rational approximations, the
+    algorithm of the C library ``erfc``: within 4 ulp of ``math.erfc``
+    (bit-equal wherever numpy's ``exp`` is), in relative terms down to the
+    underflow near x = 27.  Evaluated in slices of ``SLICE_ELEMENTS``.
     """
-    if np.ndim(z) == 0:
-        return 0.5 * math.erfc(-float(z) / _SQRT2)
-    return 0.5 * _ERFC(-np.asarray(z, dtype=float) / _SQRT2)
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, SLICE_ELEMENTS):
+        part = slice(start, start + SLICE_ELEMENTS)
+        _erfc_slice(flat[part], out[part])
+    return out.reshape(x.shape)
+
+
+def normal_cdf(z):
+    """Standard normal CDF 0.5 erfc(-z / sqrt 2) through :func:`erfc`.
+
+    Elementwise on arrays; a float for a scalar, from the same kernel, so
+    scalar and array values are bit-identical.  Relative error stays below
+    1e-12 over the whole lower tail down to the underflow near z = -37.
+    """
+    cdf = 0.5 * erfc(-np.asarray(z, dtype=float) / _SQRT2)
+    return float(cdf) if cdf.ndim == 0 else cdf
 
 
 # Acklam's rational approximation for the initial quantile guess.

@@ -153,6 +153,38 @@ class TestConfigAndErrors:
         with open(str(out2) + ".manifest.json", encoding="utf-8") as handle:
             assert json.load(handle)["config"]["n"] == 30  # flag wins
 
+    FDR = ["fdr-power", "--k", "100", "--k1-grid", "50", "--n", "50", "--margin", "0,1.5",
+           "--reps", "20", "--seed", "1"]
+
+    def test_config_false_keeps_a_flag_off(self, tmp_path):
+        cfg = tmp_path / "off.cfg"
+        cfg.write_text("adaptive = False\n")
+        code, plain = run(tmp_path, "plain", self.FDR)
+        assert code == 0
+        code, off = run(tmp_path, "off", self.FDR + ["--config", str(cfg)])
+        assert code == 0
+        code, on = run(tmp_path, "on", self.FDR + ["--adaptive"])
+        assert code == 0
+        assert off.read_bytes() == plain.read_bytes() != on.read_bytes()
+        cfg.write_text("adaptive = yes\n")
+        code, on_cfg = run(tmp_path, "on_cfg", self.FDR + ["--config", str(cfg)])
+        assert code == 0 and on_cfg.read_bytes() == on.read_bytes()
+
+    def test_config_mc_false_skips_monte_carlo(self, tmp_path):
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("mc = false\ntwo_sided = 1\nw = 0.5\ndraws = 1000\n")
+        code, out = run(tmp_path, "corr", ["correlation", "--config", str(cfg)])
+        assert code == 0
+        assert [row["mode"] for row in read_csv(out)] == ["two_sided"]
+
+    def test_config_bad_boolean_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "maybe.cfg"
+        cfg.write_text("adaptive = maybe\n")
+        code, out = run(tmp_path, "x", self.FDR + ["--config", str(cfg)])
+        assert code == 2
+        assert "adaptive" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_flag_exits_2(self, capsys):
         assert main(["theta-max", "--frobnicate"]) == 2
         capsys.readouterr()

@@ -1,21 +1,27 @@
 """Step-up procedures, decision bookkeeping, and the power simulation."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equilab import (DecisionTable, EquivalenceMargin, FdrExperiment,
-                     adaptive_bh, bh_procedure, fdr_power_simulation,
-                     score_decisions, spawn_rng)
+from equilab import (DecisionTable, EquivalenceMargin, FdrExperiment, NormalPrior,
+                     NormalSampling, adaptive_bh, bh_procedure, fdr_power_simulation,
+                     normal_cdf, posterior_coefficient, score_decisions, spawn_rng)
+from equilab.fdr import COMBINATIONS, EVIDENCE_KINDS, SAMPLING_MODES
+from equilab.special import SLICE_ELEMENTS
 
 
-def brute_force_deciding_point(pvals, alpha):
+def brute_force_deciding_point(pvals, alpha, k0=None):
     p = np.sort(np.asarray(pvals, float))
     k = p.size
+    k0 = k if k0 is None else k0
     d = 0
     for j in range(1, k + 1):
-        if p[j - 1] <= j * alpha / k:
+        if p[j - 1] <= j * alpha / k0:
             d = j
     return d
 
@@ -52,6 +58,7 @@ class TestBhProcedure:
         if d:
             cutoff = np.sort(np.asarray(pvals))[d - 1]
             assert all(pvals[i] <= cutoff for i in rejected)
+        assert list(rejected) == sorted(np.argsort(pvals, kind="stable")[:d])
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -86,6 +93,16 @@ class TestAdaptiveBh:
         _, rej_adapt, _ = adaptive_bh(pvals, 0.05)
         assert set(rej_plain) <= set(rej_adapt)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60),
+           st.floats(0.01, 0.3), st.floats(0.05, 0.95))
+    def test_matches_brute_force(self, pvals, alpha, lam):
+        d, rejected, k0_hat = adaptive_bh(pvals, alpha, lam)
+        k = len(pvals)
+        assert k0_hat == min(k, (1 + sum(p > lam for p in pvals)) / (1 - lam))
+        assert d == brute_force_deciding_point(pvals, alpha, k0_hat)
+        assert list(rejected) == sorted(np.argsort(pvals, kind="stable")[:d])
+
     def test_fdr_control_under_full_null(self):
         # all-null configuration; average false discovery proportion stays
         # at or below the nominal level (Storey-type estimator with +1)
@@ -102,6 +119,14 @@ class TestAdaptiveBh:
     def test_lambda_domain(self):
         with pytest.raises(ValueError):
             adaptive_bh([0.5], 0.05, lam=1.0)
+
+    def test_input_validation(self):
+        with pytest.raises(ValueError):
+            adaptive_bh([], 0.05)
+        with pytest.raises(ValueError):
+            adaptive_bh([1.5, -0.2, 0.01], 0.05)
+        with pytest.raises(ValueError):
+            adaptive_bh([[0.1, 0.2]], 0.05)
 
 
 class TestScoreDecisions:
@@ -223,3 +248,78 @@ class TestPowerSimulation:
         res = fdr_power_simulation(desk_experiment(combination="difference",
                                                    k1_grid=(50,), reps=20))
         assert 0.0 <= res[0].mean_power <= 1.0
+
+
+def reference_simulation(exp):
+    """One replication at a time: the stream of (seed, k1 index, rep), the
+    public step-up procedures and score_decisions."""
+    t1, t2, root_n = exp.margin.theta1, exp.margin.theta2, math.sqrt(exp.n)
+    results = []
+    for k1_idx, k1 in enumerate(exp.k1_grid):
+        truth = np.arange(exp.k) < k1
+        powers, fdps = np.empty(exp.reps), np.empty(exp.reps)
+        for rep in range(exp.reps):
+            rng = spawn_rng(exp.seed, k1_idx, rep)
+            if exp.sampling == "shared":
+                boundary = np.where(rng.random(exp.k) < 0.5, t1, t2)
+                theta = np.where(truth, t1 + exp.epsilon_star, boundary)
+                xbar = theta + exp.sigma / root_n * rng.standard_normal(exp.k)
+                z_r = root_n * (xbar - t1) / exp.sigma
+                z_l = root_n * (xbar - t2) / exp.sigma
+            else:
+                literal = exp.sampling == "per_tail_literal"
+                sd = exp.sigma if literal else exp.sigma / root_n
+                scale = 1.0 / exp.sigma if literal else root_n / exp.sigma
+                x_r = np.where(truth, t1 + exp.epsilon_star, t1) + sd * rng.standard_normal(exp.k)
+                x_l = np.where(truth, t2 - exp.epsilon_star, t2) + sd * rng.standard_normal(exp.k)
+                z_r, z_l = scale * (x_r - t1), scale * (x_l - t2)
+            if exp.evidence == "bayesian":
+                shrink = posterior_coefficient(NormalSampling(exp.sigma, exp.n),
+                                               NormalPrior(exp.tau)) * exp.sigma / root_n
+                evidence = np.clip((1.0 - normal_cdf(shrink * z_r)) + normal_cdf(shrink * z_l),
+                                   0.0, 1.0)
+            elif exp.combination == "max":
+                evidence = np.maximum(1.0 - normal_cdf(z_r), normal_cdf(z_l))
+            else:
+                evidence = np.abs(normal_cdf(z_l) - (1.0 - normal_cdf(z_r)))
+            if exp.adaptive:
+                _, rejected, _ = adaptive_bh(evidence, exp.alpha, exp.storey_lambda)
+            else:
+                _, rejected = bh_procedure(evidence, exp.alpha)
+            table = score_decisions(rejected, truth)
+            powers[rep], fdps[rep] = table.power(), table.fdp()
+        results.append((int(k1), float(powers.mean()), float(fdps.mean()),
+                        float(powers.std() / math.sqrt(exp.reps)),
+                        float(fdps.std() / math.sqrt(exp.reps))))
+    return results
+
+
+class TestBlockBatching:
+    """The block-batched simulation equals the one-replication-at-a-time
+    reference exactly, field for field, in every mode."""
+
+    K, REPS = 1000, 13  # blocks of SLICE_ELEMENTS // K rows: 8 + 5
+
+    @pytest.mark.parametrize("evidence, sampling, combination, adaptive",
+                             list(itertools.product(EVIDENCE_KINDS, SAMPLING_MODES,
+                                                    COMBINATIONS, (False, True))))
+    def test_equals_per_replication_reference(self, evidence, sampling, combination,
+                                              adaptive):
+        assert self.REPS % max(1, SLICE_ELEMENTS // self.K) != 0
+        exp = FdrExperiment(k=self.K, k1_grid=(0, 370, self.K), n=40,
+                            margin=EquivalenceMargin(0.0, 1.5), sigma=1.0, tau=0.25,
+                            epsilon_star=0.5, alpha=0.1, reps=self.REPS, seed=4242,
+                            evidence=evidence, sampling=sampling,
+                            combination=combination, adaptive=adaptive)
+        got = [(p.k1, p.mean_power, p.mean_fdr, p.se_power, p.se_fdr)
+               for p in fdr_power_simulation(exp)]
+        assert got == reference_simulation(exp)
+
+    def test_single_row_blocks(self):
+        # k beyond the block bound: one replication per block
+        exp = FdrExperiment(k=SLICE_ELEMENTS + 1, k1_grid=(0, 4000), n=40,
+                            margin=EquivalenceMargin(0.0, 1.5), sigma=1.0, tau=0.25,
+                            epsilon_star=0.5, alpha=0.1, reps=3, seed=9, adaptive=True)
+        got = [(p.k1, p.mean_power, p.mean_fdr, p.se_power, p.se_fdr)
+               for p in fdr_power_simulation(exp)]
+        assert got == reference_simulation(exp)

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from equilab import EquivalenceMargin, binom_tost_pvalue
 from equilab.special import (binomial_cdf, binomial_pmf, binomial_pmf_vector,
                              binomial_quantile, binomial_sf,
-                             binomial_tail_vectors, log_gamma, normal_cdf,
-                             normal_quantile, reg_inc_beta)
+                             binomial_tail_vectors, erfc, log_gamma,
+                             normal_cdf, normal_quantile, reg_inc_beta)
 
 mpmath.mp.dps = 40
 
@@ -96,6 +96,44 @@ class TestRegIncBeta:
             reg_inc_beta(1.0, -1.0, 0.5)
         with pytest.raises(ValueError):
             reg_inc_beta(1.0, 1.0, 1.5)
+
+
+ERFC_SPECIALS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.0 ** -57,
+                 0.25, 0.84375, -0.84375, 1.25, -1.25, 2.8571414947509766, 6.0, -6.0,
+                 26.5, 27.2, 28.0, -28.0]
+
+
+class TestErfcKernel:
+    def test_within_4_ulp_of_libm(self):
+        rng = np.random.default_rng(20260)
+        x = np.concatenate([np.linspace(-40.0, 40.0, 160_001),
+                            rng.uniform(-40.0, 40.0, 100_000),
+                            rng.uniform(-3.0, 3.0, 100_000), ERFC_SPECIALS])
+        got = erfc(x)
+        want = np.array([math.erfc(v) for v in x])
+        ulps = np.abs(got - want) / np.spacing(want)
+        assert ulps.max() <= 4.0
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_nan(self):
+        assert np.isnan(erfc(math.nan))
+        assert np.isnan(erfc(np.array([0.5, math.nan, -math.nan]))[1:]).all()
+
+    def test_normal_cdf_relative_to_ndtr(self):
+        z = np.concatenate([np.linspace(-37.0, 8.0, 90_001),
+                            np.random.default_rng(7).uniform(-37.0, 8.0, 50_000)])
+        ref = special.ndtr(z)
+        keep = ref > 1e-300
+        rel = np.abs(normal_cdf(z)[keep] - ref[keep]) / ref[keep]
+        assert rel.max() <= 1e-12
+
+    def test_scalar_and_array_bit_identical(self):
+        z = np.concatenate([np.random.default_rng(11).normal(0.0, 6.0, 3000),
+                            np.linspace(-40.0, 40.0, 801), ERFC_SPECIALS])
+        scalar = np.array([normal_cdf(float(v)) for v in z])
+        np.testing.assert_array_equal(normal_cdf(z), scalar)
+        np.testing.assert_array_equal(normal_cdf(z.reshape(-1, 1)).ravel(), scalar)
+        assert all(type(normal_cdf(v)) is float for v in (0.3, np.float64(-2.0), 7))
 
 
 class TestNormal:

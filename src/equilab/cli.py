@@ -1,18 +1,19 @@
 """Batch command-line front end.
 
-Subcommands compute curve/table/simulation records and write them as CSV
-(default) or JSON, plus a ``<output>.manifest.json`` sidecar recording the
-command, a platform-stable digest of the resolved configuration, the seed,
-the tool version and timestamps.
+``SUBCOMMANDS`` gives each subcommand its runner, help text and the flags it
+reads; it accepts exactly those.  Precedence: flags > ``--config`` file
+(``key = value`` lines, keys the long flag names with underscores; a key
+not read is an error) > defaults, both sources through the flag's converter
+in ``FLAG_TYPES``.  Records go to CSV (default) or JSON, plus a
+``<output>.manifest.json`` sidecar with the command, the effective value of
+every flag read but ``--out``/``--format`` and a digest of them, the seed
+(null where nothing is drawn), the tool version and timestamps.
 
 Determinism contract: identical subcommand, flags and seed produce a
 byte-identical data file.  Floats are quantized to 12 significant digits
-when records are built, so the file is the canonical form of the record
-and re-serializing a parsed file reproduces it exactly.
-
-Config precedence: command-line flags > ``--config`` file (``key = value``
-lines, keys matching the long flag names with underscores) > built-in
-defaults.  Exit codes: 0 success, 2 configuration error, 1 runtime error.
+before writing, so the file is the canonical form of the record and
+re-serializing a parsed file reproduces it exactly.  Exit codes: 0 success,
+2 configuration error, 1 runtime error.
 """
 
 import argparse
@@ -20,6 +21,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict, astuple, fields, is_dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -39,31 +41,30 @@ class ConfigError(Exception):
     """Invalid configuration (maps to exit code 2)."""
 
 
-def _q(value):
-    """Quantize a float to 12 significant digits (the CSV serialization)."""
-    return float(f"{float(value):.12g}")
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
 
 
-def parse_margin(text: str) -> EquivalenceMargin:
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _parse_pair(text: str, make, what: str):
     try:
-        lo, hi = (float(part) for part in text.split(","))
-        return EquivalenceMargin(lo, hi)
+        first, second = (float(part) for part in text.split(","))
+        return make(first, second)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid margin {text!r}: {exc}") from None
+        raise ConfigError(f"invalid {what} {text!r}: {exc}") from None
+
+
+def parse_margin(text: str) -> EquivalenceMargin:
+    return _parse_pair(text, EquivalenceMargin, "margin")
 
 
 def parse_beta_prior(text: str) -> BetaPrior:
-    try:
-        p, q = (float(part) for part in text.split(","))
-        return BetaPrior(p, q)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid beta prior {text!r}: {exc}") from None
+    return _parse_pair(text, BetaPrior, "beta prior")
 
 
 def parse_grid(text: str):
@@ -78,10 +79,43 @@ def parse_grid(text: str):
             while x <= stop + 1e-12:
                 values.append(round(x, 12))
                 x += step
+            if not values:
+                raise ValueError("no values from start to stop")
             return values
         return [float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"invalid grid {text!r}: {exc}") from None
+
+
+def parse_count_grid(text: str):
+    """A grid of whole numbers, such as the k1 values of ``fdr-power``."""
+    values = parse_grid(text)
+    if not all(value.is_integer() for value in values):
+        raise ConfigError(f"invalid grid {text!r}: every value must be a whole number")
+    return [int(value) for value in values]
+
+
+def parse_rows(texts):
+    """The n of each ``tables`` row: ``n=<int>`` texts, a list from the
+    repeated flag or one text from a config file."""
+    rows = []
+    for text in [texts] if isinstance(texts, str) else texts:
+        key, _, value = text.partition("=")
+        if key.strip() != "n":
+            raise ConfigError(f"unsupported row key {key!r} (only n=<int>)")
+        rows.append(int(value))
+    return rows
+
+
+def parse_switch(value) -> bool:
+    """A switch: True from the command line, or a true/false, 1/0, yes/no
+    word (any case) from a config file."""
+    if value is True:
+        return True
+    word = value.strip().lower()
+    if word not in ("true", "1", "yes", "false", "0", "no"):
+        raise ConfigError(f"invalid value {value!r}: use true/false, 1/0 or yes/no")
+    return word in ("true", "1", "yes")
 
 
 def load_config_file(path: str) -> dict:
@@ -99,21 +133,6 @@ def load_config_file(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return values
-
-
-def resolve_options(args: argparse.Namespace, option_names) -> dict:
-    """Apply precedence flags > config file > parser defaults."""
-    file_values = load_config_file(args.config) if getattr(args, "config", None) else {}
-    resolved = {}
-    for name in option_names:
-        cli_value = getattr(args, name)
-        if cli_value is not None:
-            resolved[name] = cli_value
-        elif name in file_values:
-            resolved[name] = file_values[name]
-        else:
-            resolved[name] = None
-    return resolved
 
 
 def _digest(config: dict) -> str:
@@ -137,197 +156,184 @@ def write_output(records, fieldnames, out_path: str, fmt: str, manifest: dict) -
         handle.write("\n")
 
 
-def _require(resolved: dict, key: str):
-    if resolved.get(key) is None:
-        raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-    return resolved[key]
-
-
-def _opt(resolved: dict, key: str, default, convert=float):
-    """The option converted, or ``default`` only when it was not given at all."""
-    value = resolved.get(key)
-    return default if value is None else convert(value)
-
-
-_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _flag(resolved: dict, key: str) -> bool:
-    """A store-const flag: True from the command line, or a true/false,
-    1/0, yes/no word (any case) from a config file; absent means False."""
-    value = resolved.get(key)
-    if value is None or isinstance(value, bool):
-        return bool(value)
-    word = str(value).strip().lower()
-    if word not in _BOOLEANS:
-        raise ConfigError(f"invalid value {value!r} for {key}: use true/false, 1/0 or yes/no")
-    return _BOOLEANS[word]
-
-
-def _levels(resolved: dict) -> SignificanceLevels:
-    alpha = _opt(resolved, "alpha", 0.05)
-    return SignificanceLevels(_opt(resolved, "alpha_upper", alpha),
-                              _opt(resolved, "alpha_lower", alpha))
+def _binomial_spec(opts, **curve) -> CurveSpec:
+    levels = SignificanceLevels(opts["alpha_upper"], opts["alpha_lower"])
+    return CurveSpec(model="binomial", n=opts["n"], margin=opts["margin"],
+                     prior=opts["prior_beta"], levels=levels, **curve)
 
 
 def _curve_records(points):
-    records = [{"x": _q(point.x), "y_frequentist": _q(point.y_frequentist),
-                "y_bayes": _q(point.y_bayes)} for point in points]
-    return records, ["x", "y_frequentist", "y_bayes"]
+    return [asdict(point) for point in points], ["x", "y_frequentist", "y_bayes"]
 
 
-# ---------------------------------------------------------------------------
-# subcommand runners: each returns (records, fieldnames, resolved-config)
-# ---------------------------------------------------------------------------
+# subcommand runners: each takes the resolved options, returns (records, fieldnames)
 
-def run_conservativity(resolved):
-    margin = parse_margin(_require(resolved, "margin"))
-    prior = _opt(resolved, "prior_beta", None, parse_beta_prior)
-    n = int(_require(resolved, "n"))
-    theta = _opt(resolved, "theta", margin.theta1)
-    grid = parse_grid(_opt(resolved, "t_grid", "0.05:0.95:0.05", str))
-    spec = CurveSpec(model="binomial", n=n, margin=margin, prior=prior,
-                     levels=_levels(resolved), grid=grid, theta_true=theta)
+def run_conservativity(opts):
+    spec = _binomial_spec(opts, grid=opts["t_grid"], theta_true=opts["theta"])
     return _curve_records(binom_cdf_curve(spec))
 
 
-def run_power_curve(resolved):
-    margin = parse_margin(_require(resolved, "margin"))
-    prior = _opt(resolved, "prior_beta", None, parse_beta_prior)
-    n = int(_require(resolved, "n"))
-    grid = parse_grid(_opt(resolved, "theta_grid", "0.01:0.99:0.01", str))
-    spec = CurveSpec(model="binomial", n=n, margin=margin, prior=prior,
-                     levels=_levels(resolved), grid=grid)
-    return _curve_records(binom_power_curve(spec))
+def run_power_curve(opts):
+    return _curve_records(binom_power_curve(_binomial_spec(opts, grid=opts["theta_grid"])))
 
 
-def run_theta_max(resolved):
-    margin = parse_margin(_require(resolved, "margin"))
-    prior = _opt(resolved, "prior_beta", None, parse_beta_prior)
-    spec = CurveSpec(model="binomial", n=int(_require(resolved, "n")), margin=margin,
-                     prior=prior, levels=_levels(resolved))
-    resolution = _opt(resolved, "resolution", 1e-3)
-    theta_f, theta_b = theta_max(spec, resolution)
-    record = {"theta_f": _q(theta_f), "theta_b": _q(theta_b)}
-    return [record], ["theta_f", "theta_b"]
+def run_theta_max(opts):
+    theta_f, theta_b = theta_max(_binomial_spec(opts), opts["resolution"])
+    return [{"theta_f": theta_f, "theta_b": theta_b}], ["theta_f", "theta_b"]
 
 
-def run_noise_cdf(resolved):
-    margin = parse_margin(_require(resolved, "margin"))
-    n = int(_require(resolved, "n"))
-    sigma = float(_require(resolved, "sigma"))
-    theta = float(_require(resolved, "theta"))
-    grid = parse_grid(_opt(resolved, "t_grid", "0.05:0.95:0.05", str))
-    prior = _opt(resolved, "tau", None, lambda tau: NormalPrior(float(tau)))
-    spec = CurveSpec(model="normal", n=n, margin=margin, prior=prior,
-                     grid=grid, theta_true=theta, sigma=sigma)
-    return _curve_records(normal_curves(spec, mc_reps=_opt(resolved, "reps", 100_000, int),
-                                        seed=_opt(resolved, "seed", 0, int)))
+def run_noise_cdf(opts):
+    prior = None if opts["tau"] is None else NormalPrior(opts["tau"])
+    spec = CurveSpec(model="normal", n=opts["n"], margin=opts["margin"], prior=prior,
+                     grid=opts["t_grid"], theta_true=opts["theta"], sigma=opts["sigma"])
+    return _curve_records(normal_curves(spec, mc_reps=opts["reps"], seed=opts["seed"]))
 
 
-def run_correlation(resolved):
-    draws = _opt(resolved, "draws", 1_000_000, int)
-    seed = _opt(resolved, "seed", 0, int)
-    want_mc = _flag(resolved, "mc")
-    records = []
+# the flags each correlation mode reads besides --draws and --seed; True if required
+CORRELATION_MODES = {
+    "two_sided": {"w": True, "mc": False},
+    "equivalence": {"n": True, "sigma": True, "tau": True, "margin": True, "mc": False},
+    "partial": {"n": True, "sigma": True, "margin": True},
+}
 
-    def add(mode, result):
-        records.append({
-            "mode": mode,
-            "rho": _q(result.rho),
-            "method": result.method,
-            "std_error": _q(result.std_error) if result.std_error is not None else "",
-        })
 
-    if _flag(resolved, "two_sided"):
-        w = float(_require(resolved, "w"))
-        add("two_sided", corr_two_sided(w))
-        if want_mc:
-            add("two_sided_mc", corr_two_sided_mc(w, draws=draws, seed=seed))
-    elif _flag(resolved, "equivalence"):
-        samp = NormalSampling(float(_require(resolved, "sigma")), int(_require(resolved, "n")))
-        prior = NormalPrior(float(_require(resolved, "tau")))
-        margin = parse_margin(_require(resolved, "margin"))
-        add("equivalence", corr_equivalence_closed(samp, prior, margin))
-        if want_mc:
-            add("equivalence_mc",
-                corr_equivalence_mc(samp, prior, margin, draws=draws, seed=seed))
-    elif _flag(resolved, "partial"):
-        samp = NormalSampling(float(_require(resolved, "sigma")), int(_require(resolved, "n")))
-        margin = parse_margin(_require(resolved, "margin"))
-        add("partial", corr_partial_pvalues(samp, margin, draws=draws, seed=seed))
+def run_correlation(opts):
+    modes = [mode for mode in CORRELATION_MODES if opts[mode]]
+    if len(modes) != 1:
+        raise ConfigError("choose exactly one of --two-sided, --equivalence, --partial")
+    mode = modes[0]
+    reads = CORRELATION_MODES[mode]
+    for name in ("w", "n", "sigma", "tau", "margin", "mc"):
+        given = opts[name] is not None and opts[name] is not False
+        if given and name not in reads:
+            raise ConfigError(f"{_flag(mode)} does not read {_flag(name)}")
+        if reads.get(name) and not given:
+            raise ConfigError(f"missing required option {_flag(name)} for {_flag(mode)}")
+    mc = {"draws": opts["draws"], "seed": opts["seed"]}
+    if mode == "two_sided":
+        rows = [("two_sided", corr_two_sided(opts["w"]))]
+        if opts["mc"]:
+            rows.append(("two_sided_mc", corr_two_sided_mc(opts["w"], **mc)))
+    elif mode == "equivalence":
+        design = (NormalSampling(opts["sigma"], opts["n"]), NormalPrior(opts["tau"]),
+                  opts["margin"])
+        rows = [("equivalence", corr_equivalence_closed(*design))]
+        if opts["mc"]:
+            rows.append(("equivalence_mc", corr_equivalence_mc(*design, **mc)))
     else:
-        raise ConfigError("choose one of --two-sided, --equivalence, --partial")
+        samp = NormalSampling(opts["sigma"], opts["n"])
+        rows = [("partial", corr_partial_pvalues(samp, opts["margin"], **mc))]
+    records = [{"mode": row_mode, **asdict(result),
+                "std_error": "" if result.std_error is None else result.std_error}
+               for row_mode, result in rows]
     return records, ["mode", "rho", "method", "std_error"]
 
 
-def run_fdr_power(resolved):
-    margin = parse_margin(_require(resolved, "margin"))
-    k1_grid = [int(v) for v in parse_grid(_opt(resolved, "k1_grid", "10:990:50", str))]
-    exp = FdrExperiment(
-        k=_opt(resolved, "k", 1000, int),
-        k1_grid=k1_grid,
-        n=int(_require(resolved, "n")),
-        margin=margin,
-        sigma=_opt(resolved, "sigma", 1.0),
-        tau=_opt(resolved, "tau", 0.25),
-        epsilon_star=_opt(resolved, "epsilon_star", 0.5),
-        alpha=_opt(resolved, "alpha", 0.05),
-        reps=_opt(resolved, "reps", 1000, int),
-        seed=_opt(resolved, "seed", 0, int),
-        evidence=_opt(resolved, "evidence", "frequentist", str),
-        sampling=_opt(resolved, "sampling", "per_tail", str),
-        combination=_opt(resolved, "combination", "max", str),
-        adaptive=_flag(resolved, "adaptive"),
-        storey_lambda=_opt(resolved, "storey_lambda", 0.5),
-    )
-    records = []
-    for point in fdr_power_simulation(exp):
-        records.append({"k1": point.k1, "mean_power": _q(point.mean_power),
-                        "mean_fdr": _q(point.mean_fdr),
-                        "se_power": _q(point.se_power), "se_fdr": _q(point.se_fdr)})
+def run_fdr_power(opts):
+    exp = FdrExperiment(**{field.name: opts[field.name] for field in fields(FdrExperiment)})
+    records = [asdict(point) for point in fdr_power_simulation(exp)]
     return records, ["k1", "mean_power", "mean_fdr", "se_power", "se_fdr"]
 
 
-def run_tables(resolved):
-    margin = parse_margin(_require(resolved, "margin"))
-    prior = _opt(resolved, "prior_beta", None, parse_beta_prior)
-    rows = resolved.get("row") or []
-    if isinstance(rows, str):
-        rows = [rows]
-    if not rows:
-        raise ConfigError("pass at least one --row n=<value>")
-    reps = _opt(resolved, "reps", 10_000, int)
-    seed = _opt(resolved, "seed", 0, int)
-    theta_alt = _opt(resolved, "theta_alt", 0.4)
+def run_tables(opts):
+    prior = opts["prior_beta"]
     measure = "p_value" if prior is None else f"beta_{prior.p:g}_{prior.q:g}"
     records = []
-    for row_idx, row in enumerate(rows):
-        key, _, value = row.partition("=")
-        if key.strip() != "n":
-            raise ConfigError(f"unsupported --row key {key!r} (only n=<int>)")
-        n = int(value)
-        spec = CurveSpec(model="binomial", n=n, margin=margin, prior=prior,
-                         levels=_levels(resolved))
-        result = table_simulation(spec, reps=reps, seed=seed + row_idx,
-                                  theta_alt=theta_alt)
+    for row_idx, n in enumerate(opts["row"]):
+        result = table_simulation(_binomial_spec(dict(opts, n=n)), reps=opts["reps"],
+                                  seed=opts["seed"] + row_idx, theta_alt=opts["theta_alt"])
         records.append({
             "n": n, "measure": measure,
-            "type1_mc": _q(result.mc_type1), "power_mc": _q(result.mc_power),
-            "type1_exact": _q(result.exact_type1), "power_exact": _q(result.exact_power),
+            "type1_mc": result.mc_type1, "power_mc": result.mc_power,
+            "type1_exact": result.exact_type1, "power_exact": result.exact_power,
         })
     return records, ["n", "measure", "type1_mc", "power_mc", "type1_exact", "power_exact"]
 
 
-RUNNERS = {
-    "conservativity": run_conservativity,
-    "power-curve": run_power_curve,
-    "theta-max": run_theta_max,
-    "noise-cdf": run_noise_cdf,
-    "correlation": run_correlation,
-    "fdr-power": run_fdr_power,
-    "tables": run_tables,
+REQUIRED = object()
+
+# converter of each flag's text; a tuple lists the allowed words
+FLAG_TYPES = {
+    **dict.fromkeys(("n", "k", "reps", "draws", "seed"), int),
+    **dict.fromkeys(("alpha", "alpha_upper", "alpha_lower", "theta", "theta_alt", "resolution",
+                     "sigma", "tau", "w", "epsilon_star", "storey_lambda"), float),
+    **dict.fromkeys(("two_sided", "equivalence", "partial", "mc", "adaptive"), parse_switch),
+    "margin": parse_margin,
+    "prior_beta": parse_beta_prior,
+    "t_grid": parse_grid,
+    "theta_grid": parse_grid,
+    "k1_grid": parse_count_grid,
+    "row": parse_rows,
+    "out": str,
+    "format": ("csv", "json"),
+    "evidence": ("frequentist", "bayesian"),
+    "sampling": ("per_tail", "per_tail_literal", "shared"),
+    "combination": ("max", "difference"),
 }
+
+OUTPUT = {"format": "csv", "out": None}
+LEVELS = {"alpha": 0.05, "alpha_upper": lambda opts: opts["alpha"],
+          "alpha_lower": lambda opts: opts["alpha"]}
+T_GRID = parse_grid("0.05:0.95:0.05")
+
+# subcommand -> (runner, help, {flag: default or REQUIRED}); a callable default
+# is computed from the flags resolved before it
+SUBCOMMANDS = {
+    "conservativity": (run_conservativity, "evidence-CDF curve, binomial model", {
+        "margin": REQUIRED, "n": REQUIRED, "prior_beta": None,
+        "theta": lambda opts: opts["margin"].theta1, "t_grid": T_GRID, **LEVELS, **OUTPUT}),
+    "power-curve": (run_power_curve, "exact power curve, binomial model", {
+        "margin": REQUIRED, "n": REQUIRED, "prior_beta": None,
+        "theta_grid": parse_grid("0.01:0.99:0.01"), **LEVELS, **OUTPUT}),
+    "theta-max": (run_theta_max, "power-maximizing parameter search", {
+        "margin": REQUIRED, "n": REQUIRED, "prior_beta": None, "resolution": 1e-3,
+        **LEVELS, **OUTPUT}),
+    "noise-cdf": (run_noise_cdf, "p-value CDF curve, normal model", {
+        "margin": REQUIRED, "n": REQUIRED, "sigma": REQUIRED, "theta": REQUIRED,
+        "tau": None, "t_grid": T_GRID, "reps": 100_000, "seed": 0, **OUTPUT}),
+    "correlation": (run_correlation, "evidence correlations", {
+        "two_sided": False, "equivalence": False, "partial": False, "margin": None,
+        "w": None, "n": None, "sigma": None, "tau": None, "mc": False,
+        "draws": 1_000_000, "seed": 0, **OUTPUT}),
+    "fdr-power": (run_fdr_power, "step-up FDR power simulation", {
+        "margin": REQUIRED, "n": REQUIRED, "k": 1000, "k1_grid": parse_count_grid("10:990:50"),
+        "sigma": 1.0, "tau": 0.25, "epsilon_star": 0.5, "alpha": 0.05,
+        "evidence": "frequentist", "sampling": "per_tail", "combination": "max",
+        "adaptive": False, "storey_lambda": 0.5, "reps": 1000, "seed": 0, **OUTPUT}),
+    "tables": (run_tables, "type I / power simulation rows", {
+        "margin": REQUIRED, "row": REQUIRED, "prior_beta": None, "theta_alt": 0.4,
+        "reps": 10_000, "seed": 0, **LEVELS, **OUTPUT}),
+}
+
+
+def resolve_options(args: argparse.Namespace) -> dict:
+    """The typed value of every flag ``args.command`` reads: flag > config
+    file > default, both sources through the same converter."""
+    flags = SUBCOMMANDS[args.command][2]
+    file_values = load_config_file(args.config) if args.config else {}
+    unread = sorted(set(file_values) - set(flags))
+    if unread:
+        raise ConfigError(f"{args.command} does not read config key(s) {', '.join(unread)}")
+    given = dict(file_values, **{name: value for name, value in vars(args).items()
+                                 if value is not None})
+    opts = {}
+    for name, default in flags.items():
+        kind = FLAG_TYPES[name]
+        if name not in given:
+            if default is REQUIRED:
+                raise ConfigError(f"missing required option {_flag(name)}")
+            opts[name] = default(opts) if callable(default) else default
+        elif isinstance(kind, tuple):
+            if given[name] not in kind:
+                raise ConfigError(f"{_flag(name)}: {given[name]!r} is not one of "
+                                  f"{', '.join(kind)}")
+            opts[name] = given[name]
+        else:
+            try:
+                opts[name] = kind(given[name])
+            except (ConfigError, ValueError, TypeError) as exc:
+                raise ConfigError(f"{_flag(name)}: {exc}") from None
+    return opts
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,93 +343,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def levels(p):
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--alpha-upper", dest="alpha_upper", type=float)
-        p.add_argument("--alpha-lower", dest="alpha_lower", type=float)
-
-    def common(p):
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--reps", type=int, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--config", default=None,
-                       help="key = value file supplying defaults for any flag")
-
-    p = sub.add_parser("conservativity", help="evidence-CDF curve, binomial model")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--margin")
-    p.add_argument("--prior-beta", dest="prior_beta")
-    p.add_argument("--theta", type=float, help="true parameter (default: lower margin)")
-    p.add_argument("--t-grid", dest="t_grid")
-    levels(p)
-
-    p = sub.add_parser("power-curve", help="exact power curve, binomial model")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--margin")
-    p.add_argument("--prior-beta", dest="prior_beta")
-    p.add_argument("--theta-grid", dest="theta_grid")
-    levels(p)
-
-    p = sub.add_parser("theta-max", help="power-maximizing parameter search")
-    common(p)
-    p.add_argument("--model", choices=("binomial",), default="binomial")
-    p.add_argument("--n", type=int)
-    p.add_argument("--margin")
-    p.add_argument("--prior-beta", dest="prior_beta")
-    p.add_argument("--resolution", type=float)
-    levels(p)
-
-    p = sub.add_parser("noise-cdf", help="p-value CDF curve, normal model")
-    common(p)
-    p.add_argument("--n", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--margin")
-    p.add_argument("--theta", type=float)
-    p.add_argument("--tau", type=float, help="add the posterior-measure MC column")
-    p.add_argument("--t-grid", dest="t_grid")
-
-    p = sub.add_parser("correlation", help="evidence correlations")
-    common(p)
-    p.add_argument("--two-sided", dest="two_sided", action="store_const", const=True)
-    p.add_argument("--equivalence", action="store_const", const=True)
-    p.add_argument("--partial", action="store_const", const=True)
-    p.add_argument("--w", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--margin")
-    p.add_argument("--draws", type=int)
-    p.add_argument("--mc", action="store_const", const=True,
-                   help="also report the Monte Carlo estimate")
-
-    p = sub.add_parser("fdr-power", help="step-up FDR power simulation")
-    common(p)
-    p.add_argument("--k", type=int)
-    p.add_argument("--k1-grid", dest="k1_grid")
-    p.add_argument("--n", type=int)
-    p.add_argument("--margin")
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--tau", type=float)
-    p.add_argument("--epsilon-star", dest="epsilon_star", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--evidence", choices=("frequentist", "bayesian"))
-    p.add_argument("--sampling", choices=("per_tail", "per_tail_literal", "shared"))
-    p.add_argument("--combination", choices=("max", "difference"))
-    p.add_argument("--adaptive", action="store_const", const=True)
-    p.add_argument("--storey-lambda", dest="storey_lambda", type=float)
-
-    p = sub.add_parser("tables", help="type I / power simulation rows")
-    common(p)
-    p.add_argument("--row", action="append")
-    p.add_argument("--margin")
-    p.add_argument("--prior-beta", dest="prior_beta")
-    p.add_argument("--theta-alt", dest="theta_alt", type=float)
-    levels(p)
-
+    for command, (_, help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for name, default in flags.items():
+            kind = FLAG_TYPES[name]
+            if kind is parse_switch:
+                p.add_argument(_flag(name), action="store_const", const=True)
+                continue
+            p.add_argument(_flag(name), action="append" if kind is parse_rows else "store",
+                           metavar="{%s}" % ",".join(kind) if isinstance(kind, tuple) else None,
+                           help="required" if default is REQUIRED else None)
+        p.add_argument("--config", help="key = value file supplying any flag above")
     return parser
 
 
@@ -434,30 +364,28 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     started = datetime.now(timezone.utc).isoformat()
-    option_names = [name for name in vars(args) if name != "command"]
     try:
-        resolved = resolve_options(args, option_names)
-        runner = RUNNERS[args.command]
-        records, fieldnames = runner(resolved)
-        out_path = resolved.get("out") or f"{args.command}.csv"
-        fmt = resolved.get("format") or "csv"
-        config_for_digest = {k: v for k, v in sorted(resolved.items())
-                             if k not in ("out", "format", "config")}
+        opts = resolve_options(args)
+        records, fieldnames = SUBCOMMANDS[args.command][0](opts)
+        # quantize floats to the 12 significant digits the CSV writes
+        records = [{name: float(f"{value:.12g}") if isinstance(value, float) else value
+                    for name, value in record.items()} for record in records]
+        # margins and priors go into the manifest as their two numbers
+        config = {name: list(astuple(value)) if is_dataclass(value) else value
+                  for name, value in opts.items() if name not in OUTPUT}
         manifest = {
             "command": args.command,
-            "config": config_for_digest,
-            "config_digest": _digest(config_for_digest),
-            "seed": _opt(resolved, "seed", 0, int),
+            "config": config,
+            "config_digest": _digest(config),
+            "seed": opts.get("seed"),
             "tool_version": __version__,
             "rng": RNG_NOTE,
             "started": started,
             "finished": datetime.now(timezone.utc).isoformat(),
         }
-        write_output(records, fieldnames, out_path, fmt, manifest)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError) as exc:
+        write_output(records, fieldnames, opts["out"] or f"{args.command}.csv",
+                     opts["format"], manifest)
+    except (ConfigError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failures map to exit 1

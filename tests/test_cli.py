@@ -3,16 +3,23 @@ precedence, exit codes."""
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from equilab.cli import main
+from equilab.cli import SUBCOMMANDS, ConfigError, build_parser, main, parse_grid
 
 
 def run(tmp_path, name, args):
     out = tmp_path / f"{name}.csv"
     code = main(args + ["--out", str(out)])
     return code, out
+
+
+def read_manifest(path):
+    with open(str(path) + ".manifest.json", encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def read_csv(path):
@@ -23,7 +30,7 @@ def read_csv(path):
 class TestSubcommands:
     def test_theta_max_symmetric_pvalue(self, tmp_path):
         code, out = run(tmp_path, "tm", [
-            "theta-max", "--model", "binomial", "--n", "10",
+            "theta-max", "--n", "10",
             "--margin", "0.2,0.8", "--prior-beta", "0.5,0.5",
             "--resolution", "0.001"])
         assert code == 0
@@ -112,15 +119,34 @@ class TestDeterminismAndManifest:
         assert out.read_text().splitlines()[1:] == lines
 
     def test_manifest_sidecar(self, tmp_path):
-        args = ["theta-max", "--n", "10", "--margin", "0.2,0.8", "--seed", "3"]
+        args = ["tables", "--row", "n=20", "--margin", "0.25,0.75", "--reps", "50",
+                "--seed", "3"]
         _, out = run(tmp_path, "m", args)
-        with open(str(out) + ".manifest.json", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        assert manifest["command"] == "theta-max"
+        manifest = read_manifest(out)
+        assert manifest["command"] == "tables"
         assert manifest["seed"] == 3
         assert manifest["tool_version"]
         assert len(manifest["config_digest"]) == 64
         assert manifest["started"] <= manifest["finished"]
+        _, out = run(tmp_path, "tm", ["theta-max", "--n", "10", "--margin", "0.2,0.8"])
+        assert read_manifest(out)["seed"] is None
+
+    def test_same_effective_config_same_digest(self, tmp_path):
+        cfg = tmp_path / "tm.cfg"
+        cfg.write_text("n = 10\nmargin = 0.2,0.8\nresolution = 0.001\n")
+        sources = {
+            "defaults": ["--n", "10", "--margin", "0.2,0.8"],
+            "flags": ["--n", "10", "--margin", "0.2,0.8", "--resolution", "0.001",
+                      "--alpha", "0.05", "--alpha-upper", "0.05", "--alpha-lower", "0.05"],
+            "file": ["--config", str(cfg)],
+        }
+        manifests = {}
+        for name, args in sources.items():
+            code, out = run(tmp_path, name, ["theta-max"] + args)
+            assert code == 0
+            manifests[name] = read_manifest(out)
+        assert len({m["config_digest"] for m in manifests.values()}) == 1
+        assert manifests["defaults"]["config"]["resolution"] == 0.001
 
     def test_digest_stable_across_runs(self, tmp_path):
         args = ["theta-max", "--n", "10", "--margin", "0.2,0.8"]
@@ -146,7 +172,7 @@ class TestConfigAndErrors:
         out = tmp_path / "c.csv"
         assert main(["theta-max", "--config", str(cfg), "--out", str(out)]) == 0
         with open(str(out) + ".manifest.json", encoding="utf-8") as handle:
-            assert json.load(handle)["config"]["n"] == "10"
+            assert json.load(handle)["config"]["n"] == 10
         out2 = tmp_path / "c2.csv"
         assert main(["theta-max", "--config", str(cfg), "--n", "30",
                      "--out", str(out2)]) == 0
@@ -198,7 +224,7 @@ class TestConfigAndErrors:
     def test_missing_required_exits_2(self, tmp_path, capsys):
         code = main(["conservativity", "--out", str(tmp_path / "x.csv")])
         assert code == 2
-        assert "margin" in capsys.readouterr().err or True
+        assert "margin" in capsys.readouterr().err
 
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -226,3 +252,100 @@ class TestConfigAndErrors:
         code = main(["correlation", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         capsys.readouterr()
+
+
+class TestClosedFlagSets:
+    """Each subcommand accepts exactly the flags and config keys it reads."""
+
+    @pytest.mark.parametrize("args, flag", [
+        (["theta-max", "--n", "10", "--margin", "0.2,0.8", "--seed", "9"], "--seed"),
+        (["theta-max", "--n", "10", "--margin", "0.2,0.8", "--reps", "5"], "--reps"),
+        (["theta-max", "--n", "10", "--margin", "0.2,0.8", "--model", "binomial"], "--model"),
+        (["conservativity", "--n", "10", "--margin", "0.2,0.8", "--reps", "0"], "--reps"),
+        (["conservativity", "--n", "10", "--margin", "0.2,0.8", "--seed", "3"], "--seed"),
+        (["power-curve", "--n", "10", "--margin", "0.2,0.8", "--seed", "3"], "--seed"),
+        (["power-curve", "--n", "10", "--margin", "0.2,0.8", "--reps", "5"], "--reps"),
+        (["correlation", "--two-sided", "--w", "0.5", "--reps", "7"], "--reps"),
+        # a prefix of a flag the subcommand reads is not that flag
+        (["power-curve", "--n", "10", "--margin", "0.2,0.8", "--theta", "0.5"], "--theta"),
+    ])
+    def test_flag_not_read_exits_2(self, tmp_path, capsys, args, flag):
+        code, out = run(tmp_path, "x", args)
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("aplha = 0.01\n")
+        code, out = run(tmp_path, "x", ["power-curve", "--n", "10", "--margin", "0.2,0.8",
+                                        "--config", str(cfg)])
+        assert code == 2
+        assert "aplha" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_value_goes_through_the_flag_check(self, tmp_path, capsys):
+        cfg = tmp_path / "xml.cfg"
+        cfg.write_text("format = xml\n")
+        code, out = run(tmp_path, "x", ["power-curve", "--n", "10", "--margin", "0.2,0.8",
+                                        "--config", str(cfg)])
+        assert code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_correlation_needs_exactly_one_mode(self, tmp_path, capsys):
+        code, out = run(tmp_path, "x", ["correlation", "--two-sided", "--partial",
+                                        "--w", "0.5"])
+        assert code == 2
+        assert "exactly one" in capsys.readouterr().err
+        assert not out.exists()
+
+    DESIGN = ["--n", "30", "--sigma", "2", "--margin", "1,4"]
+
+    @pytest.mark.parametrize("args, flag", [
+        (["--partial"] + DESIGN + ["--mc"], "--mc"),
+        (["--partial"] + DESIGN + ["--tau", "9"], "--tau"),
+        (["--partial"] + DESIGN + ["--w", "0.5"], "--w"),
+        (["--equivalence"] + DESIGN + ["--tau", "0.5", "--w", "0.5"], "--w"),
+        (["--two-sided", "--w", "0.5", "--n", "30"], "--n"),
+        (["--two-sided", "--w", "0.5", "--margin", "1,4"], "--margin"),
+    ])
+    def test_correlation_mode_rejects_flags_it_does_not_read(self, tmp_path, capsys,
+                                                             args, flag):
+        code, out = run(tmp_path, "x", ["correlation", "--draws", "1000"] + args)
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_k1_exits_2(self, tmp_path, capsys):
+        code, out = run(tmp_path, "x", ["fdr-power", "--k", "50", "--k1-grid", "10.7,40",
+                                        "--n", "20", "--margin", "0,2", "--reps", "5"])
+        assert code == 2
+        assert "--k1-grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_grid_exits_2(self, tmp_path, capsys):
+        with pytest.raises(ConfigError):
+            parse_grid("0.9:0.1:0.1")
+        code, out = run(tmp_path, "x", ["power-curve", "--n", "10", "--margin", "0.2,0.8",
+                                        "--theta-grid", "0.9:0.1:0.1"])
+        assert code == 2
+        assert "--theta-grid" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def readme_commands():
+    """The ``equilab ...`` lines of the README's command-line block."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command-line interface", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("equilab ")]
+
+
+def test_readme_commands_parse():
+    commands = readme_commands()
+    assert {argv[0] for argv in commands} == set(SUBCOMMANDS)
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)

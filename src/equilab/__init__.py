@@ -31,16 +31,16 @@ from .power import (CurvePoint, CurveSpec, TableResult, bayes_combined_level,
                     binom_power, binom_power_curve, normal_curves,
                     table_simulation, theta_max)
 from .rng import spawn_rng
-from .special import (binomial_cdf, binomial_pmf, binomial_pmf_vector,
-                      binomial_quantile, binomial_sf, log_gamma, normal_cdf,
-                      normal_quantile, reg_inc_beta)
+from .special import (binomial_cdf, binomial_interval_prob, binomial_pmf,
+                      binomial_pmf_vector, binomial_quantile, binomial_sf, log_gamma,
+                      normal_cdf, normal_quantile, reg_inc_beta, reg_inc_beta_pair)
 
 __all__ = [
     "__version__",
     # special functions
-    "log_gamma", "reg_inc_beta", "normal_cdf", "normal_quantile",
+    "log_gamma", "reg_inc_beta", "reg_inc_beta_pair", "normal_cdf", "normal_quantile",
     "binomial_pmf", "binomial_cdf", "binomial_sf", "binomial_quantile",
-    "binomial_pmf_vector",
+    "binomial_pmf_vector", "binomial_interval_prob",
     # equivalence core
     "EquivalenceMargin", "SignificanceLevels", "EvidenceMeasure",
     "binom_onesided_pvalues", "binom_tost_pvalue", "binom_critical_constants",

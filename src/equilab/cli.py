@@ -96,10 +96,10 @@ def parse_count_grid(text: str):
 
 
 def parse_rows(texts):
-    """The n of each ``tables`` row: ``n=<int>`` texts, a list from the
-    repeated flag or one text from a config file."""
+    """The n of each ``tables`` row from its ``n=<int>`` texts, one per
+    repeated flag or config line."""
     rows = []
-    for text in [texts] if isinstance(texts, str) else texts:
+    for text in texts:
         key, _, value = text.partition("=")
         if key.strip() != "n":
             raise ConfigError(f"unsupported row key {key!r} (only n=<int>)")
@@ -119,6 +119,8 @@ def parse_switch(value) -> bool:
 
 
 def load_config_file(path: str) -> dict:
+    """``key = value`` lines by key; a repeated key is an error, except that
+    ``row`` lines collect into a list as the repeated flag does."""
     values = {}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -129,7 +131,13 @@ def load_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise ConfigError(f"bad config line {line!r} in {path}")
                 key, _, val = line.partition("=")
-                values[key.strip().replace("-", "_")] = val.strip()
+                key = key.strip().replace("-", "_")
+                if FLAG_TYPES.get(key) is parse_rows:
+                    values.setdefault(key, []).append(val.strip())
+                elif key in values:
+                    raise ConfigError(f"config key {key!r} is repeated in {path}")
+                else:
+                    values[key] = val.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     return values
@@ -336,21 +344,25 @@ def resolve_options(args: argparse.Namespace) -> dict:
     return opts
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand; given a ``command``, only that one's
+    flags are built (the others keep their help line and take none)."""
     parser = argparse.ArgumentParser(
         prog="equilab",
         description="Equivalence-testing evidence curves, tables and FDR simulations.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, help_text, flags) in SUBCOMMANDS.items():
-        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
-        for name, default in flags.items():
-            kind = FLAG_TYPES[name]
+    for name, (_, help_text, flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        if command is not None and name != command:
+            continue
+        for flag, default in flags.items():
+            kind = FLAG_TYPES[flag]
             if kind is parse_switch:
-                p.add_argument(_flag(name), action="store_const", const=True)
+                p.add_argument(_flag(flag), action="store_const", const=True)
                 continue
-            p.add_argument(_flag(name), action="append" if kind is parse_rows else "store",
+            p.add_argument(_flag(flag), action="append" if kind is parse_rows else "store",
                            metavar="{%s}" % ",".join(kind) if isinstance(kind, tuple) else None,
                            help="required" if default is REQUIRED else None)
         p.add_argument("--config", help="key = value file supplying any flag above")
@@ -358,7 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first word that is not an option names the subcommand
+    parser = build_parser(next((word for word in argv if not word.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

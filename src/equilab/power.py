@@ -1,9 +1,15 @@
 """Power analysis: exact CDF and power curves for both evidence measures,
 maximum-power parameter search, and the simulation-table protocol.
 
-Binomial quantities are computed by exact enumeration over the support
-s = 0..n; Monte Carlo appears only where it mirrors a simulation protocol
-(and then against seeded, replayable streams).  Decision rules:
+Binomial quantities are exact; Monte Carlo appears only where it mirrors a
+simulation protocol (and then against seeded, replayable streams).  The
+evidence vectors and rejection masks are built once per curve over the
+support s = 0..n, the posterior vector from two incomplete-beta kernel
+calls.  A rejection region that is an interval of counts {C..D} (the
+p-value's always is, the posterior's has been in every case tried) turns a
+power curve into P_theta(C <= T <= D) over the whole grid, two kernel calls
+in all (:func:`~equilab.special.binomial_interval_prob`); any other region
+falls back to PMF dot products.  Decision rules:
 
 * frequentist evidence rejects when each one-sided p-value is at or below
   its own tail level (for equal tails this is "max p-value <= alpha");
@@ -18,12 +24,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .beta_binomial import BetaPrior, posterior_update, posterior_prob_equiv
+from .beta_binomial import BetaPrior
 from .equivalence import EquivalenceMargin, SignificanceLevels, _check_binom_margin
 from .normal import NormalPrior, NormalSampling, normal_pvalue_cdf, \
     _posterior_tail_values
 from .rng import spawn_rng
-from .special import binomial_pmf_vector, binomial_tail_vectors
+from .special import (binomial_interval_prob, binomial_pmf_vector, binomial_tail_vectors,
+                      reg_inc_beta_pair)
 
 MODELS = ("binomial", "normal")
 
@@ -81,10 +88,16 @@ def _pvalue_tails(n: int, margin: EquivalenceMargin):
 
 def _posterior_values(n: int, margin: EquivalenceMargin,
                       prior: Optional[BetaPrior]) -> Optional[np.ndarray]:
+    """Posterior probability of non-equivalence per count s = 0..n: the
+    Beta(p+s, q+n-s) mass below theta1 plus I_{1-theta2}(q+n-s, p+s) above
+    theta2, clamped to [0, 1] against rounding."""
     if prior is None:
         return None
-    return np.array([posterior_prob_equiv(posterior_update(prior, n, s), margin).value
-                     for s in range(n + 1)])
+    a = prior.p + np.arange(n + 1)
+    b = prior.q + n - np.arange(n + 1)
+    upper = reg_inc_beta_pair(a, b, margin.theta1)[0]
+    lower = reg_inc_beta_pair(b, a, 1.0 - margin.theta2)[0]
+    return np.clip(upper + lower, 0.0, 1.0)
 
 
 def binom_evidence_values(n: int, margin: EquivalenceMargin,
@@ -117,10 +130,26 @@ def _require_model(spec: CurveSpec, model: str, name: str) -> None:
         raise ValueError(f"{name} needs a {model} CurveSpec")
 
 
-def _point(x: float, pmf: np.ndarray, sel_f: np.ndarray, sel_b) -> CurvePoint:
-    """Probability under pmf of each measure's selected counts."""
-    y_b = float(pmf @ sel_b) if sel_b is not None else math.nan
-    return CurvePoint(x, float(pmf @ sel_f), y_b)
+def _rejection_prob(n: int, mask: Optional[np.ndarray], thetas) -> np.ndarray:
+    """P_theta(T in mask) at each theta: the interval form when the counts
+    in the mask are contiguous, PMF dot products otherwise; NaN without a
+    mask."""
+    thetas = np.asarray(thetas, dtype=float)
+    if mask is None:
+        return np.full(thetas.shape, math.nan)
+    counts = np.flatnonzero(mask)
+    if counts.size == 0:
+        return np.zeros(thetas.shape)
+    if counts[-1] - counts[0] + 1 == counts.size:
+        return binomial_interval_prob(n, int(counts[0]), int(counts[-1]), thetas)
+    return np.array([binomial_pmf_vector(n, float(theta)) @ mask for theta in thetas])
+
+
+def _power_arrays(spec: CurveSpec, thetas):
+    """Exact rejection probability of each measure at each theta (NaN for
+    the Bayesian one without a prior)."""
+    mask_f, mask_b = _reject_masks(spec)
+    return _rejection_prob(spec.n, mask_f, thetas), _rejection_prob(spec.n, mask_b, thetas)
 
 
 def binom_cdf_curve(spec: CurveSpec):
@@ -128,16 +157,17 @@ def binom_cdf_curve(spec: CurveSpec):
     _require_model(spec, "binomial", "binom_cdf_curve")
     pf, pb = binom_evidence_values(spec.n, spec.margin, spec.prior)
     pmf = binomial_pmf_vector(spec.n, spec.theta_true)
-    return [_point(float(t), pmf, pf <= t, None if pb is None else pb <= t)
+    return [CurvePoint(float(t), float(pmf @ (pf <= t)),
+                       math.nan if pb is None else float(pmf @ (pb <= t)))
             for t in spec.grid]
 
 
 def binom_power_curve(spec: CurveSpec):
     """Exact rejection probability at each parameter theta of the grid."""
     _require_model(spec, "binomial", "binom_power_curve")
-    mask_f, mask_b = _reject_masks(spec)
-    return [_point(float(theta), binomial_pmf_vector(spec.n, float(theta)), mask_f, mask_b)
-            for theta in spec.grid]
+    y_f, y_b = _power_arrays(spec, spec.grid)
+    return [CurvePoint(float(theta), float(f), float(b))
+            for theta, f, b in zip(spec.grid, y_f, y_b)]
 
 
 def binom_measure_cdf(spec: CurveSpec, t: float) -> CurvePoint:
@@ -171,11 +201,11 @@ def theta_max(spec: CurveSpec, resolution: float = 1e-3):
     steps = int(math.ceil(1.0 / resolution))
     thetas = np.arange(1, steps) * resolution
     thetas = thetas[(thetas > 0.0) & (thetas < 1.0)]
-    points = binom_power_curve(replace(spec, grid=thetas))
-    theta_f = _argmax_toward_center(thetas, np.array([p.y_frequentist for p in points]))
+    y_f, y_b = _power_arrays(spec, thetas)
+    theta_f = _argmax_toward_center(thetas, y_f)
     if spec.prior is None:
         return theta_f, math.nan
-    return theta_f, _argmax_toward_center(thetas, np.array([p.y_bayes for p in points]))
+    return theta_f, _argmax_toward_center(thetas, y_b)
 
 
 def normal_curves(spec: CurveSpec, mc_reps: int = 100_000, seed: int = 0):
@@ -220,10 +250,11 @@ def table_simulation(spec: CurveSpec, reps: int, seed: int,
     mask = mask_f if mask_b is None else mask_b
     s_null = spawn_rng(seed, 0).binomial(spec.n, spec.margin.theta1, size=reps)
     s_alt = spawn_rng(seed, 1).binomial(spec.n, theta_alt, size=reps)
+    exact_type1, exact_power = _rejection_prob(spec.n, mask, (spec.margin.theta1, theta_alt))
     return TableResult(
         mc_type1=float(np.mean(mask[s_null])),
         mc_power=float(np.mean(mask[s_alt])),
-        exact_type1=float(binomial_pmf_vector(spec.n, spec.margin.theta1) @ mask),
-        exact_power=float(binomial_pmf_vector(spec.n, theta_alt) @ mask),
+        exact_type1=float(exact_type1),
+        exact_power=float(exact_power),
         reps=reps,
     )

@@ -1,13 +1,21 @@
-"""Numeric kernel: log-gamma, regularized incomplete beta, erfc and the
-normal CDF and quantile, binomial PMF, tail vectors, CDF/SF and quantile.
+"""Numeric kernel: log-gamma, regularized incomplete beta, binomial interval
+probabilities, erfc and the normal CDF and quantile, binomial PMF, tail
+vectors, CDF/SF and quantile.
 
 Everything here is self-contained (stdlib ``math`` plus numpy).  Mass
 functions are evaluated in log space so that sample sizes up to ~1e4
 neither overflow nor lose the tails; each binomial tail is a cumulative sum
 of the PMF vector started at its own small end, so both tails keep their
 relative accuracy over the whole support, and the scalar CDF, SF and
-quantile are lookups into those vectors.  The incomplete beta uses the
-modified Lentz continued fraction with the usual symmetry switch.  erfc is
+quantile are lookups into those vectors.  The incomplete beta is one array
+kernel, :func:`reg_inc_beta_pair`: the modified Lentz continued fraction
+with a per-element symmetry switch, each element leaving the iteration when
+it converges, returning (I, 1 - I) with the small member computed directly;
+scalar :func:`reg_inc_beta` is a one-element call.  On it,
+:func:`binomial_interval_prob` gives P_theta(C <= T <= D) over a whole grid
+of theta from two kernel calls, P(T >= s) = I_theta(s, n-s+1) and its
+complement at s = C and D+1, taking per theta the form whose operands are
+small, so tiny powers and type-II masses keep their relative accuracy.  erfc is
 a numpy port of fdlibm's rational approximations (the algorithm of the C
 library ``erfc``), evaluated in slices of at most ``SLICE_ELEMENTS`` so its
 temporaries stay cache-sized; scalars and arrays take the same path.
@@ -38,59 +46,111 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _beta_cont_frac(a: float, b: float, x: float, max_iter: int = 1000,
-                    eps: float = 1e-16) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz method).
+_lgamma_objects = np.frompyfunc(math.lgamma, 1, 1)
 
-    Converges quickly only for x < (a+1)/(a+b+2); callers must apply the
-    symmetry switch first.
+
+def _lgamma(v):
+    """math.lgamma elementwise; a numpy float for a 0-d argument."""
+    return np.asarray(_lgamma_objects(v), dtype=float)[()]
+
+
+def _guard(t, tiny: float = 1e-300):
+    """t, or tiny where |t| < tiny, in plain operators so that floats stay
+    floats."""
+    return t + (abs(t) < tiny) * (tiny - t)
+
+
+def _lentz(a, b, x, max_iter: int = 1000, eps: float = 1e-16):
+    """Continued fraction for the incomplete beta (modified Lentz method)
+    on floats or elementwise on 1-d arrays, where each element leaves the
+    iteration once its own step has converged.
+
+    The steps are plain operators, so a one-element call runs on Python
+    floats at scalar cost.  Converges quickly only for x < (a+1)/(a+b+2);
+    callers must apply the symmetry switch first.
     """
-    tiny = 1e-300
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+    d = 1.0 / _guard(1.0 - qab * x / qap)
     h = d
+    if isinstance(x, np.ndarray):
+        out = np.empty_like(x)
+        active = np.arange(x.size)
     for m in range(1, max_iter + 1):
         m2 = 2 * m
         # even step
         num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
+        d = 1.0 / _guard(1.0 + num * d)
+        c = _guard(1.0 + num / c)
+        h = h * (d * c)
         # odd step
         num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + num * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + num / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
+        d = 1.0 / _guard(1.0 + num * d)
+        c = _guard(1.0 + num / c)
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < eps:
-            return h
+        h = h * delta
+        done = abs(delta - 1.0) < eps  # a bool on floats, a mask on arrays
+        if isinstance(done, bool):
+            if done:
+                return h
+        elif done.all():  # also an empty array
+            out[active] = h
+            return out
+        elif done.any():
+            out[active[done]] = h[done]
+            going = ~done
+            active, a, b, x, qab, qap, qam, c, d, h = (
+                v[going] for v in (active, a, b, x, qab, qap, qam, c, d, h))
     raise RuntimeError(
         f"incomplete beta continued fraction did not converge for "
         f"a={a}, b={b}, x={x}"
     )
 
 
-def reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
+def reg_inc_beta_pair(a, b, x):
+    """(I_x(a, b), 1 - I_x(a, b)) elementwise over broadcast arrays.
 
-    This is the CDF of a Beta(a, b) random variable at x.  Relative
-    accuracy is ~1e-13 over the ranges exercised here (a, b up to ~1e4).
+    I_x(a, b) is the CDF of a Beta(a, b) random variable at x.  Each element
+    takes the continued fraction on the side of the symmetry switch
+    x < (a+1)/(a+b+2) where it converges fast, which yields the member on
+    that side directly and the other one as its complement; so whichever
+    member is small keeps its relative accuracy (about 1e-13 for shapes up
+    to ~1e3 and 3e-11 at ~1e4, where lgamma differences of large
+    arguments dominate).  log Gamma is evaluated once per element of the
+    un-broadcast shapes, so a scalar (a, b) over a grid of x costs three
+    lgamma calls.  Scalar arguments give numpy float members.
+
+    Raises
+    ------
+    ValueError
+        If a shape is not positive or an x lies outside [0, 1].
+    RuntimeError
+        If the continued fraction does not converge in 1000 steps.
+    """
+    a, b, x = (np.asarray(v, dtype=float) for v in (a, b, x))
+    if not ((a > 0.0).all() and (b > 0.0).all()):
+        raise ValueError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
+    if not ((x >= 0.0) & (x <= 1.0)).all():
+        raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
+    swap = x >= (a + 1.0) / (a + b + 2.0)  # also every x == 1
+    p, q, y = (np.where(swap, u, v) for u, v in ((b, a), (a, b), (1.0 - x, x)))
+    if swap.ndim == 0:
+        cont_frac = _lentz(float(p), float(q), float(y))
+    else:
+        cont_frac = _lentz(p.ravel(), q.ravel(), y.ravel()).reshape(swap.shape)
+    with np.errstate(divide="ignore"):  # log(0) at x = 0 or 1 gives a zero front
+        front = np.exp(_lgamma(a + b) - _lgamma(a) - _lgamma(b)
+                       + a * np.log(x) + b * np.log1p(-x))
+    small = front * cont_frac / p  # the member on the continued fraction's side
+    big = 1.0 - small
+    return np.where(swap, big, small)[()], np.where(swap, small, big)[()]
+
+
+def reg_inc_beta(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta function I_x(a, b), a one-element call of
+    :func:`reg_inc_beta_pair`.
 
     Parameters
     ----------
@@ -99,19 +159,7 @@ def reg_inc_beta(a: float, b: float, x: float) -> float:
     x : float
         Evaluation point in [0, 1].
     """
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError(f"reg_inc_beta requires a, b > 0, got a={a}, b={b}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got x={x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_front = (log_gamma(a + b) - log_gamma(a) - log_gamma(b)
-                 + a * math.log(x) + b * math.log1p(-x))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(log_front) * _beta_cont_frac(a, b, x) / a
-    return 1.0 - math.exp(log_front) * _beta_cont_frac(b, a, 1.0 - x) / b
+    return float(reg_inc_beta_pair(a, b, x)[0])
 
 
 # fdlibm s_erf.c coefficients, by interval of |x|: [0, 0.84375) in x^2,
@@ -330,6 +378,36 @@ def binomial_sf(n: int, theta: float, s: int) -> float:
     _check_binomial_args(n, theta)
     _check_count(n, s)
     return float(binomial_tail_vectors(n, theta)[1][s])
+
+
+def _tail_pair(n: int, s: int, theta: np.ndarray):
+    """(P(T >= s), P(T <= s - 1)) for T ~ Bin(n, theta) over the array theta,
+    from P(T >= s) = I_theta(s, n - s + 1)."""
+    if s <= 0:
+        return np.ones_like(theta), np.zeros_like(theta)
+    if s > n:
+        return np.zeros_like(theta), np.ones_like(theta)
+    return reg_inc_beta_pair(s, n - s + 1, theta)
+
+
+def binomial_interval_prob(n: int, lo: int, hi: int, theta) -> np.ndarray:
+    """P_theta(lo <= T <= hi) for T ~ Bin(n, theta) at each theta of an array.
+
+    Two :func:`reg_inc_beta_pair` calls cover the whole array, so a grid
+    costs O(grid) kernel work whatever n is.  Each theta takes the form
+    whose operands are small: P(T >= lo) - P(T >= hi+1) left of the
+    interval, P(T <= hi) - P(T <= lo-1) right of it, and
+    1 - P(T <= lo-1) - P(T >= hi+1) near the centre, so a tiny probability
+    keeps its relative accuracy and a type-II mass is computed directly.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if lo > hi:
+        return np.zeros_like(theta)
+    at_least_lo, below = _tail_pair(n, lo, theta)
+    above, at_most_hi = _tail_pair(n, hi + 1, theta)
+    prob = np.where(at_least_lo <= 0.5, at_least_lo - above,
+                    np.where(at_most_hi <= 0.5, at_most_hi - below, 1.0 - below - above))
+    return np.maximum(prob, 0.0)
 
 
 def binomial_quantile(n: int, theta: float, u: float) -> int:

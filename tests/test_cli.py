@@ -248,6 +248,26 @@ class TestConfigAndErrors:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_repeated_config_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text("n = 10\nmargin = 0.2,0.8\nn = 30\n")
+        code, out = run(tmp_path, "x", ["theta-max", "--config", str(cfg)])
+        assert code == 2
+        assert "'n'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_row_lines_collect_like_the_repeated_flag(self, tmp_path):
+        cfg = tmp_path / "rows.cfg"
+        cfg.write_text("row = n=20\nrow = n=50\nmargin = 0.25,0.75\nreps = 200\n")
+        code, from_file = run(tmp_path, "file", ["tables", "--config", str(cfg)])
+        assert code == 0
+        code, from_flags = run(tmp_path, "flags", [
+            "tables", "--row", "n=20", "--row", "n=50", "--margin", "0.25,0.75",
+            "--reps", "200"])
+        assert code == 0
+        assert [row["n"] for row in read_csv(from_file)] == ["20", "50"]
+        assert from_file.read_bytes() == from_flags.read_bytes()
+
     def test_correlation_without_mode_exits_2(self, tmp_path, capsys):
         code = main(["correlation", "--out", str(tmp_path / "x.csv")])
         assert code == 2
@@ -349,3 +369,14 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_parser_for_one_subcommand_builds_only_its_flags(capsys):
+    parser = build_parser("tables")
+    args = parser.parse_args(["tables", "--row", "n=20", "--margin", "0.25,0.75"])
+    assert args.row == ["n=20"] and args.margin == "0.25,0.75"
+    with pytest.raises(SystemExit):
+        parser.parse_args(["power-curve", "--n", "10"])
+    capsys.readouterr()
+    assert main(["power-curve", "--help"]) == 0
+    assert "--theta-grid" in capsys.readouterr().out

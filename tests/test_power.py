@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,10 @@ from equilab import (BetaPrior, CurveSpec, EquivalenceMargin, NormalPrior,
                      binom_measure_cdf, binom_power, binom_power_curve,
                      binomial_pmf_vector,
                      normal_curves, table_simulation, theta_max)
-from equilab.power import _argmax_toward_center
+from equilab import power
+from equilab.power import _argmax_toward_center, _reject_masks
+
+mpmath.mp.dps = 40
 
 
 def spec_binom(n, margin, prior=None, levels=None, theta=0.5):
@@ -76,6 +80,45 @@ class TestPower:
             peak = int(np.argmax(power))
             assert np.all(np.diff(power[: peak + 1]) >= -1e-12)
             assert np.all(np.diff(power[peak:]) <= 1e-12)
+
+
+class TestIntervalEngine:
+    """Power from the interval form P(C <= T <= D), its accuracy, and the
+    PMF fallback for a rejection region that is not an interval."""
+
+    def test_tiny_powers_match_mpmath(self):
+        spec = spec_binom(20, (0.2, 0.8), BetaPrior(2, 3))
+        thetas = [0.01, 0.02, 0.1, 0.5, 0.9, 0.99]
+        points = binom_power_curve(replace(spec, grid=thetas))
+        for mask, column in zip(_reject_masks(spec), ("y_frequentist", "y_bayes")):
+            counts = np.flatnonzero(mask)
+            for point in points:
+                t = mpmath.mpf(point.x)
+                ref = mpmath.fsum(mpmath.binomial(20, k) * t ** k * (1 - t) ** (20 - k)
+                                  for k in counts)
+                assert abs(getattr(point, column) - ref) <= 1e-12 * ref, (column, point.x)
+
+    def test_non_contiguous_mask_falls_back_to_pmf_dot(self, monkeypatch):
+        n = 30
+        values = np.ones(n + 1)
+        values[[4, 5, 12, 20]] = 0.0
+        monkeypatch.setattr(power, "_posterior_values", lambda *args: values)
+        spec = replace(spec_binom(n, (0.25, 0.75), BetaPrior(1, 1)), grid=[0.1, 0.4, 0.77])
+        mask = values <= 0.05
+        for point in binom_power_curve(spec):
+            assert point.y_bayes == float(binomial_pmf_vector(n, point.x) @ mask)
+        result = table_simulation(spec, reps=10, seed=0, theta_alt=0.4)
+        assert result.exact_power == float(binomial_pmf_vector(n, 0.4) @ mask)
+
+    def test_empty_grid_gives_no_points(self):
+        assert binom_power_curve(spec_binom(10, (0.2, 0.8), BetaPrior(1, 1))) == []
+
+    def test_theta_max_large_n_ties_resolve_to_center(self):
+        # power is 1 to double precision all around the centre at n = 1e4
+        spec = spec_binom(10_000, (0.25, 0.75))
+        theta_f, theta_b = theta_max(spec)
+        assert theta_f == 0.5 and math.isnan(theta_b)
+        assert theta_max(replace(spec, prior=BetaPrior(0.5, 0.5))) == (0.5, 0.5)
 
 
 class TestThetaMax:

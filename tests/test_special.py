@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from equilab import EquivalenceMargin, binom_tost_pvalue
-from equilab.special import (binomial_cdf, binomial_pmf, binomial_pmf_vector,
-                             binomial_quantile, binomial_sf,
+from equilab.special import (binomial_cdf, binomial_interval_prob, binomial_pmf,
+                             binomial_pmf_vector, binomial_quantile, binomial_sf,
                              binomial_tail_vectors, erfc, log_gamma,
-                             normal_cdf, normal_quantile, reg_inc_beta)
+                             normal_cdf, normal_quantile, reg_inc_beta,
+                             reg_inc_beta_pair)
 
 mpmath.mp.dps = 40
 
@@ -96,6 +97,80 @@ class TestRegIncBeta:
             reg_inc_beta(1.0, -1.0, 0.5)
         with pytest.raises(ValueError):
             reg_inc_beta(1.0, 1.0, 1.5)
+
+
+def assert_pair_relative(lower, upper, a, b, x, rel=1e-10):
+    """Both members against scipy's betainc/betaincc in relative terms;
+    an element where scipy's deep tail is off (as at n = 7526,
+    x = 0.91015625, s = 7510, where it is 11 % low) is judged by mpmath."""
+    a, b, x, lower, upper = np.broadcast_arrays(a, b, x, lower, upper)
+    for got, ref, upper_side in ((lower, special.betainc(a, b, x), False),
+                                 (upper, special.betaincc(a, b, x), True)):
+        keep = ref > 1e-300
+        err = np.zeros(ref.shape)
+        err[keep] = np.abs(got[keep] - ref[keep]) / ref[keep]
+        for i in np.flatnonzero(err > rel):
+            exact = mpmath.betainc(a[i], b[i], 0, x[i], regularized=True)
+            exact = 1 - exact if upper_side else exact
+            assert abs(got[i] - exact) <= rel * exact, (a[i], b[i], x[i], got[i], exact)
+
+
+class TestIncBetaPairKernel:
+    """The array kernel's pair (I, 1 - I) against scipy, each member in
+    relative terms, at the scalar kernel's 1e-10 tolerance."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 10_000), p=st.floats(0.05, 50.0), q=st.floats(0.05, 50.0),
+           x=st.floats(0.001, 0.999))
+    def test_posterior_shapes_whole_support(self, n, p, q, x):
+        counts = np.arange(n + 1)
+        a, b = p + counts, q + n - counts
+        assert_pair_relative(*reg_inc_beta_pair(a, b, x), a, b, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 10_000), x=st.floats(0.001, 0.999))
+    def test_binomial_tail_shapes_whole_support(self, n, x):
+        # I_x(s, n-s+1) = P(T >= s): the shapes of the interval form
+        s = np.arange(1, n + 1)
+        assert_pair_relative(*reg_inc_beta_pair(s, n - s + 1, x), s, n - s + 1, x)
+
+    def test_deep_tail_where_scipy_is_off(self):
+        n, x = 7526, 0.91015625
+        s = np.arange(7505, 7521)
+        assert_pair_relative(*reg_inc_beta_pair(s, n - s + 1, x), s, n - s + 1, x)
+
+    def test_grid_of_x_and_endpoints(self):
+        x = np.array([0.0, 1e-6, 0.3, 0.5, 0.9, 1.0])
+        lower, upper = reg_inc_beta_pair(40.0, 60.5, x)
+        assert (lower[0], upper[0], lower[-1], upper[-1]) == (0.0, 1.0, 1.0, 0.0)
+        assert_pair_relative(lower, upper, 40.0, 60.5, x)
+
+    def test_scalar_is_a_one_element_call(self):
+        lower, upper = reg_inc_beta_pair(3.5, 47.5, 0.25)
+        assert reg_inc_beta(3.5, 47.5, 0.25) == lower
+        assert np.ndim(lower) == np.ndim(upper) == 0
+
+    def test_domain_errors(self):
+        with pytest.raises(ValueError):
+            reg_inc_beta_pair([1.0, 0.0], 1.0, 0.5)
+        with pytest.raises(ValueError):
+            reg_inc_beta_pair(1.0, 1.0, [0.5, -0.1])
+
+
+class TestBinomialIntervalProb:
+    def test_tiny_and_central_values_against_mpmath(self):
+        # far-tail rejection probabilities keep 1e-12 relative accuracy
+        thetas = [0.001, 0.01, 0.05, 0.3, 0.5, 0.62, 0.95, 0.99, 0.999]
+        for n, lo, hi in [(20, 8, 12), (20, 0, 5), (20, 15, 20), (20, 10, 10), (300, 100, 200)]:
+            got = binomial_interval_prob(n, lo, hi, thetas)
+            for value, theta in zip(got, thetas):
+                t = mpmath.mpf(theta)
+                ref = mpmath.fsum(mpmath.binomial(n, k) * t ** k * (1 - t) ** (n - k)
+                                  for k in range(lo, hi + 1))
+                assert abs(value - ref) <= 1e-12 * ref, (n, lo, hi, theta)
+
+    def test_empty_interval_is_zero(self):
+        assert binomial_interval_prob(10, 6, 5, [0.2, 0.5]).tolist() == [0.0, 0.0]
 
 
 ERFC_SPECIALS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.0 ** -57,

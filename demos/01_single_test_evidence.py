@@ -10,7 +10,8 @@ noise level.
 
 from equilab import (BetaPrior, EquivalenceMargin, NormalPrior, NormalSampling,
                      binom_critical_constants, binom_onesided_pvalues,
-                     binom_tost_pvalue, decide, normal_posterior_probs,
+                     binom_tost_pvalue, binomial_interval_prob, decide,
+                     normal_posterior_probs,
                      normal_tost_pvalue, posterior_prob_equiv, posterior_update,
                      SignificanceLevels)
 
@@ -26,9 +27,13 @@ print(f"  lower-tailed p-value  {lower.value:.6f}")
 print(f"  combined (max)        {combined.value:.6f}"
       f"  -> equivalent at 5%? {decide(combined, 0.05)}")
 
-# the count-based rejection region for the same test
+# the count-based rejection region for the same test, and its exact size
+# (rejection probability) at each margin boundary, at most 5% by design
 c, d = binom_critical_constants(n, margin, SignificanceLevels(0.05, 0.05))
+size1, size2 = binomial_interval_prob(n, c, d, [margin.theta1, margin.theta2])
 print(f"  count rejection region: {c} <= s <= {d}")
+print(f"  exact size            {size1:.6f} at theta1 = {margin.theta1}, "
+      f"{size2:.6f} at theta2 = {margin.theta2}")
 
 # Bayesian route: a lightly informative Jeffreys-type prior
 prior = BetaPrior(0.5, 0.5)

@@ -4,12 +4,13 @@ The tested hypothesis is that a parameter lies outside a fixed interval
 (theta1, theta2); equivalence is declared only when both one-sided tests
 reject.  One-sided p-values are computed at the observed statistic under
 the least favorable configuration (the margin boundary for each tail), and
-the combined equivalence p-value is their maximum.
+the combined equivalence p-value is their maximum.  The rejection region
+{C..D} of :func:`binom_critical_constants` is read off the same p-values.
 """
 
 from dataclasses import dataclass
 
-from .special import binomial_cdf, binomial_quantile, binomial_sf
+from .special import binomial_cdf, binomial_sf, binomial_tail_vectors
 
 TAILS = ("upper", "lower", "combined")
 METHODS = ("frequentist", "bayesian")
@@ -105,18 +106,27 @@ def binom_tost_pvalue(n: int, s: int, margin: EquivalenceMargin) -> EvidenceMeas
     return EvidenceMeasure(max(upper.value, lower.value), "combined", "frequentist")
 
 
+def _pvalue_tails(n: int, margin: EquivalenceMargin):
+    """One-sided p-values per count: P_theta1(T >= s) and P_theta2(T <= s)."""
+    _check_binom_margin(margin)
+    upper = binomial_tail_vectors(n, margin.theta1)[1]
+    lower = binomial_tail_vectors(n, margin.theta2)[0]
+    return upper, lower
+
+
 def binom_critical_constants(n: int, margin: EquivalenceMargin,
                              levels: SignificanceLevels):
-    """Critical constants (C, D) for the count-based rejection region.
+    """Critical constants (C, D) of the count-based rejection region.
 
-    C is the (1 - alpha_upper) quantile of Bin(n, theta1) and D the
-    alpha_lower quantile of Bin(n, theta2), both under the left-continuous
-    generalized inverse.  The region {s : C <= s <= D} may be empty
-    (C > D); that simply means the test never rejects at these levels.
+    C is the first count whose upper p-value is at most alpha_upper and D
+    the last whose lower p-value is at most alpha_lower.  Both p-value
+    vectors are monotone cumulative sums, so {C..D} is exactly the set of
+    counts where each one-sided p-value is at or below its own level.  The
+    region may be empty (C > D); the test then never rejects at these levels.
     """
-    _check_binom_margin(margin)
-    c = binomial_quantile(n, margin.theta1, 1.0 - levels.alpha_upper)
-    d = binomial_quantile(n, margin.theta2, levels.alpha_lower)
+    upper, lower = _pvalue_tails(n, margin)
+    c = int((upper > levels.alpha_upper).sum())
+    d = int((lower <= levels.alpha_lower).sum()) - 1
     return c, d
 
 

@@ -3,13 +3,13 @@ maximum-power parameter search, and the simulation-table protocol.
 
 Binomial quantities are exact; Monte Carlo appears only where it mirrors a
 simulation protocol (and then against seeded, replayable streams).  The
-evidence vectors and rejection masks are built once per curve over the
+evidence vectors and rejection regions are built once per curve over the
 support s = 0..n, the posterior vector from two incomplete-beta kernel
-calls.  A rejection region that is an interval of counts {C..D} (the
-p-value's always is, the posterior's has been in every case tried) turns a
-power curve into P_theta(C <= T <= D) over the whole grid, two kernel calls
-in all (:func:`~equilab.special.binomial_interval_prob`); any other region
-falls back to PMF dot products.  Decision rules:
+calls.  Both tests reject on an interval of counts {C..D} (the p-value's
+by its monotone tails, the posterior's by total positivity; see
+:func:`_reject_regions`), so a power curve or an exact table rate is
+P_theta(C <= T <= D) over the whole grid, two kernel calls in all
+(:func:`~equilab.special.binomial_interval_prob`).  Decision rules:
 
 * frequentist evidence rejects when each one-sided p-value is at or below
   its own tail level (for equal tails this is "max p-value <= alpha");
@@ -25,12 +25,12 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .beta_binomial import BetaPrior
-from .equivalence import EquivalenceMargin, SignificanceLevels, _check_binom_margin
+from .equivalence import (EquivalenceMargin, SignificanceLevels, _pvalue_tails,
+                          binom_critical_constants)
 from .normal import NormalPrior, NormalSampling, normal_pvalue_cdf, \
     _posterior_tail_values
 from .rng import spawn_rng
-from .special import (binomial_interval_prob, binomial_pmf_vector, binomial_tail_vectors,
-                      reg_inc_beta_pair)
+from .special import binomial_interval_prob, binomial_pmf_vector, reg_inc_beta_pair
 
 MODELS = ("binomial", "normal")
 
@@ -78,14 +78,6 @@ class TableResult:
     reps: int
 
 
-def _pvalue_tails(n: int, margin: EquivalenceMargin):
-    """One-sided p-values per count: P_theta1(T >= s) and P_theta2(T <= s)."""
-    _check_binom_margin(margin)
-    upper = binomial_tail_vectors(n, margin.theta1)[1]
-    lower = binomial_tail_vectors(n, margin.theta2)[0]
-    return upper, lower
-
-
 def _posterior_values(n: int, margin: EquivalenceMargin,
                       prior: Optional[BetaPrior]) -> Optional[np.ndarray]:
     """Posterior probability of non-equivalence per count s = 0..n: the
@@ -116,13 +108,22 @@ def bayes_combined_level(levels: SignificanceLevels) -> float:
     return 0.5 * (levels.alpha_upper + levels.alpha_lower)
 
 
-def _reject_masks(spec: CurveSpec):
-    """Rejection masks over s = 0..n: (frequentist, Bayesian or None)."""
-    upper, lower = _pvalue_tails(spec.n, spec.margin)
-    mask_f = (upper <= spec.levels.alpha_upper) & (lower <= spec.levels.alpha_lower)
+def _reject_regions(spec: CurveSpec):
+    """Rejection regions as count intervals (C, D), empty when C > D:
+    (frequentist, Bayesian or None without a prior).
+
+    The Beta(p+s, q+n-s) posterior density is (theta / (1-theta))^s
+    theta^(p-1) (1-theta)^(q+n-1) up to a factor in s, a totally positive
+    kernel in (s, theta).  By the variation-diminishing property (S. Karlin,
+    Total Positivity, 1968) P(theta1 < theta < theta2 | s) - (1 - t) changes
+    sign at most twice, and then as - + -, so {pb <= t} is one run of counts.
+    """
+    region_b = None
     pb = _posterior_values(spec.n, spec.margin, spec.prior)
-    mask_b = None if pb is None else pb <= bayes_combined_level(spec.levels)
-    return mask_f, mask_b
+    if pb is not None:
+        counts = np.flatnonzero(pb <= bayes_combined_level(spec.levels))
+        region_b = (int(counts[0]), int(counts[-1])) if counts.size else (0, -1)
+    return binom_critical_constants(spec.n, spec.margin, spec.levels), region_b
 
 
 def _require_model(spec: CurveSpec, model: str, name: str) -> None:
@@ -130,26 +131,13 @@ def _require_model(spec: CurveSpec, model: str, name: str) -> None:
         raise ValueError(f"{name} needs a {model} CurveSpec")
 
 
-def _rejection_prob(n: int, mask: Optional[np.ndarray], thetas) -> np.ndarray:
-    """P_theta(T in mask) at each theta: the interval form when the counts
-    in the mask are contiguous, PMF dot products otherwise; NaN without a
-    mask."""
-    thetas = np.asarray(thetas, dtype=float)
-    if mask is None:
-        return np.full(thetas.shape, math.nan)
-    counts = np.flatnonzero(mask)
-    if counts.size == 0:
-        return np.zeros(thetas.shape)
-    if counts[-1] - counts[0] + 1 == counts.size:
-        return binomial_interval_prob(n, int(counts[0]), int(counts[-1]), thetas)
-    return np.array([binomial_pmf_vector(n, float(theta)) @ mask for theta in thetas])
-
-
 def _power_arrays(spec: CurveSpec, thetas):
     """Exact rejection probability of each measure at each theta (NaN for
     the Bayesian one without a prior)."""
-    mask_f, mask_b = _reject_masks(spec)
-    return _rejection_prob(spec.n, mask_f, thetas), _rejection_prob(spec.n, mask_b, thetas)
+    region_f, region_b = _reject_regions(spec)
+    y_b = (np.full(np.shape(thetas), math.nan) if region_b is None
+           else binomial_interval_prob(spec.n, *region_b, thetas))
+    return binomial_interval_prob(spec.n, *region_f, thetas), y_b
 
 
 def binom_cdf_curve(spec: CurveSpec):
@@ -246,14 +234,15 @@ def table_simulation(spec: CurveSpec, reps: int, seed: int,
     _require_model(spec, "binomial", "table_simulation")
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
-    mask_f, mask_b = _reject_masks(spec)
-    mask = mask_f if mask_b is None else mask_b
+    region_f, region_b = _reject_regions(spec)
+    c, d = region_f if region_b is None else region_b
     s_null = spawn_rng(seed, 0).binomial(spec.n, spec.margin.theta1, size=reps)
     s_alt = spawn_rng(seed, 1).binomial(spec.n, theta_alt, size=reps)
-    exact_type1, exact_power = _rejection_prob(spec.n, mask, (spec.margin.theta1, theta_alt))
+    exact_type1, exact_power = binomial_interval_prob(spec.n, c, d,
+                                                      (spec.margin.theta1, theta_alt))
     return TableResult(
-        mc_type1=float(np.mean(mask[s_null])),
-        mc_power=float(np.mean(mask[s_alt])),
+        mc_type1=float(np.mean((c <= s_null) & (s_null <= d))),
+        mc_power=float(np.mean((c <= s_alt) & (s_alt <= d))),
         exact_type1=float(exact_type1),
         exact_power=float(exact_power),
         reps=reps,

@@ -4,14 +4,14 @@ vectors, CDF/SF and quantile.
 
 Everything here is self-contained (stdlib ``math`` plus numpy).  Mass
 functions are evaluated in log space so that sample sizes up to ~1e4
-neither overflow nor lose the tails; each binomial tail is a cumulative sum
-of the PMF vector started at its own small end, so both tails keep their
-relative accuracy over the whole support, and the scalar CDF, SF and
-quantile are lookups into those vectors.  The incomplete beta is one array
-kernel, :func:`reg_inc_beta_pair`: the modified Lentz continued fraction
-with a per-element symmetry switch, each element leaving the iteration when
-it converges, returning (I, 1 - I) with the small member computed directly;
-scalar :func:`reg_inc_beta` is a one-element call.  On it,
+neither overflow nor lose the tails; each binomial tail vector is a
+cumulative sum of the PMF vector started at its own small end, so both tails
+keep their relative accuracy over the whole support.  The incomplete beta is
+one array kernel, :func:`reg_inc_beta_pair`: the modified Lentz continued
+fraction with a per-element symmetry switch, each element leaving the
+iteration when it converges, returning (I, 1 - I) with the small member
+computed directly; scalar :func:`reg_inc_beta` is a one-element call, and so
+are the scalar binomial CDF and SF, on which the quantile bisects.  On it,
 :func:`binomial_interval_prob` gives P_theta(C <= T <= D) over a whole grid
 of theta from two kernel calls, P(T >= s) = I_theta(s, n-s+1) and its
 complement at s = C and D+1, taking per theta the form whose operands are
@@ -52,6 +52,31 @@ _lgamma_objects = np.frompyfunc(math.lgamma, 1, 1)
 def _lgamma(v):
     """math.lgamma elementwise; a numpy float for a 0-d argument."""
     return np.asarray(_lgamma_objects(v), dtype=float)[()]
+
+
+def _stirling_remainder(z):
+    """lgamma(z) - ((z - 1/2) log z - z + log(2 pi) / 2), from five terms of
+    Stirling's series; accurate to double precision for z >= 30."""
+    w = 1.0 / (z * z)
+    return (1.0 / 12 - w * (1.0 / 360 - w * (1.0 / 1260 - w * (1.0 / 1680 - w / 1188)))) / z
+
+
+def _log_inv_beta(a, b):
+    """-log B(a, b) = lgamma(a + b) - lgamma(a) - lgamma(b) elementwise.
+
+    When the larger shape is at least 30, lgamma(small + big) - lgamma(big)
+    comes from Stirling's series as (big - 1/2) log1p(small / big)
+    + small log(small + big) - small + r(small + big) - r(big), not as a
+    difference of two values near big log big: a small shape would inherit
+    that difference's rounding, and so would the complement 1 - I where I is
+    close to 1 on the continued fraction's side.
+    """
+    small, big = np.minimum(a, b), np.maximum(a, b)
+    total = small + big
+    series = ((big - 0.5) * np.log1p(small / big) + small * np.log(total) - small
+              + _stirling_remainder(total) - _stirling_remainder(big))
+    gain = np.where(big >= 30.0, series, _lgamma(total) - _lgamma(big))
+    return gain - _lgamma(small)
 
 
 def _guard(t, tiny: float = 1e-300):
@@ -116,11 +141,12 @@ def reg_inc_beta_pair(a, b, x):
     takes the continued fraction on the side of the symmetry switch
     x < (a+1)/(a+b+2) where it converges fast, which yields the member on
     that side directly and the other one as its complement; so whichever
-    member is small keeps its relative accuracy (about 1e-13 for shapes up
-    to ~1e3 and 3e-11 at ~1e4, where lgamma differences of large
-    arguments dominate).  log Gamma is evaluated once per element of the
-    un-broadcast shapes, so a scalar (a, b) over a grid of x costs three
-    lgamma calls.  Scalar arguments give numpy float members.
+    member is small keeps its relative accuracy (about 1e-12 for shapes up
+    to ~1e3 and 2e-11 at ~1e4, where the rounding of the front factor's
+    large log terms dominates; see :func:`_log_inv_beta`).  log Gamma is
+    evaluated once per element of the un-broadcast shapes, so a scalar
+    (a, b) over a grid of x costs three lgamma calls.  Scalar arguments give
+    numpy float members.
 
     Raises
     ------
@@ -141,8 +167,7 @@ def reg_inc_beta_pair(a, b, x):
     else:
         cont_frac = _lentz(p.ravel(), q.ravel(), y.ravel()).reshape(swap.shape)
     with np.errstate(divide="ignore"):  # log(0) at x = 0 or 1 gives a zero front
-        front = np.exp(_lgamma(a + b) - _lgamma(a) - _lgamma(b)
-                       + a * np.log(x) + b * np.log1p(-x))
+        front = np.exp(_log_inv_beta(a, b) + a * np.log(x) + b * np.log1p(-x))
     small = front * cont_frac / p  # the member on the continued fraction's side
     big = 1.0 - small
     return np.where(swap, big, small)[()], np.where(swap, small, big)[()]
@@ -366,20 +391,6 @@ def binomial_tail_vectors(n: int, theta: float):
     return cdf, sf
 
 
-def binomial_cdf(n: int, theta: float, s: int) -> float:
-    """P(T <= s) for T ~ Bin(n, theta); see :func:`binomial_tail_vectors`."""
-    _check_binomial_args(n, theta)
-    _check_count(n, s)
-    return float(binomial_tail_vectors(n, theta)[0][s])
-
-
-def binomial_sf(n: int, theta: float, s: int) -> float:
-    """P(T >= s) for T ~ Bin(n, theta); the upper tail including s."""
-    _check_binomial_args(n, theta)
-    _check_count(n, s)
-    return float(binomial_tail_vectors(n, theta)[1][s])
-
-
 def _tail_pair(n: int, s: int, theta: np.ndarray):
     """(P(T >= s), P(T <= s - 1)) for T ~ Bin(n, theta) over the array theta,
     from P(T >= s) = I_theta(s, n - s + 1)."""
@@ -388,6 +399,22 @@ def _tail_pair(n: int, s: int, theta: np.ndarray):
     if s > n:
         return np.zeros_like(theta), np.ones_like(theta)
     return reg_inc_beta_pair(s, n - s + 1, theta)
+
+
+def binomial_cdf(n: int, theta: float, s: int) -> float:
+    """P(T <= s) for T ~ Bin(n, theta): one kernel element, the complement
+    of P(T >= s + 1) = I_theta(s + 1, n - s)."""
+    _check_binomial_args(n, theta)
+    _check_count(n, s)
+    return float(_tail_pair(n, s + 1, theta)[1])
+
+
+def binomial_sf(n: int, theta: float, s: int) -> float:
+    """P(T >= s) for T ~ Bin(n, theta), the upper tail including s: one
+    kernel element, I_theta(s, n - s + 1)."""
+    _check_binomial_args(n, theta)
+    _check_count(n, s)
+    return float(_tail_pair(n, s, theta)[0])
 
 
 def binomial_interval_prob(n: int, lo: int, hi: int, theta) -> np.ndarray:
@@ -413,10 +440,19 @@ def binomial_interval_prob(n: int, lo: int, hi: int, theta) -> np.ndarray:
 def binomial_quantile(n: int, theta: float, u: float) -> int:
     """Generalized inverse CDF: min{s : P(T <= s) >= u} for T ~ Bin(n, theta).
 
-    The left-continuous convention makes discrete critical constants well
-    defined; ``u`` must lie strictly inside (0, 1).
+    The left-continuous convention; ``u`` must lie strictly inside (0, 1).
+    A bisection on :func:`binomial_cdf`, O(log n) kernel elements, so the
+    result q satisfies binomial_cdf(q) >= u > binomial_cdf(q - 1) for the
+    values binomial_cdf returns, ties at u included.
     """
     _check_binomial_args(n, theta)
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u}")
-    return int(np.searchsorted(binomial_tail_vectors(n, theta)[0], u, side="left"))
+    below, q = -1, n  # P(T <= below) < u <= P(T <= q)
+    while q - below > 1:
+        mid = (below + q) // 2
+        if binomial_cdf(n, theta, mid) >= u:
+            q = mid
+        else:
+            below = mid
+    return q

@@ -110,14 +110,32 @@ class TestTostPvalue:
 
 
 class TestCriticalConstants:
-    def test_enumeration_oracle(self):
-        n, margin = 50, EquivalenceMargin(0.25, 0.75)
-        c, d = binom_critical_constants(n, margin, SignificanceLevels(0.05, 0.05))
-        cdf = np.cumsum(binomial_pmf_vector(n, 0.25))
-        assert c == int(np.argmax(cdf >= 0.95))
-        cdf2 = np.cumsum(binomial_pmf_vector(n, 0.75))
-        assert d == int(np.argmax(cdf2 >= 0.05))
-        assert c <= d
+    @pytest.mark.parametrize("levels", [(0.05, 0.05), (0.025, 0.1), (0.1, 0.01)])
+    @pytest.mark.parametrize("margin", [(0.25, 0.75), (0.2, 0.8), (0.3, 0.6)])
+    def test_region_is_where_both_pvalues_pass(self, margin, levels):
+        # {C..D} is exactly the set of counts whose one-sided p-values are each
+        # at or below their own level, so its exact size at theta1 (theta2) is
+        # at most alpha_upper (alpha_lower)
+        margin, levels = EquivalenceMargin(*margin), SignificanceLevels(*levels)
+        for n in range(1, 61):
+            c, d = binom_critical_constants(n, margin, levels)
+            passing = []
+            for s in range(n + 1):
+                upper, lower = binom_onesided_pvalues(n, s, margin)
+                if upper.value <= levels.alpha_upper and lower.value <= levels.alpha_lower:
+                    passing.append(s)
+            assert passing == list(range(c, d + 1)), n
+            for theta, alpha in ((margin.theta1, levels.alpha_upper),
+                                 (margin.theta2, levels.alpha_lower)):
+                size = exact_upper_tail(n, theta, c) - exact_upper_tail(n, theta, d + 1)
+                assert size <= alpha + 1e-12, (n, theta, float(size))
+
+    def test_size_overshooting_quantile_constants(self):
+        # the (1 - alpha) quantile of Bin(50, 0.25) is 18, but {18..32} has
+        # size 0.0551 at theta1 = 0.25; the level-0.05 test rejects on {19..31}
+        c, d = binom_critical_constants(50, EquivalenceMargin(0.25, 0.75),
+                                        SignificanceLevels(0.05, 0.05))
+        assert (c, d) == (19, 31)
 
     def test_narrow_margin_empty_region(self):
         c, d = binom_critical_constants(5, EquivalenceMargin(0.45, 0.55),

@@ -13,7 +13,7 @@ from equilab import (BetaPrior, CurveSpec, EquivalenceMargin, NormalPrior,
                      binomial_pmf_vector,
                      normal_curves, table_simulation, theta_max)
 from equilab import power
-from equilab.power import _argmax_toward_center, _reject_masks
+from equilab.power import _argmax_toward_center, _reject_regions
 
 mpmath.mp.dps = 40
 
@@ -84,31 +84,43 @@ class TestPower:
 
 class TestIntervalEngine:
     """Power from the interval form P(C <= T <= D), its accuracy, and the
-    PMF fallback for a rejection region that is not an interval."""
+    interval shape of both rejection regions."""
 
     def test_tiny_powers_match_mpmath(self):
         spec = spec_binom(20, (0.2, 0.8), BetaPrior(2, 3))
         thetas = [0.01, 0.02, 0.1, 0.5, 0.9, 0.99]
         points = binom_power_curve(replace(spec, grid=thetas))
-        for mask, column in zip(_reject_masks(spec), ("y_frequentist", "y_bayes")):
-            counts = np.flatnonzero(mask)
+        for (c, d), column in zip(_reject_regions(spec), ("y_frequentist", "y_bayes")):
             for point in points:
                 t = mpmath.mpf(point.x)
                 ref = mpmath.fsum(mpmath.binomial(20, k) * t ** k * (1 - t) ** (20 - k)
-                                  for k in counts)
+                                  for k in range(c, d + 1))
                 assert abs(getattr(point, column) - ref) <= 1e-12 * ref, (column, point.x)
 
-    def test_non_contiguous_mask_falls_back_to_pmf_dot(self, monkeypatch):
-        n = 30
-        values = np.ones(n + 1)
-        values[[4, 5, 12, 20]] = 0.0
-        monkeypatch.setattr(power, "_posterior_values", lambda *args: values)
-        spec = replace(spec_binom(n, (0.25, 0.75), BetaPrior(1, 1)), grid=[0.1, 0.4, 0.77])
-        mask = values <= 0.05
-        for point in binom_power_curve(spec):
-            assert point.y_bayes == float(binomial_pmf_vector(n, point.x) @ mask)
-        result = table_simulation(spec, reps=10, seed=0, theta_alt=0.4)
-        assert result.exact_power == float(binomial_pmf_vector(n, 0.4) @ mask)
+    def test_posterior_sublevel_sets_are_one_run_of_counts(self):
+        # the total-positivity argument behind _reject_regions, over a sweep of
+        # n, priors, margins and thresholds t in (0, 0.99]
+        ts = np.concatenate([[1e-12, 1e-6, 1e-3], np.linspace(0.01, 0.99, 99)])
+        for n in (1, 2, 5, 10, 30, 100, 300, 1000):
+            for p, q in ((0.01, 0.01), (0.5, 0.5), (1, 1), (3, 3), (2, 5), (1, 15),
+                         (15, 1), (50, 2)):
+                for margin in ((0.25, 0.75), (0.2, 0.8), (0.3, 0.6), (0.05, 0.15),
+                               (0.45, 0.55)):
+                    pb = power._posterior_values(n, EquivalenceMargin(*margin),
+                                                 BetaPrior(p, q))
+                    inside = pb[None, :] <= ts[:, None]
+                    runs = inside[:, 0] + np.count_nonzero(inside[:, 1:] & ~inside[:, :-1],
+                                                           axis=1)
+                    assert runs.max() <= 1, (n, p, q, margin)
+
+    def test_empty_bayesian_region(self):
+        # Beta(50, 50) at margin (0.05, 0.15): no count reaches the level
+        spec = replace(spec_binom(10, (0.05, 0.15), BetaPrior(50, 50)), grid=[0.1, 0.5])
+        c, d = _reject_regions(spec)[1]
+        assert c > d
+        assert [p.y_bayes for p in binom_power_curve(spec)] == [0.0, 0.0]
+        result = table_simulation(spec, reps=50, seed=0)
+        assert result.mc_type1 == result.mc_power == result.exact_power == 0.0
 
     def test_empty_grid_gives_no_points(self):
         assert binom_power_curve(spec_binom(10, (0.2, 0.8), BetaPrior(1, 1))) == []

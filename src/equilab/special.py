@@ -4,14 +4,14 @@ vectors, CDF/SF and quantile.
 
 Everything here is self-contained (stdlib ``math`` plus numpy).  Mass
 functions are evaluated in log space so that sample sizes up to ~1e4
-neither overflow nor lose the tails; each binomial tail vector is a
-cumulative sum of the PMF vector started at its own small end, so both tails
-keep their relative accuracy over the whole support.  The incomplete beta is
-one array kernel, :func:`reg_inc_beta_pair`: the modified Lentz continued
-fraction with a per-element symmetry switch, each element leaving the
-iteration when it converges, returning (I, 1 - I) with the small member
-computed directly; scalar :func:`reg_inc_beta` is a one-element call, and so
-are the scalar binomial CDF and SF, on which the quantile bisects.  On it,
+neither overflow nor lose the tails; each binomial tail is a cumulative sum
+of the PMF vector started at its own small end, so both tails keep their
+relative accuracy over the whole support, and the scalar CDF, SF and
+quantile are lookups into those vectors.  The incomplete beta is one array
+kernel, :func:`reg_inc_beta_pair`: the modified Lentz continued fraction
+with a per-element symmetry switch, each element leaving the iteration when
+it converges, returning (I, 1 - I) with the small member computed directly;
+scalar :func:`reg_inc_beta` is a one-element call.  On it,
 :func:`binomial_interval_prob` gives P_theta(C <= T <= D) over a whole grid
 of theta from two kernel calls, P(T >= s) = I_theta(s, n-s+1) and its
 complement at s = C and D+1, taking per theta the form whose operands are
@@ -386,9 +386,24 @@ def binomial_tail_vectors(n: int, theta: float):
     pmf = binomial_pmf_vector(n, theta)
     cdf = np.minimum(np.cumsum(pmf), 1.0)
     sf = np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0)
-    # whole-support sums are exactly 1, so a quantile search stays within 0..n
+    # whole-support sums are exactly 1: a quantile search stays within 0..n
+    # and the one-sided p-values at s = 0 and s = n are exactly 1
     cdf[n] = sf[0] = 1.0
     return cdf, sf
+
+
+def binomial_cdf(n: int, theta: float, s: int) -> float:
+    """P(T <= s) for T ~ Bin(n, theta); see :func:`binomial_tail_vectors`."""
+    _check_binomial_args(n, theta)
+    _check_count(n, s)
+    return float(binomial_tail_vectors(n, theta)[0][s])
+
+
+def binomial_sf(n: int, theta: float, s: int) -> float:
+    """P(T >= s) for T ~ Bin(n, theta); the upper tail including s."""
+    _check_binomial_args(n, theta)
+    _check_count(n, s)
+    return float(binomial_tail_vectors(n, theta)[1][s])
 
 
 def _tail_pair(n: int, s: int, theta: np.ndarray):
@@ -399,22 +414,6 @@ def _tail_pair(n: int, s: int, theta: np.ndarray):
     if s > n:
         return np.zeros_like(theta), np.ones_like(theta)
     return reg_inc_beta_pair(s, n - s + 1, theta)
-
-
-def binomial_cdf(n: int, theta: float, s: int) -> float:
-    """P(T <= s) for T ~ Bin(n, theta): one kernel element, the complement
-    of P(T >= s + 1) = I_theta(s + 1, n - s)."""
-    _check_binomial_args(n, theta)
-    _check_count(n, s)
-    return float(_tail_pair(n, s + 1, theta)[1])
-
-
-def binomial_sf(n: int, theta: float, s: int) -> float:
-    """P(T >= s) for T ~ Bin(n, theta), the upper tail including s: one
-    kernel element, I_theta(s, n - s + 1)."""
-    _check_binomial_args(n, theta)
-    _check_count(n, s)
-    return float(_tail_pair(n, s, theta)[0])
 
 
 def binomial_interval_prob(n: int, lo: int, hi: int, theta) -> np.ndarray:
@@ -441,18 +440,8 @@ def binomial_quantile(n: int, theta: float, u: float) -> int:
     """Generalized inverse CDF: min{s : P(T <= s) >= u} for T ~ Bin(n, theta).
 
     The left-continuous convention; ``u`` must lie strictly inside (0, 1).
-    A bisection on :func:`binomial_cdf`, O(log n) kernel elements, so the
-    result q satisfies binomial_cdf(q) >= u > binomial_cdf(q - 1) for the
-    values binomial_cdf returns, ties at u included.
     """
     _check_binomial_args(n, theta)
     if not 0.0 < u < 1.0:
         raise ValueError(f"u must lie in (0, 1), got {u}")
-    below, q = -1, n  # P(T <= below) < u <= P(T <= q)
-    while q - below > 1:
-        mid = (below + q) // 2
-        if binomial_cdf(n, theta, mid) >= u:
-            q = mid
-        else:
-            below = mid
-    return q
+    return int(np.searchsorted(binomial_tail_vectors(n, theta)[0], u, side="left"))

@@ -137,6 +137,16 @@ class TestCriticalConstants:
                                         SignificanceLevels(0.05, 0.05))
         assert (c, d) == (19, 31)
 
+    @pytest.mark.parametrize("margin", [(0.25, 0.5), (0.5, 0.75)])
+    def test_region_agrees_with_decide_at_a_tied_level(self, margin):
+        # at n = 55 and a boundary of 0.5, P(T <= 27) = P(T >= 28) = 1/2
+        # exactly: a level of 0.5 equals a p-value, so a region and a scalar
+        # p-value computed two ways could fall on opposite sides of it
+        n, margin = 55, EquivalenceMargin(*margin)
+        c, d = binom_critical_constants(n, margin, SignificanceLevels(0.5, 0.5))
+        for s in range(n + 1):
+            assert decide(binom_tost_pvalue(n, s, margin), 0.5) == (c <= s <= d), s
+
     def test_narrow_margin_empty_region(self):
         c, d = binom_critical_constants(5, EquivalenceMargin(0.45, 0.55),
                                         SignificanceLevels(0.05, 0.05))

@@ -63,12 +63,21 @@ def sample_correlation(x, y) -> CorrelationResult:
     sy = y.std()
     if sx == 0.0 or sy == 0.0:
         raise ValueError("correlation undefined for a constant sample")
-    zx = (x - x.mean()) / sx
-    zy = (y - y.mean()) / sy
-    r = float(np.mean(zx * zy))
+    zx = x - x.mean()
+    zx /= sx
+    zy = y - y.mean()
+    zy /= sy
+    prod = zx * zy
+    r = float(np.mean(prod))
     r = max(-1.0, min(1.0, r))
-    psi = zx * zy - 0.5 * r * (zx * zx + zy * zy)
-    se = float(np.sqrt(np.mean(psi * psi) / x.size))
+    # psi = zx zy - 0.5 r (zx^2 + zy^2) in place, in the same operation order
+    zx *= zx
+    zy *= zy
+    zx += zy
+    zx *= 0.5 * r
+    prod -= zx
+    prod *= prod
+    se = float(np.sqrt(np.mean(prod) / x.size))
     return CorrelationResult(r, "monte_carlo", se)
 
 

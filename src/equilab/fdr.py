@@ -12,7 +12,7 @@ import numpy as np
 from .equivalence import EquivalenceMargin
 from .normal import NormalPrior, NormalSampling, posterior_coefficient
 from .rng import spawn_rng
-from .special import SLICE_ELEMENTS, normal_cdf
+from .special import SLICE_ELEMENTS, _acklam_quantile, normal_cdf
 
 EVIDENCE_KINDS = ("frequentist", "bayesian")
 SAMPLING_MODES = ("per_tail", "per_tail_literal", "shared")
@@ -63,37 +63,64 @@ class DecisionTable:
         return self.S / max(self.k1, 1)
 
 
-def _step_up(p: np.ndarray, alpha: float, lam=None):
-    """Row-wise step-up over a (rows x k) matrix of evidence values.
+def _first_ranks(p, alpha: float, k0, k: int) -> np.ndarray:
+    """Each value's first passing rank: the least j in 1..k with
+    p <= alpha j / k0, or k + 1 for none (elementwise, k0 broadcast).
 
-    Each row rejects its D smallest values, D = max{j : p_(j) <= alpha j / k0}
-    (0 if no j qualifies), where k0 is k or, when ``lam`` is given, the
-    plug-in k0_hat = min(k, (1 + #{p > lam}) / (1 - lam)).  No row is
-    sorted: a value passes at every rank from the first j with
-    p <= alpha j / k0 on, D is the largest j at which at least j values
-    pass, and exactly D values pass there.  Returns (rank, d, k0) per row:
-    each value's first passing rank (k + 1 for none), so a row rejects
-    ``rank <= d``, and the k0 used.
+    The guess ceil(p k0 / alpha) can round across an integer; one step down
+    and one step up against the thresholds themselves settle it.
     """
-    if p.ndim != 2 or p.shape[1] == 0:
-        raise ValueError("need a non-empty 1-d vector of evidence values")
-    if np.any((p < 0) | (p > 1)):
-        raise ValueError("evidence values must lie in [0, 1]")
-    rows, k = p.shape
-    if lam is None:
-        k0 = np.full(rows, float(k))
-    else:
-        k0 = np.minimum(float(k), (1.0 + np.sum(p > lam, axis=1)) / (1.0 - lam))
-    thresholds = alpha * np.arange(1, k + 1) / k0[:, np.newaxis]
-    rank = 1 + np.array([np.searchsorted(t, row) for t, row in zip(thresholds, p)])
+    j = np.clip(np.ceil(p * k0 / alpha), 1, k + 1).astype(np.int64)
+    j -= (j > 1) & (p <= alpha * (j - 1) / k0)
+    j += (j <= k) & (p > alpha * j / k0)
+    return j
+
+
+def _deciding_counts(rank: np.ndarray) -> np.ndarray:
+    """D per row of a (rows x k) matrix of first passing ranks.
+
+    A value passes at every rank from its first on, D is the largest j at
+    which at least j values pass (0 if none), and exactly D values pass
+    there, so a row rejects ``rank <= D`` without sorting.
+    """
+    rows, k = rank.shape
     # passing[r, j - 1]: values of row r that pass at rank j (a bincount per row)
     offsets = (k + 2) * np.arange(rows)[:, np.newaxis]
     counts = np.bincount((rank + offsets).ravel(), minlength=rows * (k + 2))
     passing = np.cumsum(counts.reshape(rows, k + 2), axis=1)[:, 1:k + 1]
     qualifies = passing >= np.arange(1, k + 1)
     # the last qualifying rank, 0 where none qualifies
-    d = np.where(qualifies.any(axis=1), k - np.argmax(qualifies[:, ::-1], axis=1), 0)
-    return rank, d, k0
+    return np.where(qualifies.any(axis=1), k - np.argmax(qualifies[:, ::-1], axis=1), 0)
+
+
+def _plug_in_k0(k: int, above_lam: np.ndarray, lam: float) -> np.ndarray:
+    """k0_hat = min(k, (1 + #{p > lam}) / (1 - lam)) from the counts above lam."""
+    return np.minimum(float(k), (1.0 + above_lam) / (1.0 - lam))
+
+
+def _step_up(p: np.ndarray, alpha: float, lam=None):
+    """Row-wise step-up over a (rows x k) matrix of evidence values.
+
+    Each row rejects its D smallest values, D = max{j : p_(j) <= alpha j / k0}
+    (0 if no j qualifies), where k0 is k or, when ``lam`` is given, the
+    plug-in k0_hat = min(k, (1 + #{p > lam}) / (1 - lam)).  Returns
+    (rank, d, k0) per row: each value's first passing rank (k + 1 for none,
+    see :func:`_first_ranks`), so a row rejects ``rank <= d``
+    (:func:`_deciding_counts`), and the k0 used.  NaN is rejected with the
+    values outside [0, 1].  The FDR simulation reaches the same ranks and D
+    from partly evaluated evidence (:func:`_screened_step_up`).
+    """
+    if p.ndim != 2 or p.shape[1] == 0:
+        raise ValueError("need a non-empty 1-d vector of evidence values")
+    if not np.all((p >= 0) & (p <= 1)):
+        raise ValueError("evidence values must lie in [0, 1]")
+    rows, k = p.shape
+    if lam is None:
+        k0 = np.full(rows, float(k))
+    else:
+        k0 = _plug_in_k0(k, np.sum(p > lam, axis=1), lam)
+    rank = _first_ranks(p, alpha, k0[:, np.newaxis], k)
+    return rank, _deciding_counts(rank), k0
 
 
 def bh_procedure(pvals: Sequence[float], alpha: float):
@@ -225,19 +252,79 @@ def _tail_z_stats(exp: FdrExperiment, truth: np.ndarray, rngs) -> tuple:
     return scale * (x_r - t1), scale * (x_l - t2)
 
 
-def _combine_evidence(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray) -> np.ndarray:
+def _combine_evidence(exp: FdrExperiment, p_r: np.ndarray, p_l: np.ndarray) -> np.ndarray:
+    """The evidence value from its two one-sided tail values."""
     if exp.evidence == "bayesian":
-        samp = NormalSampling(sigma=exp.sigma, n=exp.n)
-        shrink = posterior_coefficient(samp, NormalPrior(exp.tau)) \
-            * exp.sigma / math.sqrt(exp.n)
-        p_r = 1.0 - normal_cdf(shrink * z_r)
-        p_l = normal_cdf(shrink * z_l)
         return np.clip(p_r + p_l, 0.0, 1.0)
-    p_r = 1.0 - normal_cdf(z_r)
-    p_l = normal_cdf(z_l)
     if exp.combination == "max":
         return np.maximum(p_r, p_l)
     return np.abs(p_l - p_r)
+
+
+# z margin of the screen: a tail whose z lies within it of a cutoff is
+# evaluated, so neither the rounding of normal_cdf nor the error of the
+# quantile approximation (below 1e-8 in z) ever decides.  It moves a tail
+# value by a relative 1e-3 or more, but the right tail 1 - normal_cdf(z)
+# carries an absolute rounding error near 1e-15, so thresholds below
+# _SCREEN_FLOOR (a move of 1e-11 or less) are not screened.
+_Z_SLACK = 1e-3
+_SCREEN_FLOOR = 1e-9
+
+
+def _z_cutoff(t: float, side: float) -> float:
+    """q(t) + side * slack, q the normal quantile: a tail whose z lies
+    beyond it (side +1: above, -1: below) is certainly above t (at or below
+    t).  +-inf where nothing is settled: t >= 1, or t under the floor."""
+    if not _SCREEN_FLOOR <= t < 1.0:
+        return side * math.inf
+    return _acklam_quantile(t) + side * _Z_SLACK
+
+
+def _screened_step_up(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray,
+                      shrink: float, lam):
+    """(rank, d) of :func:`_step_up` on one block's evidence matrix, with the
+    evidence evaluated only where a z cutoff cannot settle it.
+
+    With u_r = -shrink z_r and u_l = shrink z_l the tail values are
+    Phi(u_r) and Phi(u_l) up to rounding.  The evidence is at least its
+    larger tail, at u = max(u_r, u_l), and at most ``factor`` times it (1
+    for the max, 2 for the clipped sum), so it is certainly above t for
+    u > q(t) + slack and at or below t for u < q(t / factor) - slack.  The
+    |p_l - p_r| of ``difference`` has no lower bound: its band is everything.
+    """
+    rows, k = z_r.shape
+    u = np.maximum(-z_r, z_l)
+    u *= shrink  # shrink > 0: the max of the scaled values, bit for bit
+    screened = exp.evidence == "bayesian" or exp.combination == "max"
+    factor = 2.0 if exp.evidence == "bayesian" else 1.0
+    p = np.full((rows, k), np.nan)  # the exact evidence, filled where needed
+
+    def screen(t_low, t_high):
+        """The mask of values certainly above their row's t_high and the flat
+        indices of the band: neither that nor certainly at or below t_low."""
+        lo, hi = -np.inf, np.inf
+        if screened:
+            lo = np.array([_z_cutoff(t / factor, -1.0) for t in t_low])[:, np.newaxis]
+            hi = np.array([_z_cutoff(t, 1.0) for t in t_high])[:, np.newaxis]
+        above = u > hi
+        return above, np.flatnonzero((u >= lo) & ~above)
+
+    def exact(band):
+        todo = band[np.isnan(p.take(band))]
+        cdf = normal_cdf(shrink * np.concatenate((z_r.take(todo), z_l.take(todo))))
+        p.put(todo, _combine_evidence(exp, 1.0 - cdf[:todo.size], cdf[todo.size:]))
+        return p.take(band)
+
+    if lam is None:
+        k0 = np.full(rows, float(k))
+    else:
+        above, band = screen(np.full(rows, lam), np.full(rows, lam))
+        np.put(above, band, exact(band) > lam)
+        k0 = _plug_in_k0(k, np.sum(above, axis=1), lam)
+    above, band = screen(exp.alpha / k0, exp.alpha * k / k0)
+    rank = np.where(above, k + 1, 1)
+    np.put(rank, band, _first_ranks(exact(band), exp.alpha, k0[band // k], k))
+    return rank, _deciding_counts(rank)
 
 
 def fdr_power_simulation(exp: FdrExperiment):
@@ -248,10 +335,25 @@ def fdr_power_simulation(exp: FdrExperiment):
     seed with the other evidence kind reuses the very same draws, giving
     paired comparisons.  Replications run in blocks of up to
     ``SLICE_ELEMENTS // k`` rows, each row filled from its own stream, so
-    a block is one evidence evaluation and one row-wise step-up.
+    a block is one row-wise step-up.
+
+    A rank depends on p only through p <= alpha j / k0, so a value above
+    the largest threshold never ranks and one at or below the smallest has
+    rank 1; the exact p matters only in the band between (and, adaptively,
+    near lam).  Each tail value is monotone in its z, so z cutoffs at the
+    normal quantiles of those thresholds, widened by a z slack far beyond
+    any rounding, settle every value outside the band
+    (:func:`_screened_step_up`).  The values inside are evaluated with the
+    expressions of the full evaluation, in one gathered normal_cdf call per stage
+    (erfc works elementwise, so they are bit-identical), and ranked exactly:
+    every result equals that of the full evaluation.
     """
     block = max(1, SLICE_ELEMENTS // exp.k)
     lam = exp.storey_lambda if exp.adaptive else None
+    shrink = 1.0  # the factor on z inside the tail values
+    if exp.evidence == "bayesian":
+        samp = NormalSampling(sigma=exp.sigma, n=exp.n)
+        shrink = posterior_coefficient(samp, NormalPrior(exp.tau)) * exp.sigma / math.sqrt(exp.n)
     results = []
     for k1_idx, k1 in enumerate(exp.k1_grid):
         truth = np.zeros(exp.k, dtype=bool)
@@ -262,7 +364,7 @@ def fdr_power_simulation(exp: FdrExperiment):
             reps = range(start, min(start + block, exp.reps))
             z_r, z_l = _tail_z_stats(exp, truth, [spawn_rng(exp.seed, k1_idx, rep)
                                                   for rep in reps])
-            rank, d, _ = _step_up(_combine_evidence(exp, z_r, z_l), exp.alpha, lam)
+            rank, d = _screened_step_up(exp, z_r, z_l, shrink, lam)
             # S: rejected false nulls, the first k1 hypotheses
             s = np.sum(rank[:, :k1] <= d[:, np.newaxis], axis=1)
             powers[reps.start:reps.stop] = s / max(k1, 1)

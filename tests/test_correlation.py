@@ -62,6 +62,21 @@ class TestSampleCorrelation:
         with pytest.raises(ValueError):
             sample_correlation(np.ones(10), np.arange(10.0))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_in_place_equals_expression_form(self, seed):
+        # the estimator builds its arrays in place; the plain expressions
+        # stay here as the reference, and the results must agree bit for bit
+        rng = spawn_rng(seed, 0)
+        x = rng.standard_normal(20_000)
+        y = normal_cdf(0.7 * x + rng.standard_normal(20_000)) * 3.0 - x
+        zx = (x - x.mean()) / x.std()
+        zy = (y - y.mean()) / y.std()
+        r = max(-1.0, min(1.0, float(np.mean(zx * zy))))
+        psi = zx * zy - 0.5 * r * (zx * zx + zy * zy)
+        se = float(np.sqrt(np.mean(psi * psi) / x.size))
+        res = sample_correlation(x, y)
+        assert (res.rho, res.std_error) == (r, se)
+
 
 class TestEquivalenceCorrelation:
     def test_four_terms_cancel_exactly(self):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from equilab import (DecisionTable, EquivalenceMargin, FdrExperiment, NormalPrior,
                      NormalSampling, adaptive_bh, bh_procedure, fdr_power_simulation,
                      normal_cdf, posterior_coefficient, score_decisions, spawn_rng)
+from equilab import fdr, special
 from equilab.fdr import COMBINATIONS, EVIDENCE_KINDS, SAMPLING_MODES
 from equilab.special import SLICE_ELEMENTS
 
@@ -66,6 +67,30 @@ class TestBhProcedure:
         with pytest.raises(ValueError):
             bh_procedure([0.5, 1.2], 0.05)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            bh_procedure([np.nan, 0.001, 0.002], 0.05)
+
+
+class TestFirstRanks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-6, 0.999), st.integers(1, 3000), st.data())
+    def test_matches_searchsorted(self, alpha, k, data):
+        # k0 as the plain procedure (an integer up to k) or the plug-in
+        # estimate (1 + m) / (1 - lam) capped at k uses it
+        if data.draw(st.booleans()):
+            lam = data.draw(st.floats(0.01, 0.99))
+            k0 = min(float(k), (1 + data.draw(st.integers(0, k))) / (1 - lam))
+        else:
+            k0 = float(data.draw(st.integers(1, k)))
+        thresholds = alpha * np.arange(1, k + 1) / k0
+        t = thresholds[data.draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=20))]
+        p = np.concatenate((t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                            data.draw(st.lists(st.floats(0.0, 1.0), max_size=20))))
+        p = p[(p >= 0.0) & (p <= 1.0)]
+        expected = 1 + np.searchsorted(thresholds, p)
+        assert np.array_equal(fdr._first_ranks(p, alpha, k0, k), expected)
+
 
 class TestAdaptiveBh:
     def test_uniform_pvalues_estimate_full_null(self):
@@ -119,6 +144,10 @@ class TestAdaptiveBh:
     def test_lambda_domain(self):
         with pytest.raises(ValueError):
             adaptive_bh([0.5], 0.05, lam=1.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            adaptive_bh([np.nan, 0.001, 0.9], 0.05)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -294,21 +323,32 @@ def reference_simulation(exp):
     return results
 
 
+DESK_DESIGN = {"alpha": 0.1, "n": 40}
+SWEEP_DESIGN = {"alpha": 0.05, "n": 100}  # the fdr-sweep benchmark studies
+
+
 class TestBlockBatching:
     """The block-batched simulation equals the one-replication-at-a-time
     reference exactly, field for field, in every mode."""
 
     K, REPS = 1000, 13  # blocks of SLICE_ELEMENTS // K rows: 8 + 5
 
-    @pytest.mark.parametrize("evidence, sampling, combination, adaptive",
-                             list(itertools.product(EVIDENCE_KINDS, SAMPLING_MODES,
-                                                    COMBINATIONS, (False, True))))
+    @pytest.mark.parametrize(
+        "evidence, sampling, combination, adaptive, design",
+        [pytest.param(*mode, DESK_DESIGN, id="-".join(map(str, mode)))
+         for mode in itertools.product(EVIDENCE_KINDS, SAMPLING_MODES, COMBINATIONS,
+                                       (False, True))]
+        + [pytest.param(evidence, "per_tail", "max", adaptive, SWEEP_DESIGN,
+                        id=f"fdr-sweep-{name}")
+           for name, evidence, adaptive in (("frequentist", "frequentist", False),
+                                            ("bayesian", "bayesian", False),
+                                            ("adaptive", "frequentist", True))])
     def test_equals_per_replication_reference(self, evidence, sampling, combination,
-                                              adaptive):
+                                              adaptive, design):
         assert self.REPS % max(1, SLICE_ELEMENTS // self.K) != 0
-        exp = FdrExperiment(k=self.K, k1_grid=(0, 370, self.K), n=40,
+        exp = FdrExperiment(k=self.K, k1_grid=(0, 370, self.K), n=design["n"],
                             margin=EquivalenceMargin(0.0, 1.5), sigma=1.0, tau=0.25,
-                            epsilon_star=0.5, alpha=0.1, reps=self.REPS, seed=4242,
+                            epsilon_star=0.5, alpha=design["alpha"], reps=self.REPS, seed=4242,
                             evidence=evidence, sampling=sampling,
                             combination=combination, adaptive=adaptive)
         got = [(p.k1, p.mean_power, p.mean_fdr, p.se_power, p.se_fdr)
@@ -323,3 +363,77 @@ class TestBlockBatching:
         got = [(p.k1, p.mean_power, p.mean_fdr, p.se_power, p.se_fdr)
                for p in fdr_power_simulation(exp)]
         assert got == reference_simulation(exp)
+
+
+class TestScreen:
+    """The simulation's screened step-up equals the step-up on fully
+    evaluated evidence, also for tail statistics placed on the screen's
+    z cutoffs, at the slack either side and one ulp either side."""
+
+    LAM = 0.5
+
+    @staticmethod
+    def evidence(kind, z_r, z_l):
+        p_r, p_l = 1.0 - normal_cdf(z_r), normal_cdf(z_l)
+        if kind == "bayesian":
+            return np.clip(p_r + p_l, 0.0, 1.0)
+        return np.maximum(p_r, p_l)
+
+    @staticmethod
+    def probes(t, factor):
+        """Larger-tail z values around both cutoffs of threshold t, also
+        where thresholds under the screen's floor leave them unused."""
+        values = []
+        q = special._acklam_quantile
+        for cutoff in (q(t / factor) - fdr._Z_SLACK, q(t) + fdr._Z_SLACK):
+            values += [cutoff - fdr._Z_SLACK, np.nextafter(cutoff, -np.inf), cutoff,
+                       np.nextafter(cutoff, np.inf), cutoff + fdr._Z_SLACK]
+        return np.array(values)
+
+    @staticmethod
+    def pairs(u):
+        """(z_r, z_l) with the left tail, the right tail or both at u; the
+        other tail is negligible."""
+        far = np.full_like(u, 40.0)
+        return np.concatenate((far, -u, -u)), np.concatenate((u, -far, u))
+
+    @pytest.mark.parametrize("alpha", [0.05, 1e-15])
+    @pytest.mark.parametrize("evidence, adaptive", [("frequentist", False),
+                                                    ("bayesian", False),
+                                                    ("frequentist", True),
+                                                    ("bayesian", True)])
+    def test_equals_full_evaluation_on_cutoffs(self, evidence, adaptive, alpha):
+        exp = desk_experiment(alpha=alpha, evidence=evidence, adaptive=adaptive,
+                              storey_lambda=self.LAM)
+        lam = self.LAM if adaptive else None
+        factor = 2.0 if evidence == "bayesian" else 1.0
+        rows_r, rows_l = [], []
+        for row, nulls in enumerate((60, 150, 240)):
+            rng = spawn_rng(31, row)
+            # nulls sit on the boundaries, alternatives well inside the margin
+            shift = np.where(np.arange(300) < nulls, 0.0, 4.0)
+            z_r = shift + rng.standard_normal(300)
+            z_l = -shift + rng.standard_normal(300)
+            lam_r, lam_l = self.pairs(self.probes(self.LAM, factor))
+            z_r, z_l = np.concatenate((z_r, lam_r)), np.concatenate((z_l, lam_l))
+            # every value placed below carries evidence under alpha <= lam, so
+            # the count above lam, and k0, are those of the values so far;
+            # two thresholds, ten probes each, three pairs per probe
+            k = z_r.size + 2 * 10 * 3
+            k0 = float(k)
+            if adaptive:
+                above = np.sum(self.evidence(evidence, z_r, z_l) > self.LAM)
+                k0 = min(float(k), (1.0 + above) / (1.0 - self.LAM))
+            probe = np.concatenate((self.probes(alpha / k0, factor),
+                                    self.probes(alpha * k / k0, factor)))
+            probe_r, probe_l = self.pairs(probe)
+            assert np.all(self.evidence(evidence, probe_r, probe_l) <= self.LAM)
+            rows_r.append(np.concatenate((z_r, probe_r)))
+            rows_l.append(np.concatenate((z_l, probe_l)))
+            assert rows_r[-1].size == k
+        z_r, z_l = np.array(rows_r), np.array(rows_l)
+        rank, d, _ = fdr._step_up(self.evidence(evidence, z_r, z_l), alpha, lam)
+        got_rank, got_d = fdr._screened_step_up(exp, z_r, z_l, 1.0, lam)
+        assert np.array_equal(got_rank, rank)
+        assert np.array_equal(got_d, d)
+        assert d.min() > 0 and np.any((rank > 1) & (rank <= k))

@@ -18,6 +18,7 @@ re-serializing a parsed file reproduces it exactly.  Exit codes: 0 success,
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import sys
@@ -344,9 +345,13 @@ def resolve_options(args: argparse.Namespace) -> dict:
     return opts
 
 
+@functools.lru_cache(maxsize=len(SUBCOMMANDS) + 1)
 def build_parser(command=None) -> argparse.ArgumentParser:
     """The parser of every subcommand; given a ``command``, only that one's
-    flags are built (the others keep their help line and take none)."""
+    flags are built (the others keep their help line and take none).
+
+    Memoized per ``command``: every caller shares the parser, so treat it
+    as read-only (parse with it, never add to or change it)."""
     parser = argparse.ArgumentParser(
         prog="equilab",
         description="Equivalence-testing evidence curves, tables and FDR simulations.",

@@ -95,18 +95,20 @@ def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
     hi = 0.5 * total
     lo = hi - 8.0 * scale
     for _ in range(60):
-        if attained(lo) >= level:
+        at_lo = attained(lo)
+        if at_lo >= level:
             break
         lo -= 8.0 * scale
     else:
         raise ValueError(f"level {level} not attainable in the search bracket")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if attained(mid) >= level:
-            lo = mid
+        at_mid = attained(mid)
+        if at_mid >= level:
+            lo, at_lo = mid, at_mid
         else:
             hi = mid
-        if abs(attained(lo) - level) <= 1e-10:
+        if abs(at_lo - level) <= 1e-10:
             break
     c = lo
     return c, total - c

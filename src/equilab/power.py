@@ -4,12 +4,12 @@ maximum-power parameter search, and the simulation-table protocol.
 Binomial quantities are exact; Monte Carlo appears only where it mirrors a
 simulation protocol (and then against seeded, replayable streams).  The
 evidence vectors and rejection regions are built once per curve over the
-support s = 0..n, the posterior vector from two incomplete-beta kernel
-calls.  Both tests reject on an interval of counts {C..D} (the p-value's
+support s = 0..n, the posterior vector from one incomplete-beta kernel
+call.  Both tests reject on an interval of counts {C..D} (the p-value's
 by its monotone tails, the posterior's by total positivity; see
 :func:`_reject_regions`), so a power curve or an exact table rate is
-P_theta(C <= T <= D) over the whole grid, two kernel calls in all
-(:func:`~equilab.special.binomial_interval_prob`).  Decision rules:
+P_theta(C <= T <= D) over the whole grid, one kernel call for every region
+of a curve (:func:`~equilab.special.binomial_interval_prob`).  Decision rules:
 
 * frequentist evidence rejects when each one-sided p-value is at or below
   its own tail level (for equal tails this is "max p-value <= alpha");
@@ -87,9 +87,10 @@ def _posterior_values(n: int, margin: EquivalenceMargin,
         return None
     a = prior.p + np.arange(n + 1)
     b = prior.q + n - np.arange(n + 1)
-    upper = reg_inc_beta_pair(a, b, margin.theta1)[0]
-    lower = reg_inc_beta_pair(b, a, 1.0 - margin.theta2)[0]
-    return np.clip(upper + lower, 0.0, 1.0)
+    # the upper and lower shapes as one kernel call
+    both = reg_inc_beta_pair(np.concatenate((a, b)), np.concatenate((b, a)),
+                             np.repeat((margin.theta1, 1.0 - margin.theta2), n + 1))[0]
+    return np.clip(both[:n + 1] + both[n + 1:], 0.0, 1.0)
 
 
 def binom_evidence_values(n: int, margin: EquivalenceMargin,
@@ -134,10 +135,9 @@ def _require_model(spec: CurveSpec, model: str, name: str) -> None:
 def _power_arrays(spec: CurveSpec, thetas):
     """Exact rejection probability of each measure at each theta (NaN for
     the Bayesian one without a prior)."""
-    region_f, region_b = _reject_regions(spec)
-    y_b = (np.full(np.shape(thetas), math.nan) if region_b is None
-           else binomial_interval_prob(spec.n, *region_b, thetas))
-    return binomial_interval_prob(spec.n, *region_f, thetas), y_b
+    regions = [region for region in _reject_regions(spec) if region is not None]
+    y = binomial_interval_prob(spec.n, *np.transpose(regions), thetas)
+    return y[0], (y[1] if len(y) > 1 else np.full(np.shape(thetas), math.nan))
 
 
 def binom_cdf_curve(spec: CurveSpec):

@@ -13,9 +13,10 @@ with a per-element symmetry switch, each element leaving the iteration when
 it converges, returning (I, 1 - I) with the small member computed directly;
 scalar :func:`reg_inc_beta` is a one-element call.  On it,
 :func:`binomial_interval_prob` gives P_theta(C <= T <= D) over a whole grid
-of theta from two kernel calls, P(T >= s) = I_theta(s, n-s+1) and its
-complement at s = C and D+1, taking per theta the form whose operands are
-small, so tiny powers and type-II masses keep their relative accuracy.  erfc is
+of theta for one region or an array of regions, one kernel call for every
+region of a curve: P(T >= s) = I_theta(s, n-s+1) and its complement at each
+s = C and D+1, taking per theta the form whose operands are small, so tiny
+powers and type-II masses keep their relative accuracy.  erfc is
 a numpy port of fdlibm's rational approximations (the algorithm of the C
 library ``erfc``), evaluated in slices of at most ``SLICE_ELEMENTS`` so its
 temporaries stay cache-sized; scalars and arrays take the same path.
@@ -85,14 +86,13 @@ def _guard(t, tiny: float = 1e-300):
     return t + (abs(t) < tiny) * (tiny - t)
 
 
-def _lentz(a, b, x, max_iter: int = 1000, eps: float = 1e-16):
-    """Continued fraction for the incomplete beta (modified Lentz method)
-    on floats or elementwise on 1-d arrays, where each element leaves the
-    iteration once its own step has converged.
+def _lentz(a: float, b: float, x: float, max_iter: int = 1000, eps: float = 1e-16) -> float:
+    """Continued fraction for the incomplete beta (modified Lentz method;
+    I. J. Thompson and A. R. Barnett, J. Comput. Phys. 64, 1986) on floats.
 
-    The steps are plain operators, so a one-element call runs on Python
-    floats at scalar cost.  Converges quickly only for x < (a+1)/(a+b+2);
-    callers must apply the symmetry switch first.
+    Converges quickly only for x < (a+1)/(a+b+2); callers must apply the
+    symmetry switch first.  :func:`_lentz_array` runs the same steps
+    elementwise.
     """
     qab = a + b
     qap = a + 1.0
@@ -100,9 +100,6 @@ def _lentz(a, b, x, max_iter: int = 1000, eps: float = 1e-16):
     c = 1.0
     d = 1.0 / _guard(1.0 - qab * x / qap)
     h = d
-    if isinstance(x, np.ndarray):
-        out = np.empty_like(x)
-        active = np.arange(x.size)
     for m in range(1, max_iter + 1):
         m2 = 2 * m
         # even step
@@ -116,18 +113,79 @@ def _lentz(a, b, x, max_iter: int = 1000, eps: float = 1e-16):
         c = _guard(1.0 + num / c)
         delta = d * c
         h = h * delta
-        done = abs(delta - 1.0) < eps  # a bool on floats, a mask on arrays
-        if isinstance(done, bool):
-            if done:
-                return h
-        elif done.all():  # also an empty array
-            out[active] = h
-            return out
-        elif done.any():
-            out[active[done]] = h[done]
-            going = ~done
-            active, a, b, x, qab, qap, qam, c, d, h = (
-                v[going] for v in (active, a, b, x, qab, qap, qam, c, d, h))
+        if abs(delta - 1.0) < eps:
+            return h
+    raise RuntimeError(
+        f"incomplete beta continued fraction did not converge for "
+        f"a={a}, b={b}, x={x}"
+    )
+
+
+def _guarded(t: np.ndarray, tiny: float = 1e-300) -> np.ndarray:
+    """:func:`_guard` on a non-empty array, evaluated only when some
+    |t| < tiny (or is NaN): on every other finite t it is t itself."""
+    return t if np.abs(t).min() >= tiny else _guard(t, tiny)
+
+
+def _lentz_array(a, b, x, max_iter: int = 1000, eps: float = 1e-16) -> np.ndarray:
+    """:func:`_lentz` elementwise on 1-d arrays, bit for bit: each element
+    leaves the iteration once its own step has converged.
+
+    The steps are the float path's, rewritten to run in place; -(a + m) is
+    (-a) - m, equal under round-to-nearest.
+    """
+    out = np.empty_like(x)
+    if not x.size:
+        return out
+    active = np.arange(x.size)
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    neg_a = -a
+    c = np.ones_like(x)
+    d = 1.0 / _guarded(1.0 - qab * x / qap)
+    h = d.copy()
+    for m in range(1, max_iter + 1):
+        m2 = 2 * m
+        a_m2 = a + m2
+        # even step
+        num = b - m
+        num *= m
+        num *= x
+        den = qam + m2
+        den *= a_m2
+        num /= den
+        t = num * d
+        t += 1.0
+        np.divide(1.0, _guarded(t), out=d)
+        np.divide(num, c, out=c)
+        c += 1.0
+        c = _guarded(c)
+        h *= d * c
+        # odd step
+        num = neg_a - m
+        num *= qab + m
+        num *= x
+        np.add(qap, m2, out=den)
+        den *= a_m2
+        num /= den
+        np.multiply(num, d, out=t)
+        t += 1.0
+        np.divide(1.0, _guarded(t), out=d)
+        np.divide(num, c, out=c)
+        c += 1.0
+        c = _guarded(c)
+        delta = d * c
+        h *= delta
+        delta -= 1.0
+        done = np.abs(delta, out=delta) < eps
+        if done.any():
+            out[active] = h  # final for the converged; the rest write again later
+            going = np.flatnonzero(~done)
+            if not going.size:
+                return out
+            active, a, b, x, qab, qap, qam, neg_a, c, d, h = (
+                v.take(going) for v in (active, a, b, x, qab, qap, qam, neg_a, c, d, h))
     raise RuntimeError(
         f"incomplete beta continued fraction did not converge for "
         f"a={a}, b={b}, x={x}"
@@ -165,7 +223,7 @@ def reg_inc_beta_pair(a, b, x):
     if swap.ndim == 0:
         cont_frac = _lentz(float(p), float(q), float(y))
     else:
-        cont_frac = _lentz(p.ravel(), q.ravel(), y.ravel()).reshape(swap.shape)
+        cont_frac = _lentz_array(p.ravel(), q.ravel(), y.ravel()).reshape(swap.shape)
     with np.errstate(divide="ignore"):  # log(0) at x = 0 or 1 gives a zero front
         front = np.exp(_log_inv_beta(a, b) + a * np.log(x) + b * np.log1p(-x))
     small = front * cont_frac / p  # the member on the continued fraction's side
@@ -413,34 +471,43 @@ def binomial_sf(n: int, theta: float, s: int) -> float:
     return float(binomial_tail_vectors(n, theta)[1][s])
 
 
-def _tail_pair(n: int, s: int, theta: np.ndarray):
-    """(P(T >= s), P(T <= s - 1)) for T ~ Bin(n, theta) over the array theta,
-    from P(T >= s) = I_theta(s, n - s + 1)."""
-    if s <= 0:
-        return np.ones_like(theta), np.zeros_like(theta)
-    if s > n:
-        return np.zeros_like(theta), np.ones_like(theta)
-    return reg_inc_beta_pair(s, n - s + 1, theta)
-
-
-def binomial_interval_prob(n: int, lo: int, hi: int, theta) -> np.ndarray:
+def binomial_interval_prob(n: int, lo, hi, theta) -> np.ndarray:
     """P_theta(lo <= T <= hi) for T ~ Bin(n, theta) at each theta of an array.
 
-    Two :func:`reg_inc_beta_pair` calls cover the whole array, so a grid
-    costs O(grid) kernel work whatever n is.  Each theta takes the form
-    whose operands are small: P(T >= lo) - P(T >= hi+1) left of the
+    ``lo`` and ``hi`` are one region's bounds, or equal-length 1-d arrays of
+    R regions' bounds, which give an (R,) + theta.shape array.  Every bound
+    s = lo and s = hi + 1 in 1..n of a non-empty region goes into one
+    :func:`reg_inc_beta_pair` call, P(T >= s) = I_theta(s, n - s + 1) as a
+    column against theta, so a curve's regions cost one kernel call and
+    O(grid) kernel work each, whatever n is; bounds outside 1..n take the
+    constant tails and an empty region (lo > hi) is 0.  Each theta takes the
+    form whose operands are small: P(T >= lo) - P(T >= hi+1) left of the
     interval, P(T <= hi) - P(T <= lo-1) right of it, and
     1 - P(T <= lo-1) - P(T >= hi+1) near the centre, so a tiny probability
     keeps its relative accuracy and a type-II mass is computed directly.
     """
     theta = np.asarray(theta, dtype=float)
-    if lo > hi:
-        return np.zeros_like(theta)
-    at_least_lo, below = _tail_pair(n, lo, theta)
-    above, at_most_hi = _tail_pair(n, hi + 1, theta)
+    one_region = np.ndim(lo) == 0
+    lo, hi = np.ravel(lo), np.ravel(hi)
+    regions = lo.size
+    bounds = np.concatenate((lo, hi + 1))
+    empty = lo > hi
+    # P(T >= s) and P(T <= s - 1) per bound, constant outside 1..n
+    at_least = np.zeros((bounds.size,) + theta.shape)
+    at_least[bounds <= 0] = 1.0
+    below = 1.0 - at_least
+    live = (bounds >= 1) & (bounds <= n) & np.tile(~empty, 2)
+    if live.any():
+        s = bounds[live].reshape((-1,) + (1,) * theta.ndim)
+        at_least[live], below[live] = reg_inc_beta_pair(s, n - s + 1, theta)
+    at_least_lo, above = at_least[:regions], at_least[regions:]
+    under_lo, at_most_hi = below[:regions], below[regions:]
     prob = np.where(at_least_lo <= 0.5, at_least_lo - above,
-                    np.where(at_most_hi <= 0.5, at_most_hi - below, 1.0 - below - above))
-    return np.maximum(prob, 0.0)
+                    np.where(at_most_hi <= 0.5, at_most_hi - under_lo,
+                             1.0 - under_lo - above))
+    prob = np.maximum(prob, 0.0)
+    prob[empty] = 0.0
+    return prob[0] if one_region else prob
 
 
 def binomial_quantile(n: int, theta: float, u: float) -> int:

@@ -380,3 +380,38 @@ def test_parser_for_one_subcommand_builds_only_its_flags(capsys):
     capsys.readouterr()
     assert main(["power-curve", "--help"]) == 0
     assert "--theta-grid" in capsys.readouterr().out
+
+
+class TestMemoizedParser:
+    """``build_parser`` is shared between calls: repeated ``main`` calls in
+    one process must not see each other."""
+
+    TABLES = ["tables", "--margin", "0.25,0.75", "--reps", "200", "--seed", "3"]
+
+    def test_one_parser_per_command(self):
+        assert build_parser("tables") is build_parser("tables")
+        assert build_parser("tables") is not build_parser("power-curve")
+
+    def test_repeated_rows_do_not_accumulate(self, tmp_path):
+        for n in ("20", "30"):
+            code, out = run(tmp_path, f"rows{n}", self.TABLES + ["--row", f"n={n}"])
+            assert code == 0
+            assert [row["n"] for row in read_csv(out)] == [n]
+
+    def test_failed_call_leaves_no_trace(self, tmp_path, capsys):
+        argv = self.TABLES + ["--row", "n=20", "--row", "n=40"]
+        code, first = run(tmp_path, "first", argv)
+        assert code == 0
+        assert main(argv + ["--no-such-flag", "1"]) == 2
+        code, second = run(tmp_path, "second", argv)
+        assert code == 0
+        assert first.read_bytes() == second.read_bytes()
+        capsys.readouterr()
+
+    def test_top_level_help_lists_every_subcommand(self, capsys):
+        build_parser("tables")
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        assert len(SUBCOMMANDS) == 7
+        for name in SUBCOMMANDS:
+            assert name in out

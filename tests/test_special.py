@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from equilab import EquivalenceMargin, binom_tost_pvalue
-from equilab.special import (binomial_cdf, binomial_interval_prob, binomial_pmf,
-                             binomial_pmf_vector, binomial_quantile, binomial_sf,
-                             binomial_tail_vectors, erfc, log_gamma,
+from equilab.special import (_lentz, _lentz_array, binomial_cdf, binomial_interval_prob,
+                             binomial_pmf, binomial_pmf_vector, binomial_quantile,
+                             binomial_sf, binomial_tail_vectors, erfc, log_gamma,
                              normal_cdf, normal_quantile, reg_inc_beta,
                              reg_inc_beta_pair)
 
@@ -161,6 +161,42 @@ class TestIncBetaPairKernel:
             reg_inc_beta_pair(1.0, 1.0, [0.5, -0.1])
 
 
+def _converging_side(a: float, b: float, u: float) -> float:
+    """An x on the continued fraction's converging side, x < (a+1)/(a+b+2)."""
+    return u * (a + 1.0) / (a + b + 2.0)
+
+
+class TestLentzArrayPath:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.5, 1e4), st.floats(0.5, 1e4),
+                              st.floats(0.0, 1.0, exclude_max=True)),
+                    min_size=1, max_size=12))
+    @example([(0.5, 0.5, 0.0), (1e4, 1e4, 0.999999), (0.5, 1e4, 0.5), (1e4, 0.5, 0.999999)])
+    def test_equals_float_path_bitwise(self, elements):
+        a, b = (np.array(column) for column in list(zip(*elements))[:2])
+        x = np.array([_converging_side(*element) for element in elements])
+        got = _lentz_array(a, b, x)
+        for i, (ai, bi, xi) in enumerate(zip(a.tolist(), b.tolist(), x.tolist())):
+            assert got[i].hex() == _lentz(ai, bi, xi).hex(), (ai, bi, xi)
+
+    def test_guarded_start_equals_float_path(self):
+        # 1 - (a+b) x / (a+1) is exactly 0 at a = 1, b = 3, x = 1/2
+        a, b, x = np.array([1.0, 2.0]), np.array([3.0, 5.0]), np.array([0.5, 0.2])
+        got = _lentz_array(a, b, x)
+        assert [v.hex() for v in got.tolist()] == [
+            _lentz(*args).hex() for args in zip(a.tolist(), b.tolist(), x.tolist())]
+
+    def test_empty_array(self):
+        empty = np.empty(0)
+        assert _lentz_array(empty, empty, empty).shape == (0,)
+
+    def test_non_convergence_raises(self):
+        with pytest.raises(RuntimeError):
+            _lentz_array(np.array([5.0]), np.array([50.0]), np.array([0.05]), max_iter=1)
+        with pytest.raises(RuntimeError):
+            _lentz(5.0, 50.0, 0.05, max_iter=1)
+
+
 class TestBinomialIntervalProb:
     def test_tiny_and_central_values_against_mpmath(self):
         # far-tail rejection probabilities keep 1e-12 relative accuracy
@@ -175,6 +211,25 @@ class TestBinomialIntervalProb:
 
     def test_empty_interval_is_zero(self):
         assert binomial_interval_prob(10, 6, 5, [0.2, 0.5]).tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("n", [1, 50, 300, 10_000])
+    def test_region_arrays_equal_scalar_calls_bitwise(self, n):
+        # empty regions, regions touching 0 and n, lo = hi and the full support
+        regions = [(0, n), (0, 0), (n, n), (1, n - 1), (n // 3, 2 * n // 3), (n // 2, n // 2),
+                   (0, n // 4), (3 * n // 4, n), (n // 2 + 1, n // 2), (n, 0)]
+        thetas = np.concatenate(([1e-300, 1e-9, 1e-6 / 3], np.linspace(0.01, 0.99, 41),
+                                 [1.0 - 1e-6 / 3, 1.0 - 1e-9]))
+        lo, hi = (np.array(bounds) for bounds in zip(*regions))
+        together = binomial_interval_prob(n, lo, hi, thetas)
+        assert together.shape == (len(regions), thetas.size)
+        for row, (c, d) in zip(together, regions):
+            alone = binomial_interval_prob(n, c, d, thetas)
+            assert alone.shape == thetas.shape
+            assert [v.hex() for v in row.tolist()] == [v.hex() for v in alone.tolist()], (c, d)
+
+    def test_region_arrays_of_one_keep_the_region_axis(self):
+        assert binomial_interval_prob(20, [5], [9], [0.3, 0.4]).shape == (1, 2)
+        assert binomial_interval_prob(20, [5, 2], [9, 1], 0.3).shape == (2,)
 
 
 ERFC_SPECIALS = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.0 ** -57,

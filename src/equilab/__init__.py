@@ -27,19 +27,16 @@ from .normal import (NormalPrior, NormalSampling, normal_critical_constants,
                      normal_pvalue_cdf, normal_tost_pvalue,
                      posterior_coefficient)
 from .power import (CurvePoint, CurveSpec, TableResult, bayes_combined_level,
-                    binom_cdf_curve, binom_evidence_values, binom_measure_cdf,
-                    binom_power, binom_power_curve, normal_curves,
-                    table_simulation, theta_max)
+                    binom_cdf_curve, binom_evidence_values, binom_power_curve,
+                    normal_curves, table_simulation, theta_max)
 from .rng import spawn_rng
-from .special import (binomial_cdf, binomial_interval_prob, binomial_pmf,
-                      binomial_pmf_vector, binomial_quantile, binomial_sf, log_gamma,
+from .special import (binomial_interval_prob, binomial_pmf_vector, log_gamma,
                       normal_cdf, normal_quantile, reg_inc_beta, reg_inc_beta_pair)
 
 __all__ = [
     "__version__",
     # special functions
     "log_gamma", "reg_inc_beta", "reg_inc_beta_pair", "normal_cdf", "normal_quantile",
-    "binomial_pmf", "binomial_cdf", "binomial_sf", "binomial_quantile",
     "binomial_pmf_vector", "binomial_interval_prob",
     # equivalence core
     "EquivalenceMargin", "SignificanceLevels", "EvidenceMeasure",
@@ -54,7 +51,7 @@ __all__ = [
     "normal_tost_pvalue", "normal_posterior_probs", "normal_pvalue_cdf",
     # power analysis
     "CurveSpec", "CurvePoint", "TableResult", "binom_evidence_values",
-    "binom_measure_cdf", "binom_power", "binom_cdf_curve", "binom_power_curve",
+    "binom_cdf_curve", "binom_power_curve",
     "theta_max", "normal_curves",
     "table_simulation", "bayes_combined_level",
     # correlation

@@ -21,8 +21,9 @@ import csv
 import functools
 import hashlib
 import json
+import math
 import sys
-from dataclasses import asdict, astuple, fields, is_dataclass
+from dataclasses import astuple, fields, is_dataclass
 from datetime import datetime, timezone
 
 from . import __version__
@@ -52,9 +53,17 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+def parse_float(text) -> float:
+    """A finite number; NaN and +-inf are rejected like any other bad text."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _parse_pair(text: str, make, what: str):
     try:
-        first, second = (float(part) for part in text.split(","))
+        first, second = (parse_float(part) for part in text.split(","))
         return make(first, second)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid {what} {text!r}: {exc}") from None
@@ -72,7 +81,7 @@ def parse_grid(text: str):
     """A grid given either as 'start:stop:step' (inclusive) or 'a,b,c'."""
     try:
         if ":" in text:
-            start, stop, step = (float(part) for part in text.split(":"))
+            start, stop, step = (parse_float(part) for part in text.split(":"))
             if step <= 0:
                 raise ValueError("step must be positive")
             values = []
@@ -83,7 +92,7 @@ def parse_grid(text: str):
             if not values:
                 raise ValueError("no values from start to stop")
             return values
-        return [float(part) for part in text.split(",")]
+        return [parse_float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"invalid grid {text!r}: {exc}") from None
 
@@ -172,7 +181,8 @@ def _binomial_spec(opts, **curve) -> CurveSpec:
 
 
 def _curve_records(points):
-    return [asdict(point) for point in points], ["x", "y_frequentist", "y_bayes"]
+    # a record dataclass's vars() is its field dict; asdict would deep-copy it
+    return [dict(vars(point)) for point in points], ["x", "y_frequentist", "y_bayes"]
 
 
 # subcommand runners: each takes the resolved options, returns (records, fieldnames)
@@ -232,7 +242,7 @@ def run_correlation(opts):
     else:
         samp = NormalSampling(opts["sigma"], opts["n"])
         rows = [("partial", corr_partial_pvalues(samp, opts["margin"], **mc))]
-    records = [{"mode": row_mode, **asdict(result),
+    records = [{"mode": row_mode, **vars(result),
                 "std_error": "" if result.std_error is None else result.std_error}
                for row_mode, result in rows]
     return records, ["mode", "rho", "method", "std_error"]
@@ -240,7 +250,7 @@ def run_correlation(opts):
 
 def run_fdr_power(opts):
     exp = FdrExperiment(**{field.name: opts[field.name] for field in fields(FdrExperiment)})
-    records = [asdict(point) for point in fdr_power_simulation(exp)]
+    records = [dict(vars(point)) for point in fdr_power_simulation(exp)]
     return records, ["k1", "mean_power", "mean_fdr", "se_power", "se_fdr"]
 
 
@@ -265,7 +275,7 @@ REQUIRED = object()
 FLAG_TYPES = {
     **dict.fromkeys(("n", "k", "reps", "draws", "seed"), int),
     **dict.fromkeys(("alpha", "alpha_upper", "alpha_lower", "theta", "theta_alt", "resolution",
-                     "sigma", "tau", "w", "epsilon_star", "storey_lambda"), float),
+                     "sigma", "tau", "w", "epsilon_star", "storey_lambda"), parse_float),
     **dict.fromkeys(("two_sided", "equivalence", "partial", "mc", "adaptive"), parse_switch),
     "margin": parse_margin,
     "prior_beta": parse_beta_prior,

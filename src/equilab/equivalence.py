@@ -10,7 +10,7 @@ the combined equivalence p-value is their maximum.  The rejection region
 
 from dataclasses import dataclass
 
-from .special import binomial_cdf, binomial_sf, binomial_tail_vectors
+from .special import binomial_tail_vectors
 
 TAILS = ("upper", "lower", "combined")
 METHODS = ("frequentist", "bayesian")
@@ -84,7 +84,7 @@ def _check_binom_margin(margin: EquivalenceMargin) -> None:
 
 
 def binom_onesided_pvalues(n: int, s: int, margin: EquivalenceMargin):
-    """One-sided LFC p-values for an observed success count.
+    """One-sided LFC p-values at a count s in 0..n, elements of :func:`_pvalue_tails`.
 
     Returns
     -------
@@ -93,11 +93,11 @@ def binom_onesided_pvalues(n: int, s: int, margin: EquivalenceMargin):
         test of theta <= theta1; ``lower`` is P_{theta2}(T <= s) for the
         lower-tailed test of theta >= theta2.
     """
-    _check_binom_margin(margin)
-    p_r = binomial_sf(n, margin.theta1, s)
-    p_l = binomial_cdf(n, margin.theta2, s)
-    return (EvidenceMeasure(p_r, "upper", "frequentist"),
-            EvidenceMeasure(p_l, "lower", "frequentist"))
+    upper, lower = _pvalue_tails(n, margin)
+    if not 0 <= s <= n:
+        raise ValueError(f"s must lie in [0, {n}], got {s}")
+    return (EvidenceMeasure(float(upper[s]), "upper", "frequentist"),
+            EvidenceMeasure(float(lower[s]), "lower", "frequentist"))
 
 
 def binom_tost_pvalue(n: int, s: int, margin: EquivalenceMargin) -> EvidenceMeasure:

@@ -1,5 +1,6 @@
 """Power analysis: exact CDF and power curves for both evidence measures,
-maximum-power parameter search, and the simulation-table protocol.
+maximum-power parameter search, and the simulation-table protocol.  A
+single level or parameter is a one-point grid of the curve functions.
 
 Binomial quantities are exact; Monte Carlo appears only where it mirrors a
 simulation protocol (and then against seeded, replayable streams).  The
@@ -19,7 +20,7 @@ of a curve (:func:`~equilab.special.binomial_interval_prob`).  Decision rules:
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -156,16 +157,6 @@ def binom_power_curve(spec: CurveSpec):
     y_f, y_b = _power_arrays(spec, spec.grid)
     return [CurvePoint(float(theta), float(f), float(b))
             for theta, f, b in zip(spec.grid, y_f, y_b)]
-
-
-def binom_measure_cdf(spec: CurveSpec, t: float) -> CurvePoint:
-    """Exact P_theta(measure <= t) at theta_true, for both measures."""
-    return binom_cdf_curve(replace(spec, grid=(t,)))[0]
-
-
-def binom_power(spec: CurveSpec, theta: float) -> CurvePoint:
-    """Exact rejection probability at parameter theta, for both measures."""
-    return binom_power_curve(replace(spec, grid=(theta,)))[0]
 
 
 def _argmax_toward_center(thetas: np.ndarray, values: np.ndarray,

@@ -1,25 +1,25 @@
 """Numeric kernel: log-gamma, regularized incomplete beta, binomial interval
-probabilities, erfc and the normal CDF and quantile, binomial PMF, tail
-vectors, CDF/SF and quantile.
+probabilities, erfc and the normal CDF and quantile, and the binomial PMF
+and tail vectors.
 
-Everything here is self-contained (stdlib ``math`` plus numpy).  Mass
-functions are evaluated in log space so that sample sizes up to ~1e4
-neither overflow nor lose the tails; each binomial tail is a cumulative sum
-of the PMF vector started at its own small end, so both tails keep their
-relative accuracy over the whole support, and the scalar CDF, SF and
-quantile are lookups into those vectors.  The incomplete beta is one array
-kernel, :func:`reg_inc_beta_pair`: the modified Lentz continued fraction
-with a per-element symmetry switch, each element leaving the iteration when
-it converges, returning (I, 1 - I) with the small member computed directly;
-scalar :func:`reg_inc_beta` is a one-element call.  On it,
-:func:`binomial_interval_prob` gives P_theta(C <= T <= D) over a whole grid
-of theta for one region or an array of regions, one kernel call for every
-region of a curve: P(T >= s) = I_theta(s, n-s+1) and its complement at each
-s = C and D+1, taking per theta the form whose operands are small, so tiny
-powers and type-II masses keep their relative accuracy.  erfc is
-a numpy port of fdlibm's rational approximations (the algorithm of the C
-library ``erfc``), evaluated in slices of at most ``SLICE_ELEMENTS`` so its
-temporaries stay cache-sized; scalars and arrays take the same path.
+Everything here is self-contained (stdlib ``math`` plus numpy).  The
+binomial PMF is one vector over the support, in log space so that sample
+sizes up to ~1e4 neither overflow nor lose the tails; each binomial tail is
+its cumulative sum from its own small end, so both keep their relative
+accuracy over the whole support, and one count is an index into them.  The
+incomplete beta is one array kernel, :func:`reg_inc_beta_pair`: the
+modified Lentz continued fraction with a per-element symmetry switch, each
+element leaving the iteration when it converges, returning (I, 1 - I) with
+the small member computed directly; scalar :func:`reg_inc_beta` is a
+one-element call.  On it, :func:`binomial_interval_prob` gives
+P_theta(C <= T <= D) over a whole grid of theta for one region or an array
+of regions, one kernel call for every region of a curve: P(T >= s) =
+I_theta(s, n-s+1) and its complement at each s = C and D+1, taking per
+theta the form whose operands are small, so tiny powers and type-II masses
+keep their relative accuracy.  erfc is a numpy port of fdlibm's rational
+approximations (the algorithm of the C library ``erfc``), evaluated in
+slices of at most ``SLICE_ELEMENTS`` so its temporaries stay cache-sized;
+scalars and arrays take the same path.
 All functions are pure and safe to call from concurrent workers.
 """
 
@@ -413,32 +413,13 @@ def _check_binomial_args(n: int, theta: float) -> None:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
 
 
-def _check_count(n: int, s: int) -> None:
-    if not 0 <= s <= n:
-        raise ValueError(f"s must lie in [0, {n}], got {s}")
-
-
-def binomial_logpmf_vector(n: int, theta: float) -> np.ndarray:
-    """Log PMF of Bin(n, theta) over the whole support s = 0..n."""
+def binomial_pmf_vector(n: int, theta: float) -> np.ndarray:
+    """PMF of Bin(n, theta) over the whole support s = 0..n, from log space."""
     _check_binomial_args(n, theta)
     s = np.arange(n + 1)
     log_fact = np.array([math.lgamma(k + 1) for k in range(n + 1)])
     log_choose = log_fact[n] - log_fact - log_fact[::-1]
-    return log_choose + s * math.log(theta) + (n - s) * math.log1p(-theta)
-
-
-def binomial_pmf_vector(n: int, theta: float) -> np.ndarray:
-    """PMF of Bin(n, theta) over the whole support s = 0..n."""
-    return np.exp(binomial_logpmf_vector(n, theta))
-
-
-def binomial_pmf(n: int, theta: float, s: int) -> float:
-    """P(T = s) for T ~ Bin(n, theta), computed in log space."""
-    _check_binomial_args(n, theta)
-    _check_count(n, s)
-    log_p = (math.lgamma(n + 1) - math.lgamma(s + 1) - math.lgamma(n - s + 1)
-             + s * math.log(theta) + (n - s) * math.log1p(-theta))
-    return math.exp(log_p)
+    return np.exp(log_choose + s * math.log(theta) + (n - s) * math.log1p(-theta))
 
 
 def binomial_tail_vectors(n: int, theta: float):
@@ -451,24 +432,10 @@ def binomial_tail_vectors(n: int, theta: float):
     pmf = binomial_pmf_vector(n, theta)
     cdf = np.minimum(np.cumsum(pmf), 1.0)
     sf = np.minimum(np.cumsum(pmf[::-1])[::-1], 1.0)
-    # whole-support sums are exactly 1: a quantile search stays within 0..n
-    # and the one-sided p-values at s = 0 and s = n are exactly 1
+    # whole-support sums are exactly 1, so the one-sided p-values at s = 0
+    # and s = n are exactly 1
     cdf[n] = sf[0] = 1.0
     return cdf, sf
-
-
-def binomial_cdf(n: int, theta: float, s: int) -> float:
-    """P(T <= s) for T ~ Bin(n, theta); see :func:`binomial_tail_vectors`."""
-    _check_binomial_args(n, theta)
-    _check_count(n, s)
-    return float(binomial_tail_vectors(n, theta)[0][s])
-
-
-def binomial_sf(n: int, theta: float, s: int) -> float:
-    """P(T >= s) for T ~ Bin(n, theta); the upper tail including s."""
-    _check_binomial_args(n, theta)
-    _check_count(n, s)
-    return float(binomial_tail_vectors(n, theta)[1][s])
 
 
 def binomial_interval_prob(n: int, lo, hi, theta) -> np.ndarray:
@@ -508,14 +475,3 @@ def binomial_interval_prob(n: int, lo, hi, theta) -> np.ndarray:
     prob = np.maximum(prob, 0.0)
     prob[empty] = 0.0
     return prob[0] if one_region else prob
-
-
-def binomial_quantile(n: int, theta: float, u: float) -> int:
-    """Generalized inverse CDF: min{s : P(T <= s) >= u} for T ~ Bin(n, theta).
-
-    The left-continuous convention; ``u`` must lie strictly inside (0, 1).
-    """
-    _check_binomial_args(n, theta)
-    if not 0.0 < u < 1.0:
-        raise ValueError(f"u must lie in (0, 1), got {u}")
-    return int(np.searchsorted(binomial_tail_vectors(n, theta)[0], u, side="left"))

@@ -344,6 +344,27 @@ class TestClosedFlagSets:
         assert "--k1-grid" in capsys.readouterr().err
         assert not out.exists()
 
+    NOISE = ["noise-cdf", "--n", "30", "--margin", "1,4", "--reps", "100"]
+    FDR = ["fdr-power", "--n", "20", "--margin", "0,2", "--k", "50", "--k1-grid", "10,40",
+           "--reps", "5"]
+    BINOMIAL = ["--n", "10", "--margin", "0.2,0.8"]
+
+    @pytest.mark.parametrize("args, flag", [
+        (NOISE + ["--sigma", "nan", "--theta", "1.5"], "--sigma"),
+        (NOISE + ["--sigma", "2", "--theta", "nan"], "--theta"),
+        (NOISE + ["--sigma", "2", "--theta", "1.5", "--tau", "nan"], "--tau"),
+        (["conservativity"] + BINOMIAL + ["--t-grid", "nan"], "--t-grid"),
+        (["conservativity"] + BINOMIAL + ["--t-grid", "inf"], "--t-grid"),
+        (FDR + ["--sigma", "nan"], "--sigma"),
+        (FDR + ["--epsilon-star", "nan"], "--epsilon-star"),
+        (["power-curve"] + BINOMIAL + ["--prior-beta", "inf,1"], "--prior-beta"),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, args, flag):
+        code, out = run(tmp_path, "x", args)
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_grid_exits_2(self, tmp_path, capsys):
         with pytest.raises(ConfigError):
             parse_grid("0.9:0.1:0.1")

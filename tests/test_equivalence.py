@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from equilab import (EquivalenceMargin, SignificanceLevels, binomial_pmf_vector,
-                     binom_critical_constants, binom_onesided_pvalues,
-                     binom_tost_pvalue, decide)
-from equilab.equivalence import EvidenceMeasure
+                     binom_critical_constants, binom_evidence_values,
+                     binom_onesided_pvalues, binom_tost_pvalue, decide)
+from equilab.equivalence import EvidenceMeasure, _pvalue_tails
 
 
 def exact_upper_tail(n, theta, s):
@@ -107,6 +107,31 @@ class TestTostPvalue:
                 pmf = binomial_pmf_vector(n, theta)
                 for alpha in np.arange(0.01, 0.201, 0.01):
                     assert float(pmf @ (combined <= alpha)) <= alpha + 1e-12
+
+
+class TestScalarIsVectorElement:
+    """The scalar p-values are elements of the per-count vectors, bit for bit."""
+
+    @pytest.mark.parametrize("n", [1, 50, 1000])
+    @pytest.mark.parametrize("margin", [(0.25, 0.75), (0.1, 0.35)])
+    def test_bitwise_equal_at_every_count(self, n, margin):
+        margin = EquivalenceMargin(*margin)
+        upper, lower = _pvalue_tails(n, margin)
+        combined = binom_evidence_values(n, margin)[0]
+        for s in range(n + 1):
+            got_upper, got_lower = binom_onesided_pvalues(n, s, margin)
+            assert got_upper.value.hex() == float(upper[s]).hex()
+            assert got_lower.value.hex() == float(lower[s]).hex()
+            assert binom_tost_pvalue(n, s, margin).value.hex() == float(combined[s]).hex()
+
+    @pytest.mark.parametrize("n", [1, 50, 1000])
+    def test_count_outside_support_rejected(self, n):
+        margin = EquivalenceMargin(0.25, 0.75)
+        for s in (-1, n + 1):
+            with pytest.raises(ValueError, match="s must lie"):
+                binom_onesided_pvalues(n, s, margin)
+            with pytest.raises(ValueError, match="s must lie"):
+                binom_tost_pvalue(n, s, margin)
 
 
 class TestCriticalConstants:

@@ -9,7 +9,7 @@ import pytest
 
 from equilab import (BetaPrior, CurveSpec, EquivalenceMargin, NormalPrior,
                      SignificanceLevels, binom_evidence_values,
-                     binom_measure_cdf, binom_power, binom_power_curve,
+                     binom_cdf_curve, binom_power_curve,
                      binomial_pmf_vector,
                      normal_curves, table_simulation, theta_max)
 from equilab import power
@@ -24,28 +24,38 @@ def spec_binom(n, margin, prior=None, levels=None, theta=0.5):
                      theta_true=theta)
 
 
+def cdf_at(spec, t):
+    """The conservativity curve on the one-point grid (t,)."""
+    return binom_cdf_curve(replace(spec, grid=(t,)))[0]
+
+
+def power_at(spec, theta):
+    """The power curve on the one-point grid (theta,)."""
+    return binom_power_curve(replace(spec, grid=(theta,)))[0]
+
+
 class TestMeasureCdf:
     def test_full_support_at_one(self):
-        point = binom_measure_cdf(spec_binom(20, (0.2, 0.8), BetaPrior(1, 1)), 1.0)
+        point = cdf_at(spec_binom(20, (0.2, 0.8), BetaPrior(1, 1)), 1.0)
         assert point.y_frequentist == pytest.approx(1.0, abs=1e-10)
         assert point.y_bayes == pytest.approx(1.0, abs=1e-10)
 
     def test_zero_below_smallest_value(self):
-        point = binom_measure_cdf(spec_binom(10, (0.2, 0.8), BetaPrior(1, 1)), 1e-12)
+        point = cdf_at(spec_binom(10, (0.2, 0.8), BetaPrior(1, 1)), 1e-12)
         assert point.y_frequentist == 0.0
         assert point.y_bayes == 0.0
 
     def test_small_prior_less_conservative_than_pvalue(self):
         spec = spec_binom(50, (0.25, 0.75), BetaPrior(0.5, 0.5), theta=0.25)
         for t in np.arange(0.1, 0.95, 0.1):
-            point = binom_measure_cdf(spec, float(t))
+            point = cdf_at(spec, float(t))
             assert point.y_bayes >= point.y_frequentist - 1e-12
 
     def test_matches_direct_enumeration(self):
         spec = spec_binom(30, (0.2, 0.8), BetaPrior(2, 5), theta=0.4)
         pf, pb = binom_evidence_values(30, spec.margin, spec.prior)
         pmf = binomial_pmf_vector(30, 0.4)
-        point = binom_measure_cdf(spec, 0.3)
+        point = cdf_at(spec, 0.3)
         assert point.y_frequentist == pytest.approx(float(pmf @ (pf <= 0.3)), abs=1e-14)
         assert point.y_bayes == pytest.approx(float(pmf @ (pb <= 0.3)), abs=1e-14)
 
@@ -54,22 +64,22 @@ class TestPower:
     def test_size_bounded_at_boundary(self):
         for n in (10, 35, 60):
             spec = spec_binom(n, (0.25, 0.75))
-            point = binom_power(spec, 0.25)
+            point = power_at(spec, 0.25)
             assert point.y_frequentist <= 0.05 + 1e-12
 
     def test_small_prior_at_least_as_powerful(self):
         spec = spec_binom(50, (0.25, 0.75), BetaPrior(0.5, 0.5))
         for theta in (0.3, 0.4, 0.5, 0.6):
-            point = binom_power(spec, theta)
+            point = power_at(spec, theta)
             assert point.y_bayes >= point.y_frequentist - 1e-12
         # strict somewhere: the posterior region is a proper superset here
-        assert binom_power(spec, 0.4).y_bayes > binom_power(spec, 0.4).y_frequentist
+        assert power_at(spec, 0.4).y_bayes > power_at(spec, 0.4).y_frequentist
 
     def test_symmetric_configuration_symmetric_curve(self):
         spec = spec_binom(24, (0.2, 0.8), BetaPrior(2, 2))
         for theta in (0.1, 0.23, 0.4):
-            left = binom_power(spec, theta)
-            right = binom_power(spec, 1.0 - theta)
+            left = power_at(spec, theta)
+            right = power_at(spec, 1.0 - theta)
             assert left.y_frequentist == pytest.approx(right.y_frequentist, abs=1e-12)
             assert left.y_bayes == pytest.approx(right.y_bayes, abs=1e-12)
 

@@ -11,10 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from equilab import EquivalenceMargin, binom_tost_pvalue
-from equilab.special import (_lentz, _lentz_array, binomial_cdf, binomial_interval_prob,
-                             binomial_pmf, binomial_pmf_vector, binomial_quantile,
-                             binomial_sf, binomial_tail_vectors, erfc, log_gamma,
+from equilab import EquivalenceMargin, binom_onesided_pvalues, binom_tost_pvalue
+from equilab.special import (_lentz, _lentz_array, binomial_interval_prob,
+                             binomial_pmf_vector, binomial_tail_vectors, erfc, log_gamma,
                              normal_cdf, normal_quantile, reg_inc_beta,
                              reg_inc_beta_pair)
 
@@ -322,66 +321,38 @@ class TestBinomial:
     def test_cdf_exact_rational(self):
         ref = Fraction(sum(math.comb(10, s) for s in range(6)), 2 ** 10)
         assert ref == Fraction(319, 512)
-        assert binomial_cdf(10, 0.5, 5) == pytest.approx(float(ref), rel=1e-12)
-
-    def test_quantile_enumeration_oracle(self):
-        # smallest s with F(s) >= u; F(0) = 2^-10 < 0.001 so the answer is 1
-        u = 0.001
-        running = 0.0
-        expected = None
-        for s in range(11):
-            running += math.comb(10, s) / 2 ** 10
-            if running >= u:
-                expected = s
-                break
-        assert expected == 1
-        assert binomial_quantile(10, 0.5, u) == expected
+        assert binomial_tail_vectors(10, 0.5)[0][5] == pytest.approx(float(ref), rel=1e-12)
 
     def test_pmf_normalization(self):
-        total = math.fsum(binomial_pmf(50, 0.25, s) for s in range(51))
+        total = math.fsum(binomial_pmf_vector(50, 0.25))
         assert total == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(binomial_pmf_vector(50, 0.25).sum(), 1.0, atol=1e-10)
 
     def test_cdf_sf_complement(self):
+        cdf, sf = binomial_tail_vectors(40, 0.3)
         for s in range(0, 40, 5):
-            assert binomial_cdf(40, 0.3, s) + binomial_sf(40, 0.3, s + 1) \
-                == pytest.approx(1.0, abs=1e-12)
+            assert cdf[s] + sf[s + 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_cdf_relative_accuracy_deep_tail(self):
         # shorter-tail summation keeps relative accuracy in the far tail
         ref = Fraction(0)
         for s in range(4):
             ref += Fraction(math.comb(60, s)) * Fraction(3, 4) ** s * Fraction(1, 4) ** (60 - s)
-        assert binomial_cdf(60, 0.75, 3) == pytest.approx(float(ref), rel=1e-12)
+        assert binomial_tail_vectors(60, 0.75)[0][3] == pytest.approx(float(ref), rel=1e-12)
 
     def test_large_n_log_space(self):
         n = 10_000
-        pmf = binomial_pmf(n, 0.3, 3000)
+        pmf = binomial_pmf_vector(n, 0.3)[3000]
         assert 0.0 < pmf < 1.0
-        assert binomial_cdf(n, 0.3, 3000) == pytest.approx(0.5, abs=0.02)
-
-    @settings(max_examples=100, deadline=None)
-    @given(n=st.integers(1, 80), theta=st.floats(0.05, 0.95),
-           u=st.floats(1e-6, 1 - 1e-6))
-    def test_quantile_is_generalized_inverse(self, n, theta, u):
-        q = binomial_quantile(n, theta, u)
-        assert binomial_cdf(n, theta, q) >= u
-        if q > 0:
-            assert binomial_cdf(n, theta, q - 1) < u
-
-    def test_quantile_nondecreasing_in_u(self):
-        qs = [binomial_quantile(30, 0.4, u) for u in np.linspace(0.01, 0.99, 50)]
-        assert all(b >= a for a, b in zip(qs, qs[1:]))
+        assert binomial_tail_vectors(n, 0.3)[0][3000] == pytest.approx(0.5, abs=0.02)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
-            binomial_pmf(0, 0.5, 0)
+            binomial_pmf_vector(0, 0.5)
         with pytest.raises(ValueError):
-            binomial_pmf(10, 1.0, 5)
+            binomial_pmf_vector(10, 1.0)
         with pytest.raises(ValueError):
-            binomial_cdf(10, 0.5, 11)
-        with pytest.raises(ValueError):
-            binomial_quantile(10, 0.5, 0.0)
+            binom_onesided_pvalues(10, 11, EquivalenceMargin(0.25, 0.75))
 
 
 def assert_relative(got, ref, rel=1e-10):
@@ -407,15 +378,14 @@ class TestBinomialTailAccuracy:
             assert_relative(sf, stats.binom.sf(counts - 1, n, theta))
 
     # every count at n <= 1000; every 97th at n = 1e4, where each scalar
-    # call builds an O(n) vector (the whole support is checked above)
+    # call builds O(n) vectors (the whole support is checked above)
     @pytest.mark.parametrize("n, step", [(50, 1), (1000, 1), (10_000, 97)])
     def test_scalar_tails_and_tost_pvalue(self, n, step):
         counts = np.arange(0, n + 1, step)
-        for theta in (self.margin.theta1, self.margin.theta2):
-            assert_relative([binomial_cdf(n, theta, int(s)) for s in counts],
-                            stats.binom.cdf(counts, n, theta))
-            assert_relative([binomial_sf(n, theta, int(s)) for s in counts],
-                            stats.binom.sf(counts - 1, n, theta))
-        ref = np.maximum(stats.binom.sf(counts - 1, n, self.margin.theta1),
-                         stats.binom.cdf(counts, n, self.margin.theta2))
+        upper_ref = stats.binom.sf(counts - 1, n, self.margin.theta1)
+        lower_ref = stats.binom.cdf(counts, n, self.margin.theta2)
+        pvalues = [binom_onesided_pvalues(n, int(s), self.margin) for s in counts]
+        assert_relative([upper.value for upper, _ in pvalues], upper_ref)
+        assert_relative([lower.value for _, lower in pvalues], lower_ref)
+        ref = np.maximum(upper_ref, lower_ref)
         assert_relative([binom_tost_pvalue(n, int(s), self.margin).value for s in counts], ref)

@@ -307,7 +307,7 @@ SUBCOMMANDS = {
     "theta-max": (run_theta_max, "power-maximizing parameter search", {
         "margin": REQUIRED, "n": REQUIRED, "prior_beta": None, "resolution": 1e-3,
         **LEVELS, **OUTPUT}),
-    "noise-cdf": (run_noise_cdf, "p-value CDF curve, normal model", {
+    "noise-cdf": (run_noise_cdf, "TOST (larger one-sided) p-value CDF curve, normal model", {
         "margin": REQUIRED, "n": REQUIRED, "sigma": REQUIRED, "theta": REQUIRED,
         "tau": None, "t_grid": T_GRID, "reps": 100_000, "seed": 0, **OUTPUT}),
     "correlation": (run_correlation, "evidence correlations", {

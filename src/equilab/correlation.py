@@ -82,11 +82,11 @@ def sample_correlation(x, y) -> CorrelationResult:
 
 
 def equivalence_covariance_terms(samp: NormalSampling, prior: NormalPrior):
-    """The four covariance terms behind the equivalence-evidence correlation.
+    """The four covariance terms of the equivalence correlation at the center.
 
     Each term is Cov(Phi(aZ), Phi(bZ)) under the marginal standardization
     with a = sqrt(sigma^2 + n tau^2)/sigma and b = sqrt(n) tau / sigma; the
-    covariance of the two combined measures is t1 - t2 + t3 - t4.
+    covariance of the two combined measures is t1 - t2 + t3 - t4 = 0.
     """
     a = math.sqrt(samp.sigma ** 2 + samp.n * prior.tau ** 2) / samp.sigma
     b = samp.root_n * prior.tau / samp.sigma
@@ -97,12 +97,12 @@ def equivalence_covariance_terms(samp: NormalSampling, prior: NormalPrior):
 def corr_equivalence_closed(samp: NormalSampling, prior: NormalPrior,
                             margin: EquivalenceMargin) -> CorrelationResult:
     """Correlation between combined posterior evidence and the signed
-    combined p-value: identically zero.
+    combined p-value at the margin center: zero.
 
-    The value is assembled from the four covariance terms rather than
-    asserted, so the cancellation is checked numerically on every call.
+    Four equal covariance terms make t1 - t2 + t3 - t4 zero by construction;
+    off the center it is not zero (open item 1 of ROADMAP.md).
     """
-    del margin  # the cancellation holds for every margin
+    del margin  # the value at the center does not depend on the margin
     t1, t2, t3, t4 = equivalence_covariance_terms(samp, prior)
     cov = t1 - t2 + t3 - t4
     return CorrelationResult(cov, "closed_form")
@@ -144,10 +144,11 @@ def corr_partial_pvalues(samp: NormalSampling, margin: Optional[EquivalenceMargi
     """Correlation between the two one-sided p-values.
 
     Exactly -1 for a degenerate (zero-width) margin, where the tails are
-    mirror images; for a positive half-width there is no closed form and a
-    seeded Monte Carlo estimate at the margin center is returned, with its
-    standard error.  Pass either a margin or a bare ``half_width`` (the
-    latter admits the degenerate width 0, which no margin can represent).
+    mirror images; for a positive half-width a seeded Monte Carlo estimate
+    at the margin center is returned, with its standard error (the closed
+    form through the bivariate normal CDF is open item 1 of ROADMAP.md).
+    Pass either a margin or a bare ``half_width`` (the latter admits the
+    degenerate width 0, which no margin can represent).
     """
     if (margin is None) == (half_width is None):
         raise ValueError("pass exactly one of margin or half_width")

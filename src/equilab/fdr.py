@@ -201,6 +201,8 @@ class FdrExperiment:
             raise ValueError("alpha must lie in (0, 1)")
         if self.epsilon_star <= 0:
             raise ValueError("epsilon_star must be positive")
+        if not 0 < self.storey_lambda < 1:
+            raise ValueError(f"storey_lambda must lie in (0, 1), got {self.storey_lambda}")
         if self.margin.theta1 + self.epsilon_star >= self.margin.theta2 - self.epsilon_star:
             raise ValueError("epsilon_star too large for the margin")
         if self.evidence not in EVIDENCE_KINDS:

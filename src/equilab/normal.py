@@ -1,15 +1,15 @@
 """Equivalence evidence for the one-sample normal model with known variance.
 
-The sufficient statistic is the sum T = n * xbar.  Critical constants come
-either from per-tail normal quantiles (``approximate``) or from a bisection
-that enforces exact size under the symmetric-constants assumption
-C + D = n (theta1 + theta2) (``exact_symmetric``).  The combined p-value is
-the folded form
+The sufficient statistic is the sum T = n * xbar.  Per-tail normal
+quantiles (``approximate``) give the exact level-t region of the TOST
+p-value, the larger one-sided one; a bisection for exact size under the
+symmetric constants C + D = n (theta1 + theta2) (``exact_symmetric``)
+gives that of the folded p-value
 
     Phi(|t| + eps sqrt(n)/sigma) + Phi(|t| - eps sqrt(n)/sigma) - 1,
 
 with t the standardized distance of xbar from the margin center; it is 0 at
-the center and increases to 1, so it is a proper [0, 1] evidence value.
+the center and increases to 1, and :func:`normal_tost_pvalue` reports it.
 Conjugate normal priors are centered at the tested boundary for each tail,
 which makes every posterior tail probability a single Phi evaluation.
 """
@@ -68,10 +68,10 @@ def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
                               level: float, mode: str = "approximate"):
     """Critical constants (C, D) for the sum statistic at the given level.
 
-    ``approximate`` uses per-tail quantiles, so the region can be empty
-    (C > D) when the margin is narrow relative to sigma * sqrt(n).
-    ``exact_symmetric`` solves for size exactly under C + D = n(theta1+theta2)
-    by bisection (tolerance 1e-10 on the attained level).
+    ``approximate`` takes per-tail quantiles, the exact TOST region (C > D,
+    empty, when the margin is narrow relative to sigma * sqrt(n));
+    ``exact_symmetric``, the folded p-value's region, has exact size under
+    C + D = n(theta1+theta2) by bisection (1e-10 on the attained level).
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must lie in (0, 1), got {level}")
@@ -173,7 +173,8 @@ def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float
 
 def normal_pvalue_cdf(samp: NormalSampling, theta: float, margin: EquivalenceMargin,
                       t: float, mode: str = "approximate") -> float:
-    """P_theta(combined p-value <= t): the CDF of the evidence at level t.
+    """P_theta(p-value <= t): the TOST (larger one-sided) p-value's CDF at
+    level t, or the folded p-value's under ``exact_symmetric``.
 
     Equals the probability that the sum statistic lands between the
     level-t critical constants; 0 whenever that region is empty.

@@ -128,12 +128,8 @@ def _guarded(t: np.ndarray, tiny: float = 1e-300) -> np.ndarray:
 
 
 def _lentz_array(a, b, x, max_iter: int = 1000, eps: float = 1e-16) -> np.ndarray:
-    """:func:`_lentz` elementwise on 1-d arrays, bit for bit: each element
-    leaves the iteration once its own step has converged.
-
-    The steps are the float path's, rewritten to run in place; -(a + m) is
-    (-a) - m, equal under round-to-nearest.
-    """
+    """:func:`_lentz`'s steps elementwise on 1-d arrays, bit for bit: each
+    element leaves the iteration once its own step has converged."""
     out = np.empty_like(x)
     if not x.size:
         return out
@@ -141,51 +137,30 @@ def _lentz_array(a, b, x, max_iter: int = 1000, eps: float = 1e-16) -> np.ndarra
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    neg_a = -a
     c = np.ones_like(x)
     d = 1.0 / _guarded(1.0 - qab * x / qap)
-    h = d.copy()
+    h = d
     for m in range(1, max_iter + 1):
         m2 = 2 * m
-        a_m2 = a + m2
         # even step
-        num = b - m
-        num *= m
-        num *= x
-        den = qam + m2
-        den *= a_m2
-        num /= den
-        t = num * d
-        t += 1.0
-        np.divide(1.0, _guarded(t), out=d)
-        np.divide(num, c, out=c)
-        c += 1.0
-        c = _guarded(c)
-        h *= d * c
+        num = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / _guarded(1.0 + num * d)
+        c = _guarded(1.0 + num / c)
+        h = h * (d * c)
         # odd step
-        num = neg_a - m
-        num *= qab + m
-        num *= x
-        np.add(qap, m2, out=den)
-        den *= a_m2
-        num /= den
-        np.multiply(num, d, out=t)
-        t += 1.0
-        np.divide(1.0, _guarded(t), out=d)
-        np.divide(num, c, out=c)
-        c += 1.0
-        c = _guarded(c)
+        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / _guarded(1.0 + num * d)
+        c = _guarded(1.0 + num / c)
         delta = d * c
-        h *= delta
-        delta -= 1.0
-        done = np.abs(delta, out=delta) < eps
+        h = h * delta
+        done = np.abs(delta - 1.0) < eps
         if done.any():
             out[active] = h  # final for the converged; the rest write again later
             going = np.flatnonzero(~done)
             if not going.size:
                 return out
-            active, a, b, x, qab, qap, qam, neg_a, c, d, h = (
-                v.take(going) for v in (active, a, b, x, qab, qap, qam, neg_a, c, d, h))
+            active, a, b, x, qab, qap, qam, c, d, h = (
+                v.take(going) for v in (active, a, b, x, qab, qap, qam, c, d, h))
     raise RuntimeError(
         f"incomplete beta continued fraction did not converge for "
         f"a={a}, b={b}, x={x}"

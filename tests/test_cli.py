@@ -45,6 +45,26 @@ class TestSubcommands:
         assert float(rows[0]["rho"]) == 1.0
         assert rows[0]["method"] == "closed_form"
 
+    def test_correlation_two_sided_with_mc_adds_mc_row(self, tmp_path):
+        code, out = run(tmp_path, "corr", ["correlation", "--two-sided", "--w", "0.5",
+                                           "--mc", "--draws", "2000", "--seed", "1"])
+        assert code == 0
+        rows = read_csv(out)
+        assert [r["mode"] for r in rows] == ["two_sided", "two_sided_mc"]
+        assert [r["method"] for r in rows] == ["closed_form", "monte_carlo"]
+        assert rows[0]["std_error"] == "" and float(rows[1]["std_error"]) > 0.0
+
+    def test_correlation_partial_monte_carlo(self, tmp_path):
+        code, out = run(tmp_path, "corr", ["correlation", "--partial", "--n", "30",
+                                           "--sigma", "1", "--margin", "1,4",
+                                           "--draws", "2000", "--seed", "1"])
+        assert code == 0
+        rows = read_csv(out)
+        assert len(rows) == 1
+        assert rows[0]["mode"] == "partial"
+        assert rows[0]["method"] == "monte_carlo"
+        assert float(rows[0]["std_error"]) > 0.0
+
     def test_tables_row(self, tmp_path):
         code, out = run(tmp_path, "tab", [
             "tables", "--row", "n=50", "--margin", "0.25,0.75",
@@ -363,6 +383,24 @@ class TestClosedFlagSets:
         code, out = run(tmp_path, "x", args)
         assert code == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, message", [
+        (["--k", "0"], "k, n and reps must be positive"),
+        (["--reps", "0"], "k, n and reps must be positive"),
+        (["--sigma", "-1"], "sigma and tau must be positive"),
+        (["--tau", "0"], "sigma and tau must be positive"),
+        (["--alpha", "1"], "alpha must lie in (0, 1)"),
+        (["--epsilon-star", "0"], "epsilon_star must be positive"),
+        (["--adaptive", "--storey-lambda", "1.5"], "storey_lambda must lie in (0, 1), got 1.5"),
+        (["--adaptive", "--storey-lambda", "1"], "storey_lambda must lie in (0, 1), got 1.0"),
+        (["--adaptive", "--storey-lambda", "0"], "storey_lambda must lie in (0, 1), got 0.0"),
+        (["--adaptive", "--storey-lambda", "-0.5"], "storey_lambda must lie in (0, 1), got -0.5"),
+    ])
+    def test_invalid_fdr_experiment_exits_2(self, tmp_path, capsys, args, message):
+        code, out = run(tmp_path, "x", self.FDR + args)
+        assert code == 2
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_empty_grid_exits_2(self, tmp_path, capsys):

@@ -208,6 +208,11 @@ class TestExperimentValidation:
         with pytest.raises(ValueError):
             desk_experiment(epsilon_star=1.0)
 
+    @pytest.mark.parametrize("lam", [1.5, 1.0, 0.0, -0.5, float("nan")])
+    def test_storey_lambda_outside_unit_interval(self, lam):
+        with pytest.raises(ValueError, match="storey_lambda"):
+            desk_experiment(adaptive=True, storey_lambda=lam)
+
     def test_bad_enums(self):
         with pytest.raises(ValueError):
             desk_experiment(evidence="fiducial")

@@ -214,3 +214,26 @@ class TestPvalueCdf:
         vals = [normal_pvalue_cdf(samp, 2.0, margin, t)
                 for t in np.linspace(0.01, 0.99, 50)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("mode, thresholded, other, other_value", [
+        ("approximate", "tost", "folded", 0.1009),
+        ("exact_symmetric", "folded", "tost", 0.4210),
+    ])
+    def test_each_mode_thresholds_its_own_pvalue(self, mode, thresholded, other,
+                                                 other_value):
+        # the region's end points are where the thresholded p-value equals
+        # t: the larger one-sided (TOST) one by default, the folded one of
+        # normal_tost_pvalue under exact_symmetric
+        samp = NormalSampling(sigma=2.0, n=30)
+        margin = EquivalenceMargin(1.0, 1.5)
+        t = 0.3
+
+        def pvalues(xbar):
+            upper, lower = normal_onesided_pvalues(samp, xbar, margin)
+            return {"tost": max(upper.value, lower.value),
+                    "folded": normal_tost_pvalue(samp, xbar, margin).value}
+
+        for bound in normal_critical_constants(samp, margin, t, mode=mode):
+            values = pvalues(bound / samp.n)
+            assert values[thresholded] == pytest.approx(t, abs=1e-9)
+            assert values[other] == pytest.approx(other_value, abs=1e-4)

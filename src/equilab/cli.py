@@ -166,11 +166,13 @@ def write_output(records, fieldnames, out_path: str, fmt: str, manifest: dict) -
             for record in records:
                 writer.writerow([_fmt(record[name]) for name in fieldnames])
     else:
+        records = [{name: None if isinstance(value, float) and math.isnan(value) else value
+                    for name, value in record.items()} for record in records]  # JSON has no NaN
         with open(out_path, "w", encoding="utf-8") as handle:
-            json.dump(records, handle, indent=2)
+            json.dump(records, handle, indent=2, allow_nan=False)
             handle.write("\n")
     with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+        json.dump(manifest, handle, indent=2, sort_keys=True, allow_nan=False)
         handle.write("\n")
 
 

@@ -127,7 +127,11 @@ def corr_equivalence_mc(samp: NormalSampling, prior: NormalPrior,
     """Monte Carlo correlation of (posterior evidence, signed p-value).
 
     The sample mean is drawn from N(theta, sigma^2/n) with theta defaulting
-    to the margin center.
+    to the margin center, where the exact value is the 0 of
+    :func:`corr_equivalence_closed` and this estimate is noise with an SE
+    that understates it (the signed p-value is within 1e-8 of 0 on nearly
+    every draw): n = 30, sigma = 1, tau = 0.25, margin (1, 4) and 1e6 draws
+    give 0.357 +- 0.302, -0.764 +- 0.181 and -0.018 +- 0.333 at seeds 0-2.
     """
     center = margin.center if theta is None else float(theta)
     rng = spawn_rng(seed, 0)

@@ -273,17 +273,38 @@ _Z_SLACK = 1e-3
 _SCREEN_FLOOR = 1e-9
 
 
-def _z_cutoff(t: float, side: float) -> float:
-    """q(t) + side * slack, q the normal quantile: a tail whose z lies
-    beyond it (side +1: above, -1: below) is certainly above t (at or below
-    t).  +-inf where nothing is settled: t >= 1, or t under the floor."""
-    if not _SCREEN_FLOOR <= t < 1.0:
-        return side * math.inf
-    return _acklam_quantile(t) + side * _Z_SLACK
+def _z_cutoff(t, side):
+    """q(t) + side * slack elementwise, q the normal quantile: a tail whose
+    z lies beyond it (side +1: above, -1: below) is certainly above t (at or
+    below t).  +-inf where nothing is settled: t >= 1, or t under the floor."""
+    settled = (_SCREEN_FLOOR <= t) & (t < 1.0)
+    z = _acklam_quantile(np.where(settled, t, 0.5)) + side * _Z_SLACK
+    return np.where(settled, z, side * math.inf)[()]
+
+
+def _screen_cutoffs(exp: FdrExperiment):
+    """The screen's z cutoffs, once per experiment: (at_lam, k0, table).
+
+    ``k0`` holds every k0 a row can use: _plug_in_k0(k, 0..k, lam), indexed
+    by the row's count above lam, or k alone without lam.  Column j of
+    ``table`` is the (low, high) pair of alpha / k0[j] and alpha k / k0[j],
+    ``at_lam`` that of lam (None without lam); every pair of the unscreened
+    ``difference`` is (-inf, inf).
+    """
+    factor = 2.0 if exp.evidence == "bayesian" else 1.0
+    lam = exp.storey_lambda
+    k0 = (_plug_in_k0(exp.k, np.arange(exp.k + 1), lam) if exp.adaptive
+          else np.full(1, float(exp.k)))
+    t_low, t_high = np.append(lam, exp.alpha / k0), np.append(lam, exp.alpha * exp.k / k0)
+    sides = np.array([[-1.0], [1.0]])
+    pairs = _z_cutoff(np.stack((t_low / factor, t_high)), sides)  # column 0 at lam
+    if exp.evidence != "bayesian" and exp.combination != "max":
+        pairs = np.broadcast_to(sides * math.inf, pairs.shape)
+    return (pairs[:, 0] if exp.adaptive else None), k0, pairs[:, 1:]
 
 
 def _screened_step_up(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray,
-                      shrink: float, lam):
+                      shrink: float, cutoffs):
     """(rank, d) of :func:`_step_up` on one block's evidence matrix, with the
     evidence evaluated only where a z cutoff cannot settle it.
 
@@ -297,17 +318,11 @@ def _screened_step_up(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray,
     rows, k = z_r.shape
     u = np.maximum(-z_r, z_l)
     u *= shrink  # shrink > 0: the max of the scaled values, bit for bit
-    screened = exp.evidence == "bayesian" or exp.combination == "max"
-    factor = 2.0 if exp.evidence == "bayesian" else 1.0
     p = np.full((rows, k), np.nan)  # the exact evidence, filled where needed
 
-    def screen(t_low, t_high):
-        """The mask of values certainly above their row's t_high and the flat
-        indices of the band: neither that nor certainly at or below t_low."""
-        lo, hi = -np.inf, np.inf
-        if screened:
-            lo = np.array([_z_cutoff(t / factor, -1.0) for t in t_low])[:, np.newaxis]
-            hi = np.array([_z_cutoff(t, 1.0) for t in t_high])[:, np.newaxis]
+    def screen(lo, hi):
+        """The mask of values certainly above their row's high threshold and
+        the flat indices of the band: neither that nor certainly at or below the low one."""
         above = u > hi
         return above, np.flatnonzero((u >= lo) & ~above)
 
@@ -317,15 +332,15 @@ def _screened_step_up(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray,
         p.put(todo, _combine_evidence(exp, 1.0 - cdf[:todo.size], cdf[todo.size:]))
         return p.take(band)
 
-    if lam is None:
-        k0 = np.full(rows, float(k))
-    else:
-        above, band = screen(np.full(rows, lam), np.full(rows, lam))
-        np.put(above, band, exact(band) > lam)
-        k0 = _plug_in_k0(k, np.sum(above, axis=1), lam)
-    above, band = screen(exp.alpha / k0, exp.alpha * k / k0)
+    at_lam, k0, table = cutoffs
+    count = np.zeros(rows, dtype=np.intp)  # each row's index into k0 and table
+    if at_lam is not None:
+        above, band = screen(*at_lam)
+        np.put(above, band, exact(band) > exp.storey_lambda)
+        count = np.sum(above, axis=1)
+    above, band = screen(*table[:, count, np.newaxis])
     rank = np.where(above, k + 1, 1)
-    np.put(rank, band, _first_ranks(exact(band), exp.alpha, k0[band // k], k))
+    np.put(rank, band, _first_ranks(exact(band), exp.alpha, k0[count][band // k], k))
     return rank, _deciding_counts(rank)
 
 
@@ -344,14 +359,15 @@ def fdr_power_simulation(exp: FdrExperiment):
     rank 1; the exact p matters only in the band between (and, adaptively,
     near lam).  Each tail value is monotone in its z, so z cutoffs at the
     normal quantiles of those thresholds, widened by a z slack far beyond
-    any rounding, settle every value outside the band
-    (:func:`_screened_step_up`).  The values inside are evaluated with the
-    expressions of the full evaluation, in one gathered normal_cdf call per stage
+    any rounding and computed once per experiment (:func:`_screen_cutoffs`),
+    settle every value outside the band (:func:`_screened_step_up`).  The
+    values inside are evaluated with the expressions of the full evaluation,
+    in one gathered normal_cdf call per stage
     (erfc works elementwise, so they are bit-identical), and ranked exactly:
     every result equals that of the full evaluation.
     """
     block = max(1, SLICE_ELEMENTS // exp.k)
-    lam = exp.storey_lambda if exp.adaptive else None
+    cutoffs = _screen_cutoffs(exp)
     shrink = 1.0  # the factor on z inside the tail values
     if exp.evidence == "bayesian":
         samp = NormalSampling(sigma=exp.sigma, n=exp.n)
@@ -366,7 +382,7 @@ def fdr_power_simulation(exp: FdrExperiment):
             reps = range(start, min(start + block, exp.reps))
             z_r, z_l = _tail_z_stats(exp, truth, [spawn_rng(exp.seed, k1_idx, rep)
                                                   for rep in reps])
-            rank, d = _screened_step_up(exp, z_r, z_l, shrink, lam)
+            rank, d = _screened_step_up(exp, z_r, z_l, shrink, cutoffs)
             # S: rejected false nulls, the first k1 hypotheses
             s = np.sum(rank[:, :k1] <= d[:, np.newaxis], axis=1)
             powers[reps.start:reps.stop] = s / max(k1, 1)

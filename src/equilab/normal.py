@@ -65,15 +65,20 @@ def posterior_coefficient(samp: NormalSampling, prior: NormalPrior) -> float:
 
 
 def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
-                              level: float, mode: str = "approximate"):
-    """Critical constants (C, D) for the sum statistic at the given level.
+                              level, mode: str = "approximate"):
+    """Critical constants (C, D) for the sum statistic at a level or an array of them.
 
     ``approximate`` takes per-tail quantiles, the exact TOST region (C > D,
     empty, when the margin is narrow relative to sigma * sqrt(n));
     ``exact_symmetric``, the folded p-value's region, has exact size under
-    C + D = n(theta1+theta2) by bisection (1e-10 on the attained level).
+    C + D = n(theta1+theta2): C = n center - sigma sqrt(n) x, where the size
+    at theta1, F(x) = Phi(x + h) + Phi(x - h) - 1 with h = eps sqrt(n)/sigma,
+    increases from F(0) = 0 to the level.  Phi(x - h) >= F(x) >=
+    2 Phi(x - h) - 1 brackets x in [max(0, h + q(level)), h + q((1+level)/2)],
+    bisected until it stops shrinking; the end where F >= level is kept.
     """
-    if not 0.0 < level < 1.0:
+    level = np.asarray(level, dtype=float)
+    if not ((level > 0.0) & (level < 1.0)).all():
         raise ValueError(f"level must lie in (0, 1), got {level}")
     if mode not in CONSTANT_MODES:
         raise ValueError(f"mode must be one of {CONSTANT_MODES}, got {mode!r}")
@@ -83,35 +88,16 @@ def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
         d = samp.n * margin.theta2 + scale * normal_quantile(level)
         return c, d
 
-    total = samp.n * (margin.theta1 + margin.theta2)
-
-    def attained(c0: float) -> float:
-        return (normal_cdf((samp.n * margin.theta2 - c0) / scale)
-                - normal_cdf((c0 - samp.n * margin.theta1) / scale))
-
-    # attained() decreases from 1 toward -1 as c0 sweeps left to right and
-    # equals 0 at the margin center, so a root below the center always
-    # exists; widen the bracket defensively all the same.
-    hi = 0.5 * total
-    lo = hi - 8.0 * scale
-    for _ in range(60):
-        at_lo = attained(lo)
-        if at_lo >= level:
-            break
-        lo -= 8.0 * scale
-    else:
-        raise ValueError(f"level {level} not attainable in the search bracket")
-    for _ in range(200):
+    h = margin.half_width * samp.root_n / samp.sigma
+    lo = np.maximum(0.0, h + normal_quantile(level))
+    hi = h + normal_quantile(0.5 * (1.0 + level))
+    mid = 0.5 * (lo + hi)
+    while (inside := (lo < mid) & (mid < hi)).any():
+        attained = normal_cdf(mid + h) + normal_cdf(mid - h) - 1.0 >= level
+        lo, hi = np.where(inside & ~attained, mid, lo), np.where(inside & attained, mid, hi)
         mid = 0.5 * (lo + hi)
-        at_mid = attained(mid)
-        if at_mid >= level:
-            lo, at_lo = mid, at_mid
-        else:
-            hi = mid
-        if abs(at_lo - level) <= 1e-10:
-            break
-    c = lo
-    return c, total - c
+    c = samp.n * margin.center - scale * hi
+    return c, samp.n * (margin.theta1 + margin.theta2) - c
 
 
 def normal_onesided_pvalues(samp: NormalSampling, xbar: float,
@@ -172,19 +158,18 @@ def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float
 
 
 def normal_pvalue_cdf(samp: NormalSampling, theta: float, margin: EquivalenceMargin,
-                      t: float, mode: str = "approximate") -> float:
-    """P_theta(p-value <= t): the TOST (larger one-sided) p-value's CDF at
-    level t, or the folded p-value's under ``exact_symmetric``.
+                      t, mode: str = "approximate"):
+    """P_theta(p-value <= t) at a level t or an array of them: the TOST (larger
+    one-sided) p-value's CDF, or the folded p-value's under ``exact_symmetric``.
 
     Equals the probability that the sum statistic lands between the
-    level-t critical constants; 0 whenever that region is empty.
+    level-t critical constants; 0 wherever that region is empty.
     """
-    if not 0.0 < t < 1.0:
+    t = np.asarray(t, dtype=float)
+    if not ((t > 0.0) & (t < 1.0)).all():
         raise ValueError(f"t must lie in (0, 1), got {t}")
     c, d = normal_critical_constants(samp, margin, t, mode=mode)
-    if c > d:
-        return 0.0
     scale = samp.sigma * samp.root_n
     value = (normal_cdf((d - samp.n * theta) / scale)
              - normal_cdf((c - samp.n * theta) / scale))
-    return max(0.0, value)
+    return np.where(c > d, 0.0, np.maximum(value, 0.0))[()]

@@ -197,8 +197,8 @@ def normal_curves(spec: CurveSpec, mc_reps: int = 100_000, seed: int = 0):
     if mc_reps < 1:
         raise ValueError(f"mc_reps must be positive, got {mc_reps}")
     samp = NormalSampling(sigma=spec.sigma, n=spec.n)
-    points = []
-    pb = None
+    grid = np.asarray(spec.grid, dtype=float)
+    y_b = np.full(grid.shape, math.nan)
     if spec.prior is not None:
         if not isinstance(spec.prior, NormalPrior):
             raise ValueError("normal model requires a NormalPrior")
@@ -206,12 +206,10 @@ def normal_curves(spec: CurveSpec, mc_reps: int = 100_000, seed: int = 0):
         xbar = spec.theta_true + spec.sigma / math.sqrt(spec.n) * \
             rng.standard_normal(mc_reps)
         up, lo = _posterior_tail_values(samp, spec.prior, xbar, spec.margin)
-        pb = np.clip(up + lo, 0.0, 1.0)
-    for t in spec.grid:
-        y_f = normal_pvalue_cdf(samp, spec.theta_true, spec.margin, float(t))
-        y_b = float(np.mean(pb <= t)) if pb is not None else math.nan
-        points.append(CurvePoint(float(t), y_f, y_b))
-    return points
+        pb = np.sort(np.clip(up + lo, 0.0, 1.0))
+        y_b = np.searchsorted(pb, grid, side="right") / mc_reps  # the share at or below t
+    y_f = normal_pvalue_cdf(samp, spec.theta_true, spec.margin, grid)
+    return [CurvePoint(float(t), float(f), float(b)) for t, f, b in zip(grid, y_f, y_b)]
 
 
 def table_simulation(spec: CurveSpec, reps: int, seed: int,

@@ -343,42 +343,36 @@ _D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
       3.754408661907416e+00)
 
 
-def _acklam_quantile(u: float) -> float:
+def _acklam_quantile(u):
     """Acklam's rational approximation of the normal quantile for u in
-    (0, 1), relative error below 1.2e-9; plain floats, no numpy."""
+    (0, 1), relative error below 1.2e-9, in his Horner order; elementwise,
+    a float for a scalar."""
+    u = np.asarray(u, dtype=float)
     p_low = 0.02425
-    if u < p_low:
-        q = math.sqrt(-2.0 * math.log(u))
-        z = ((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-             / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    elif u <= 1.0 - p_low:
-        q = u - 0.5
-        r = q * q
-        z = ((((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * q
-             / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-u))
-        z = -((((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5])
-              / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0))
-    return z
+    q = np.sqrt(-2.0 * np.where(u < 0.5, np.log(u), np.log1p(-u)))
+    tail = np.polyval(_C, q) / np.polyval(_D + (1.0,), q)
+    q = u - 0.5
+    r = q * q
+    central = np.polyval(_A, r) * q / np.polyval(_B + (1.0,), r)
+    z = np.where(u < p_low, tail, np.where(u <= 1.0 - p_low, central, -tail))
+    return float(z) if z.ndim == 0 else z
 
 
-def normal_quantile(u: float) -> float:
-    """Standard normal quantile (inverse CDF) for u in (0, 1).
+def normal_quantile(u):
+    """Standard normal quantile (inverse CDF) for u in (0, 1), elementwise;
+    a float for a scalar.
 
     Acklam's approximation refined by two Newton steps against
     :func:`normal_cdf`, giving |normal_cdf(q(u)) - u| well below 1e-12.
     """
-    u = float(u)
-    if not 0.0 < u < 1.0:
+    u = np.asarray(u, dtype=float)
+    if not ((u > 0.0) & (u < 1.0)).all():
         raise ValueError(f"normal_quantile requires 0 < u < 1, got {u}")
-    z = _acklam_quantile(u)
+    z = np.asarray(_acklam_quantile(u))
     for _ in range(2):
-        pdf = math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        if pdf <= 0.0:
-            break
-        z -= (normal_cdf(z) - u) / pdf
-    return z
+        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        z = z - np.divide(normal_cdf(z) - u, pdf, out=np.zeros_like(z), where=pdf > 0.0)
+    return float(z) if z.ndim == 0 else z
 
 
 def _check_binomial_args(n: int, theta: float) -> None:

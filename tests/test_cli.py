@@ -172,8 +172,8 @@ class TestDeterminismAndManifest:
         args = ["theta-max", "--n", "10", "--margin", "0.2,0.8"]
         _, out1 = run(tmp_path, "d1", args)
         _, out2 = run(tmp_path, "d2", args)
-        m1 = json.loads(open(str(out1) + ".manifest.json").read())
-        m2 = json.loads(open(str(out2) + ".manifest.json").read())
+        m1 = read_manifest(out1)
+        m2 = read_manifest(out2)
         assert m1["config_digest"] == m2["config_digest"]
 
     def test_json_format(self, tmp_path):
@@ -183,6 +183,27 @@ class TestDeterminismAndManifest:
         assert code == 0
         records = json.loads(out.read_text())
         assert records[0]["rho"] == pytest.approx(0.995712651646, rel=1e-9)
+
+    @pytest.mark.parametrize("args, bayes, frequentist", [
+        (["conservativity", "--n", "10", "--margin", "0.2,0.8"], "y_bayes", "y_frequentist"),
+        (["power-curve", "--n", "10", "--margin", "0.2,0.8"], "y_bayes", "y_frequentist"),
+        (["theta-max", "--n", "10", "--margin", "0.2,0.8"], "theta_b", "theta_f"),
+    ], ids=["conservativity", "power-curve", "theta-max"])
+    def test_json_without_prior_is_strict_json(self, tmp_path, args, bayes, frequentist):
+        # the Bayesian value does not exist without a prior: null in JSON, nan in CSV
+
+        def reject(word):
+            raise ValueError(f"non-standard JSON constant {word}")
+
+        out = tmp_path / "r.json"
+        assert main(args + ["--format", "json", "--out", str(out)]) == 0
+        records = json.loads(out.read_text(), parse_constant=reject)
+        assert records and all(record[bayes] is None for record in records)
+        assert all(isinstance(record[frequentist], float) for record in records)
+        json.loads(Path(str(out) + ".manifest.json").read_text(), parse_constant=reject)
+        code, csv_out = run(tmp_path, "r", args)
+        assert code == 0
+        assert all(row[bayes] == "nan" for row in read_csv(csv_out))
 
 
 class TestConfigAndErrors:

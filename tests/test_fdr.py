@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -402,6 +403,22 @@ class TestScreen:
         far = np.full_like(u, 40.0)
         return np.concatenate((far, -u, -u)), np.concatenate((u, -far, u))
 
+    @pytest.mark.parametrize("evidence", EVIDENCE_KINDS)
+    def test_adaptive_cutoff_table_equals_per_row_cutoffs(self, evidence):
+        # the table, indexed by a row's count above lam, holds the cutoffs
+        # at that row's own plug-in k0
+        exp = desk_experiment(evidence=evidence, adaptive=True, storey_lambda=self.LAM)
+        factor = 2.0 if evidence == "bayesian" else 1.0
+        at_lam, k0, table = fdr._screen_cutoffs(exp)
+        assert np.array_equal(at_lam, [fdr._z_cutoff(self.LAM / factor, -1.0),
+                                       fdr._z_cutoff(self.LAM, 1.0)])
+        assert k0.size == table.shape[1] == exp.k + 1
+        for count in range(exp.k + 1):
+            row_k0 = fdr._plug_in_k0(exp.k, np.array([count]), self.LAM)[0]
+            assert k0[count] == row_k0
+            assert table[0, count] == fdr._z_cutoff(exp.alpha / row_k0 / factor, -1.0)
+            assert table[1, count] == fdr._z_cutoff(exp.alpha * exp.k / row_k0, 1.0)
+
     @pytest.mark.parametrize("alpha", [0.05, 1e-15])
     @pytest.mark.parametrize("evidence, adaptive", [("frequentist", False),
                                                     ("bayesian", False),
@@ -438,7 +455,8 @@ class TestScreen:
             assert rows_r[-1].size == k
         z_r, z_l = np.array(rows_r), np.array(rows_l)
         rank, d, _ = fdr._step_up(self.evidence(evidence, z_r, z_l), alpha, lam)
-        got_rank, got_d = fdr._screened_step_up(exp, z_r, z_l, 1.0, lam)
+        exp = replace(exp, k=k)
+        got_rank, got_d = fdr._screened_step_up(exp, z_r, z_l, 1.0, fdr._screen_cutoffs(exp))
         assert np.array_equal(got_rank, rank)
         assert np.array_equal(got_d, d)
         assert d.min() > 0 and np.any((rank > 1) & (rank <= k))

@@ -43,6 +43,33 @@ class TestCriticalConstants:
         assert attained == pytest.approx(level, abs=1e-10)
         assert c + d == pytest.approx(samp.n * (margin.theta1 + margin.theta2), rel=1e-12)
 
+    @pytest.mark.parametrize("sigma, n, margin", [(2.0, 30, (1.0, 4.0)), (1.0, 5, (0.0, 0.3)),
+                                                  (0.5, 400, (-2.0, -1.9))])
+    def test_exact_mode_attains_level_to_rounding(self, sigma, n, margin):
+        samp = NormalSampling(sigma=sigma, n=n)
+        margin = EquivalenceMargin(*margin)
+        levels = np.concatenate(([1e-3, 0.005], np.arange(1, 100) / 100, [0.995, 0.999]))
+        c, d = normal_critical_constants(samp, margin, levels, mode="exact_symmetric")
+        scale = samp.sigma * math.sqrt(samp.n)
+        attained = (normal_cdf((d - samp.n * margin.theta1) / scale)
+                    - normal_cdf((c - samp.n * margin.theta1) / scale))
+        assert np.abs(attained - levels).max() <= 1e-13
+
+    @pytest.mark.parametrize("mode", ["approximate", "exact_symmetric"])
+    def test_level_array_equals_scalar_calls(self, mode):
+        samp = NormalSampling(sigma=2.0, n=30)
+        margin = EquivalenceMargin(1.0, 4.0)
+        levels = np.concatenate(([1e-6, 1e-3], np.arange(1, 100) / 100, [0.999]))
+        c, d = normal_critical_constants(samp, margin, levels, mode=mode)
+        each = np.array([normal_critical_constants(samp, margin, t, mode=mode)
+                         for t in levels])
+        assert np.array_equal(c, each[:, 0]) and np.array_equal(d, each[:, 1])
+        for theta in (0.5, 2.5):
+            cdf = normal_pvalue_cdf(samp, theta, margin, levels, mode=mode)
+            each = [normal_pvalue_cdf(samp, theta, margin, t, mode=mode) for t in levels]
+            assert all(isinstance(value, float) for value in each)
+            assert np.array_equal(cdf, each)
+
     def test_wide_margin_modes_agree(self):
         # tails decouple when sigma*sqrt(n) << n * margin width
         samp = NormalSampling(sigma=0.5, n=100)

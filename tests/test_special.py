@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from equilab import EquivalenceMargin, binom_onesided_pvalues, binom_tost_pvalue
-from equilab.special import (_lentz, _lentz_array, binomial_interval_prob,
+from equilab.special import (_acklam_quantile, _lentz, _lentz_array, binomial_interval_prob,
                              binomial_pmf_vector, binomial_tail_vectors, erfc, log_gamma,
                              normal_cdf, normal_quantile, reg_inc_beta,
                              reg_inc_beta_pair)
@@ -312,9 +312,21 @@ class TestNormal:
             assert normal_quantile(u) == pytest.approx(z, abs=max(1e-9, info_limit))
 
     def test_quantile_domain(self):
-        for u in (0.0, 1.0, -0.1, 1.1):
+        for u in (0.0, 1.0, -0.1, 1.1, np.array([0.2, 0.0, 0.7]), np.array([0.2, 1.0, 0.7])):
             with pytest.raises(ValueError):
                 normal_quantile(u)
+
+    def test_quantile_array_equals_elementwise_calls(self):
+        # both Acklam regions, both tails and the Newton steps, element by element
+        rng = np.random.default_rng(11)
+        u = np.concatenate((rng.random(400), 10.0 ** -rng.uniform(2, 300, 100),
+                            1.0 - 10.0 ** -rng.uniform(2, 15, 100), [0.02425, 0.97575]))
+        for quantile in (normal_quantile, _acklam_quantile):
+            got = quantile(u.reshape(2, -1))
+            assert got.shape == (2, u.size // 2)
+            each = np.array([quantile(np.float64(v)) for v in u])
+            assert np.array_equal(got.ravel(), each)
+            assert type(quantile(0.3)) is float and type(quantile(np.float64(0.3))) is float
 
 
 class TestBinomial:

@@ -13,8 +13,8 @@ from .beta_binomial import (BetaPosterior, BetaPrior, posterior_prob_equiv,
                             posterior_prob_lower, posterior_prob_upper,
                             posterior_update)
 from .correlation import (CorrelationResult, corr_equivalence_closed,
-                          corr_equivalence_mc, corr_partial_pvalues,
-                          corr_two_sided, corr_two_sided_mc,
+                          corr_equivalence_mc, corr_partial_closed,
+                          corr_partial_pvalues, corr_two_sided, corr_two_sided_mc,
                           equivalence_covariance_terms, expected_phi_product,
                           sample_correlation)
 from .equivalence import (EquivalenceMargin, EvidenceMeasure,
@@ -57,8 +57,8 @@ __all__ = [
     # correlation
     "CorrelationResult", "expected_phi_product", "sample_correlation",
     "equivalence_covariance_terms", "corr_equivalence_closed",
-    "corr_equivalence_mc", "corr_partial_pvalues", "corr_two_sided",
-    "corr_two_sided_mc",
+    "corr_equivalence_mc", "corr_partial_closed", "corr_partial_pvalues",
+    "corr_two_sided", "corr_two_sided_mc",
     # multiple testing
     "DecisionTable", "FdrExperiment", "FdrPoint", "bh_procedure",
     "adaptive_bh", "score_decisions", "fdr_power_simulation",

@@ -28,8 +28,9 @@ from datetime import datetime, timezone
 
 from . import __version__
 from .beta_binomial import BetaPrior
-from .correlation import (corr_equivalence_closed, corr_equivalence_mc,
-                          corr_partial_pvalues, corr_two_sided, corr_two_sided_mc)
+from .correlation import (check_draws, corr_equivalence_closed, corr_equivalence_mc,
+                          corr_partial_closed, corr_partial_pvalues, corr_two_sided,
+                          corr_two_sided_mc)
 from .equivalence import EquivalenceMargin, SignificanceLevels
 from .fdr import FdrExperiment, fdr_power_simulation
 from .normal import NormalPrior, NormalSampling
@@ -115,6 +116,11 @@ def parse_rows(texts):
             raise ConfigError(f"unsupported row key {key!r} (only n=<int>)")
         rows.append(int(value))
     return rows
+
+
+def parse_draws(text) -> int:
+    """A Monte Carlo draw count, at least the pairs a sample correlation needs."""
+    return check_draws(int(text))
 
 
 def parse_switch(value) -> bool:
@@ -214,7 +220,7 @@ def run_noise_cdf(opts):
 CORRELATION_MODES = {
     "two_sided": {"w": True, "mc": False},
     "equivalence": {"n": True, "sigma": True, "tau": True, "margin": True, "mc": False},
-    "partial": {"n": True, "sigma": True, "margin": True},
+    "partial": {"n": True, "sigma": True, "margin": True, "mc": False},
 }
 
 
@@ -242,8 +248,10 @@ def run_correlation(opts):
         if opts["mc"]:
             rows.append(("equivalence_mc", corr_equivalence_mc(*design, **mc)))
     else:
-        samp = NormalSampling(opts["sigma"], opts["n"])
-        rows = [("partial", corr_partial_pvalues(samp, opts["margin"], **mc))]
+        design = (NormalSampling(opts["sigma"], opts["n"]), opts["margin"])
+        rows = [("partial", corr_partial_closed(*design))]
+        if opts["mc"]:
+            rows.append(("partial_mc", corr_partial_pvalues(*design, **mc)))
     records = [{"mode": row_mode, **vars(result),
                 "std_error": "" if result.std_error is None else result.std_error}
                for row_mode, result in rows]
@@ -275,7 +283,8 @@ REQUIRED = object()
 
 # converter of each flag's text; a tuple lists the allowed words
 FLAG_TYPES = {
-    **dict.fromkeys(("n", "k", "reps", "draws", "seed"), int),
+    **dict.fromkeys(("n", "k", "reps", "seed"), int),
+    "draws": parse_draws,
     **dict.fromkeys(("alpha", "alpha_upper", "alpha_lower", "theta", "theta_alt", "resolution",
                      "sigma", "tau", "w", "epsilon_star", "storey_lambda"), parse_float),
     **dict.fromkeys(("two_sided", "equivalence", "partial", "mc", "adaptive"), parse_switch),

@@ -328,7 +328,11 @@ def normal_cdf(z):
     scalar and array values are bit-identical.  Relative error stays below
     1e-12 over the whole lower tail down to the underflow near z = -37.
     """
-    cdf = 0.5 * erfc(-np.asarray(z, dtype=float) / _SQRT2)
+    x = np.array(z, dtype=float)  # the one copy; the caller's array stays as it was
+    np.negative(x, out=x)
+    x /= _SQRT2
+    cdf = erfc(x)
+    cdf *= 0.5
     return float(cdf) if cdf.ndim == 0 else cdf
 
 

@@ -3,6 +3,7 @@ precedence, exit codes."""
 
 import csv
 import json
+import math
 import shlex
 from pathlib import Path
 
@@ -56,14 +57,31 @@ class TestSubcommands:
 
     def test_correlation_partial_monte_carlo(self, tmp_path):
         code, out = run(tmp_path, "corr", ["correlation", "--partial", "--n", "30",
-                                           "--sigma", "1", "--margin", "1,4",
+                                           "--sigma", "1", "--margin", "1,4", "--mc",
                                            "--draws", "2000", "--seed", "1"])
         assert code == 0
         rows = read_csv(out)
-        assert len(rows) == 1
-        assert rows[0]["mode"] == "partial"
-        assert rows[0]["method"] == "monte_carlo"
-        assert float(rows[0]["std_error"]) > 0.0
+        assert [r["mode"] for r in rows] == ["partial", "partial_mc"]
+        assert [r["method"] for r in rows] == ["closed_form", "monte_carlo"]
+        assert float(rows[1]["std_error"]) > 0.0
+
+    def test_correlation_partial_default_is_the_closed_form(self, tmp_path):
+        code, out = run(tmp_path, "corr", ["correlation", "--partial", "--n", "30",
+                                           "--sigma", "2", "--margin", "1,4"])
+        assert code == 0
+        rows = read_csv(out)
+        assert [(r["mode"], r["method"], r["std_error"]) for r in rows] == [
+            ("partial", "closed_form", "")]
+        assert -1.0 < float(rows[0]["rho"]) < 0.0
+
+    def test_correlation_partial_wide_margin(self, tmp_path):
+        # every draw would give a constant p-value; the closed form is 0
+        code, out = run(tmp_path, "corr", ["correlation", "--partial", "--n", "30",
+                                           "--sigma", "1", "--margin", "1,400"])
+        assert code == 0
+        (row,) = read_csv(out)
+        assert not row["rho"].startswith("-0")
+        assert math.isfinite(float(row["rho"])) and -1.0 <= float(row["rho"]) <= 0.0
 
     def test_tables_row(self, tmp_path):
         code, out = run(tmp_path, "tab", [
@@ -364,7 +382,6 @@ class TestClosedFlagSets:
     DESIGN = ["--n", "30", "--sigma", "2", "--margin", "1,4"]
 
     @pytest.mark.parametrize("args, flag", [
-        (["--partial"] + DESIGN + ["--mc"], "--mc"),
         (["--partial"] + DESIGN + ["--tau", "9"], "--tau"),
         (["--partial"] + DESIGN + ["--w", "0.5"], "--w"),
         (["--equivalence"] + DESIGN + ["--tau", "0.5", "--w", "0.5"], "--w"),
@@ -376,6 +393,18 @@ class TestClosedFlagSets:
         code, out = run(tmp_path, "x", ["correlation", "--draws", "1000"] + args)
         assert code == 2
         assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("draws", ["-5", "0", "3"])
+    @pytest.mark.parametrize("mode", [
+        ["--two-sided", "--w", "0.5"],
+        ["--equivalence"] + DESIGN + ["--tau", "0.5"],
+        ["--partial"] + DESIGN,
+    ])
+    def test_correlation_too_few_draws_exits_2(self, tmp_path, capsys, mode, draws):
+        code, out = run(tmp_path, "x", ["correlation", "--mc", "--draws", draws] + mode)
+        assert code == 2
+        assert "--draws" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_integer_k1_exits_2(self, tmp_path, capsys):

@@ -3,12 +3,14 @@ Monte Carlo, and properties of the correlation estimator itself."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from equilab import (EquivalenceMargin, NormalPrior, NormalSampling,
                      corr_equivalence_closed, corr_equivalence_mc,
-                     corr_partial_pvalues, corr_two_sided, corr_two_sided_mc,
+                     corr_partial_closed, corr_partial_pvalues, corr_two_sided,
+                     corr_two_sided_mc,
                      equivalence_covariance_terms, expected_phi_product,
                      sample_correlation, spawn_rng)
 from equilab.special import normal_cdf
@@ -109,6 +111,102 @@ class TestEquivalenceCorrelation:
                                           NormalPrior(0.5),
                                           EquivalenceMargin(0.0, 2.0))
             assert res.rho == 0.0
+
+
+def _partial_by_mpmath(c):
+    """The partial correlation's arcsine-integral ratio by mpmath quadrature."""
+    with mpmath.workdps(40):
+        c = mpmath.mpf(c)
+        cov = mpmath.quad(lambda t: mpmath.exp(-c ** 2 / (2 * (1 - mpmath.sin(t)))),
+                          [0, mpmath.pi / 6])
+        var = mpmath.quad(lambda t: mpmath.exp(-c ** 2 / (2 * (1 + mpmath.sin(t)))),
+                          [0, mpmath.pi / 6])
+        return float(-cov / var)
+
+
+class TestPartialClosedForm:
+    # n = 1 and sigma = 1 make the half-width equal to c
+    UNIT = NormalSampling(sigma=1.0, n=1)
+
+    @pytest.mark.parametrize("c", [0.1, 0.5, 1.0, 1.9, 2.5, 4.0, 6.0, 10.0])
+    def test_against_mpmath(self, c):
+        res = corr_partial_closed(self.UNIT, half_width=c)
+        assert res.method == "closed_form" and res.std_error is None
+        assert res.rho == pytest.approx(_partial_by_mpmath(c), rel=1e-12)
+
+    @pytest.mark.parametrize("c, rho", [(0.447, -0.94301), (1.342, -0.60372)])
+    def test_bivariate_normal_values(self, c, rho):
+        # Phi2-ratio values, checked against scipy's multivariate_normal
+        assert corr_partial_closed(self.UNIT, half_width=c).rho == pytest.approx(rho, abs=1e-5)
+
+    def test_degenerate_margin_is_minus_one(self):
+        assert corr_partial_closed(NormalSampling(1.0, 10), half_width=0.0).rho == -1.0
+
+    def test_margin_and_half_width_agree(self):
+        samp = NormalSampling(sigma=2.0, n=30)
+        assert (corr_partial_closed(samp, EquivalenceMargin(1.0, 4.0))
+                == corr_partial_closed(samp, half_width=1.5))
+
+    def test_increasing_in_c(self):
+        values = [corr_partial_closed(self.UNIT, half_width=c).rho
+                  for c in np.linspace(0.0, 12.0, 61)]
+        assert all(b > a for a, b in zip(values, values[1:]))
+        assert all(-1.0 <= v <= 0.0 for v in values)
+
+    def test_wide_margin_is_positive_zero(self):
+        rho = corr_partial_closed(self.UNIT, half_width=400.0).rho
+        assert rho == 0.0 and math.copysign(1.0, rho) == 1.0
+
+    @pytest.mark.parametrize("sigma, n, margin, seed", [
+        (1.0, 25, (-1.0, 1.0), 23),   # c = 5, acceptance criterion 7's design
+        (2.0, 30, (1.0, 4.0), 4),     # c = 4.11
+        (1.5, 20, (0.0, 0.6), 5),     # c = 0.89
+    ])
+    def test_monte_carlo_within_five_se(self, sigma, n, margin, seed):
+        samp = NormalSampling(sigma, n)
+        closed = corr_partial_closed(samp, EquivalenceMargin(*margin))
+        mc = corr_partial_pvalues(samp, EquivalenceMargin(*margin), draws=10**6, seed=seed)
+        assert abs(mc.rho - closed.rho) <= 5 * mc.std_error
+
+    def test_requires_exactly_one_margin_spec(self):
+        with pytest.raises(ValueError):
+            corr_partial_closed(self.UNIT)
+        with pytest.raises(ValueError):
+            corr_partial_closed(self.UNIT, EquivalenceMargin(0, 1), half_width=0.5)
+        with pytest.raises(ValueError, match="half_width"):
+            corr_partial_closed(self.UNIT, half_width=-0.5)
+
+
+class TestMonteCarloPaths:
+    SAMP = NormalSampling(sigma=2.0, n=30)
+    PRIOR = NormalPrior(0.5)
+    MARGIN = EquivalenceMargin(1.0, 4.0)
+
+    @pytest.mark.parametrize("draws", [-5, 0, 3])
+    def test_too_few_draws_rejected(self, draws):
+        calls = [lambda: corr_two_sided_mc(0.5, draws=draws),
+                 lambda: corr_equivalence_mc(self.SAMP, self.PRIOR, self.MARGIN, draws=draws),
+                 lambda: corr_partial_pvalues(self.SAMP, self.MARGIN, draws=draws)]
+        for call in calls:
+            with pytest.raises(ValueError, match="draws"):
+                call()
+
+    @pytest.mark.parametrize("seed, hexes", [
+        (5, {"equivalence": ("-0x1.f5e8892e0548dp-1", "0x1.0e55b936b0bb2p-12"),
+             "two_sided": ("0x1.feb599519dde3p-1", "0x1.031a2df93d743p-17")}),
+        (11, {"equivalence": ("-0x1.f6169bba09f56p-1", "0x1.6d99a516786ddp-13"),
+              "two_sided": ("0x1.feb5f8021fb07p-1", "0x1.03f3cb1812b0bp-17")}),
+    ])
+    def test_pinned_bits(self, seed, hexes):
+        # the in-place evaluation keeps every operation and its order, so
+        # these values are the ones the expression form gave, bit for bit
+        results = {
+            "equivalence": corr_equivalence_mc(self.SAMP, self.PRIOR, self.MARGIN,
+                                               draws=100_000, seed=seed, theta=2.0),
+            "two_sided": corr_two_sided_mc(0.6, draws=100_000, seed=seed),
+        }
+        for name, res in results.items():
+            assert (res.rho.hex(), res.std_error.hex()) == hexes[name]
 
 
 class TestPartialPvalueCorrelation:

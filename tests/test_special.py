@@ -252,6 +252,15 @@ class TestErfcKernel:
         assert np.isnan(erfc(math.nan))
         assert np.isnan(erfc(np.array([0.5, math.nan, -math.nan]))[1:]).all()
 
+    def test_normal_cdf_leaves_its_input_unchanged(self):
+        # it negates, scales and halves one copy in place: same operations,
+        # same order, so the bits are the expression form's
+        z = np.linspace(-40.0, 10.0, 501)
+        kept = z.copy()
+        cdf = normal_cdf(z)
+        assert np.array_equal(z, kept)
+        assert np.array_equal(cdf, 0.5 * erfc(-kept / math.sqrt(2.0)))
+
     def test_normal_cdf_relative_to_ndtr(self):
         z = np.concatenate([np.linspace(-37.0, 8.0, 90_001),
                             np.random.default_rng(7).uniform(-37.0, 8.0, 50_000)])

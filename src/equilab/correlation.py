@@ -16,6 +16,7 @@ are deterministic transforms of a single normal draw, so the naive
 influence-function estimate is used instead.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -178,6 +179,16 @@ def _partial_c(samp: NormalSampling, margin: Optional[EquivalenceMargin],
     return eps * samp.root_n / samp.sigma
 
 
+@functools.lru_cache(maxsize=1)
+def _partial_rule():
+    """sin t at the Gauss-Legendre nodes t of [0, pi/6], and the weights:
+    built once per process, on first use."""
+    nodes, weights = np.polynomial.legendre.leggauss(_PARTIAL_NODES)
+    s = np.sin((nodes + 1.0) * (math.pi / 12.0))
+    s.flags.writeable = weights.flags.writeable = False
+    return s, weights
+
+
 def corr_partial_closed(samp: NormalSampling, margin: Optional[EquivalenceMargin] = None,
                         *, half_width: Optional[float] = None) -> CorrelationResult:
     """Correlation between the two one-sided p-values, in closed form.
@@ -197,8 +208,7 @@ def corr_partial_closed(samp: NormalSampling, margin: Optional[EquivalenceMargin
     bare ``half_width`` (the latter admits the degenerate width 0).
     """
     k = 0.5 * _partial_c(samp, margin, half_width) ** 2
-    nodes, weights = np.polynomial.legendre.leggauss(_PARTIAL_NODES)
-    s = np.sin((nodes + 1.0) * (math.pi / 12.0))
+    s, weights = _partial_rule()
     # the covariance and variance integrals, each over its integrand's maximum
     cov = weights @ np.exp(-k * s / (1.0 - s))
     var = weights @ np.exp(-k * (1.0 - 2.0 * s) / (3.0 * (1.0 + s)))

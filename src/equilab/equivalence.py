@@ -109,9 +109,8 @@ def binom_tost_pvalue(n: int, s: int, margin: EquivalenceMargin) -> EvidenceMeas
 def _pvalue_tails(n: int, margin: EquivalenceMargin):
     """One-sided p-values per count: P_theta1(T >= s) and P_theta2(T <= s)."""
     _check_binom_margin(margin)
-    upper = binomial_tail_vectors(n, margin.theta1)[1]
-    lower = binomial_tail_vectors(n, margin.theta2)[0]
-    return upper, lower
+    cdf, sf = binomial_tail_vectors(n, (margin.theta1, margin.theta2))
+    return sf[0], cdf[1]
 
 
 def binom_critical_constants(n: int, margin: EquivalenceMargin,

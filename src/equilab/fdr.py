@@ -11,7 +11,7 @@ import numpy as np
 
 from .equivalence import EquivalenceMargin
 from .normal import NormalPrior, NormalSampling, posterior_coefficient
-from .rng import spawn_rng
+from .rng import rekey, stream_keys
 from .special import SLICE_ELEMENTS, _acklam_quantile, normal_cdf
 
 EVIDENCE_KINDS = ("frequentist", "bayesian")
@@ -224,34 +224,46 @@ class FdrPoint:
     se_fdr: float
 
 
-def _tail_z_stats(exp: FdrExperiment, truth: np.ndarray, rngs) -> tuple:
-    """Standardized per-tail statistics, one row per replication stream."""
+def _tail_z_stats(exp: FdrExperiment, truth: np.ndarray, rng, keys) -> tuple:
+    """Standardized per-tail statistics, one row per replication stream:
+    ``rng``, re-keyed to each of ``keys`` in turn, fills the rows.
+
+    The draws turn into z in place (x *= sd; x += mu; x -= t; x *= scale
+    for scale (mu + sd x - t)); each step only swaps the operands of a
+    commutative operation, so the bits are those of the expression.
+    """
     t1, t2 = exp.margin.theta1, exp.margin.theta2
-    first = np.empty((len(rngs), exp.k))
+    first = np.empty((len(keys), exp.k))
     second = np.empty_like(first)
     shared = exp.sampling == "shared"
-    for rng, row_1, row_2 in zip(rngs, first, second):
+    for key, row_1, row_2 in zip(keys, first, second):
+        rekey(rng, key)
         (rng.random if shared else rng.standard_normal)(out=row_1)
         rng.standard_normal(out=row_2)
     if shared:
         # one latent mean per hypothesis; nulls sit on a randomly chosen boundary
-        boundary = np.where(first < 0.5, t1, t2)
-        theta = np.where(truth, t1 + exp.epsilon_star, boundary)
-        xbar = theta + exp.sigma / math.sqrt(exp.n) * second
-        z_r = math.sqrt(exp.n) * (xbar - t1) / exp.sigma
-        z_l = math.sqrt(exp.n) * (xbar - t2) / exp.sigma
-        return z_r, z_l
-    mu_r = np.where(truth, t1 + exp.epsilon_star, t1)
-    mu_l = np.where(truth, t2 - exp.epsilon_star, t2)
+        theta = np.where(truth, t1 + exp.epsilon_star, np.where(first < 0.5, t1, t2))
+        second *= exp.sigma / math.sqrt(exp.n)
+        second += theta  # the sample mean
+        np.subtract(second, t1, out=first)
+        second -= t2
+        for z in (first, second):
+            z *= math.sqrt(exp.n)
+            z /= exp.sigma
+        return first, second
     if exp.sampling == "per_tail":
         sd = exp.sigma / math.sqrt(exp.n)
         scale = math.sqrt(exp.n) / exp.sigma
     else:  # per_tail_literal
         sd = exp.sigma
         scale = 1.0 / exp.sigma
-    x_r = mu_r + sd * first
-    x_l = mu_l + sd * second
-    return scale * (x_r - t1), scale * (x_l - t2)
+    for z, mu, t in ((first, np.where(truth, t1 + exp.epsilon_star, t1), t1),
+                     (second, np.where(truth, t2 - exp.epsilon_star, t2), t2)):
+        z *= sd
+        z += mu
+        z -= t
+        z *= scale
+    return first, second
 
 
 def _combine_evidence(exp: FdrExperiment, p_r: np.ndarray, p_l: np.ndarray) -> np.ndarray:
@@ -318,7 +330,6 @@ def _screened_step_up(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray,
     rows, k = z_r.shape
     u = np.maximum(-z_r, z_l)
     u *= shrink  # shrink > 0: the max of the scaled values, bit for bit
-    p = np.full((rows, k), np.nan)  # the exact evidence, filled where needed
 
     def screen(lo, hi):
         """The mask of values certainly above their row's high threshold and
@@ -327,10 +338,10 @@ def _screened_step_up(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray,
         return above, np.flatnonzero((u >= lo) & ~above)
 
     def exact(band):
-        todo = band[np.isnan(p.take(band))]
-        cdf = normal_cdf(shrink * np.concatenate((z_r.take(todo), z_l.take(todo))))
-        p.put(todo, _combine_evidence(exp, 1.0 - cdf[:todo.size], cdf[todo.size:]))
-        return p.take(band)
+        """The evidence at the flat indices ``band``; a value in both bands
+        is evaluated twice, to the same bits."""
+        cdf = normal_cdf(shrink * np.concatenate((z_r.take(band), z_l.take(band))))
+        return _combine_evidence(exp, 1.0 - cdf[:band.size], cdf[band.size:])
 
     at_lam, k0, table = cutoffs
     count = np.zeros(rows, dtype=np.intp)  # each row's index into k0 and table
@@ -350,7 +361,9 @@ def fdr_power_simulation(exp: FdrExperiment):
     Streams derive from (seed, k1-index, replication-index), so results are
     reproducible and identical under any work scheduling; running the same
     seed with the other evidence kind reuses the very same draws, giving
-    paired comparisons.  Replications run in blocks of up to
+    paired comparisons.  The keys of a k1 point's streams come from one
+    :func:`~equilab.rng.stream_keys` pass, and one generator, re-keyed per
+    replication, draws them all.  Replications run in blocks of up to
     ``SLICE_ELEMENTS // k`` rows, each row filled from its own stream, so
     a block is one row-wise step-up.
 
@@ -372,16 +385,18 @@ def fdr_power_simulation(exp: FdrExperiment):
     if exp.evidence == "bayesian":
         samp = NormalSampling(sigma=exp.sigma, n=exp.n)
         shrink = posterior_coefficient(samp, NormalPrior(exp.tau)) * exp.sigma / math.sqrt(exp.n)
+    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for every replication
     results = []
     for k1_idx, k1 in enumerate(exp.k1_grid):
         truth = np.zeros(exp.k, dtype=bool)
         truth[:k1] = True
+        keys = stream_keys(exp.seed, np.column_stack((np.full(exp.reps, k1_idx),
+                                                      np.arange(exp.reps))))
         powers = np.empty(exp.reps)
         fdps = np.empty(exp.reps)
         for start in range(0, exp.reps, block):
             reps = range(start, min(start + block, exp.reps))
-            z_r, z_l = _tail_z_stats(exp, truth, [spawn_rng(exp.seed, k1_idx, rep)
-                                                  for rep in reps])
+            z_r, z_l = _tail_z_stats(exp, truth, rng, keys[reps.start:reps.stop])
             rank, d = _screened_step_up(exp, z_r, z_l, shrink, cutoffs)
             # S: rejected false nulls, the first k1 hypotheses
             s = np.sum(rank[:, :k1] <= d[:, np.newaxis], axis=1)

@@ -7,8 +7,10 @@ import math
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from equilab import correlation, fdr, power
 from equilab.cli import SUBCOMMANDS, ConfigError, build_parser, main, parse_grid
 
 
@@ -434,6 +436,45 @@ class TestClosedFlagSets:
         assert code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    SEEDED = {
+        "fdr-power": FDR,
+        "tables": ["tables", "--margin", "0.25,0.75", "--row", "n=20", "--reps", "50"],
+        "correlation-mc": ["correlation", "--two-sided", "--w", "0.5", "--mc",
+                           "--draws", "2000"],
+    }
+
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_negative_seed_exits_2(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, "x", self.SEEDED[command] + ["--seed", "-1"])
+        assert code == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, module, name", [
+        ("fdr-power", fdr, "stream_keys"),
+        ("tables", power, "spawn_rng"),
+        ("correlation-mc", correlation, "spawn_rng"),
+    ])
+    def test_seed_past_64_bits_draws_numpys_streams(self, tmp_path, monkeypatch,
+                                                    command, module, name):
+        argv = self.SEEDED[command] + ["--seed", str(2**64 + 5)]
+        code, out = run(tmp_path, "ours", argv)
+        assert code == 0
+        assert read_manifest(out)["seed"] == 2**64 + 5
+
+        def numpy_keys(seed, paths):
+            return np.array([np.random.SeedSequence(seed, spawn_key=tuple(map(int, path)))
+                             .generate_state(2, np.uint64) for path in paths])
+
+        def numpy_spawn(seed, *path):
+            return np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(seed, spawn_key=path)))
+
+        monkeypatch.setattr(module, name, numpy_keys if name == "stream_keys" else numpy_spawn)
+        code, reference = run(tmp_path, "numpy", argv)
+        assert code == 0
+        assert out.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("args, message", [
         (["--k", "0"], "k, n and reps must be positive"),

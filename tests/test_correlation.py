@@ -2,6 +2,9 @@
 Monte Carlo, and properties of the correlation estimator itself."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -13,6 +16,7 @@ from equilab import (EquivalenceMargin, NormalPrior, NormalSampling,
                      corr_two_sided_mc,
                      equivalence_covariance_terms, expected_phi_product,
                      sample_correlation, spawn_rng)
+from equilab import correlation
 from equilab.special import normal_cdf
 
 
@@ -167,6 +171,24 @@ class TestPartialClosedForm:
         closed = corr_partial_closed(samp, EquivalenceMargin(*margin))
         mc = corr_partial_pvalues(samp, EquivalenceMargin(*margin), draws=10**6, seed=seed)
         assert abs(mc.rho - closed.rho) <= 5 * mc.std_error
+
+    def test_rule_built_once_per_process(self, monkeypatch):
+        built = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda deg: built.append(deg) or leggauss(deg))
+        correlation._partial_rule.cache_clear()
+        first = corr_partial_closed(self.UNIT, half_width=1.0)
+        corr_partial_closed(self.UNIT, half_width=2.0)
+        assert built == [correlation._PARTIAL_NODES]
+        assert corr_partial_closed(self.UNIT, half_width=1.0) == first
+
+    def test_rule_not_built_at_import(self):
+        code = ("import equilab.cli, equilab.correlation as c; "
+                "print(c._partial_rule.cache_info().currsize)")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert result.stdout.strip() == "0"
 
     def test_requires_exactly_one_margin_spec(self):
         with pytest.raises(ValueError):

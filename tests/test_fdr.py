@@ -286,15 +286,17 @@ class TestPowerSimulation:
 
 
 def reference_simulation(exp):
-    """One replication at a time: the stream of (seed, k1 index, rep), the
-    public step-up procedures and score_decisions."""
+    """One replication at a time: the stream of (seed, k1 index, rep), built
+    by numpy's own SeedSequence, the public step-up procedures and
+    score_decisions."""
     t1, t2, root_n = exp.margin.theta1, exp.margin.theta2, math.sqrt(exp.n)
     results = []
     for k1_idx, k1 in enumerate(exp.k1_grid):
         truth = np.arange(exp.k) < k1
         powers, fdps = np.empty(exp.reps), np.empty(exp.reps)
         for rep in range(exp.reps):
-            rng = spawn_rng(exp.seed, k1_idx, rep)
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(exp.seed, spawn_key=(k1_idx, rep))))
             if exp.sampling == "shared":
                 boundary = np.where(rng.random(exp.k) < 0.5, t1, t2)
                 theta = np.where(truth, t1 + exp.epsilon_star, boundary)
@@ -337,7 +339,7 @@ class TestBlockBatching:
     """The block-batched simulation equals the one-replication-at-a-time
     reference exactly, field for field, in every mode."""
 
-    K, REPS = 1000, 13  # blocks of SLICE_ELEMENTS // K rows: 8 + 5
+    K, REPS = 1000, 21  # blocks of SLICE_ELEMENTS // K rows: 16 + 5
 
     @pytest.mark.parametrize(
         "evidence, sampling, combination, adaptive, design",

@@ -367,11 +367,25 @@ class TestBinomial:
         assert 0.0 < pmf < 1.0
         assert binomial_tail_vectors(n, 0.3)[0][3000] == pytest.approx(0.5, abs=0.02)
 
+    @pytest.mark.parametrize("n", [1, 37, 10_000])
+    def test_theta_sequence_rows_equal_scalar_calls(self, n):
+        thetas = (0.25, 0.5, 0.9)
+        pmf = binomial_pmf_vector(n, thetas)
+        cdf, sf = binomial_tail_vectors(n, thetas)
+        assert pmf.shape == cdf.shape == sf.shape == (3, n + 1)
+        for row, theta in enumerate(thetas):
+            assert np.array_equal(pmf[row], binomial_pmf_vector(n, theta))
+            scalar_cdf, scalar_sf = binomial_tail_vectors(n, theta)
+            assert np.array_equal(cdf[row], scalar_cdf)
+            assert np.array_equal(sf[row], scalar_sf)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             binomial_pmf_vector(0, 0.5)
         with pytest.raises(ValueError):
             binomial_pmf_vector(10, 1.0)
+        with pytest.raises(ValueError):
+            binomial_pmf_vector(10, (0.5, 0.0))
         with pytest.raises(ValueError):
             binom_onesided_pvalues(10, 11, EquivalenceMargin(0.25, 0.75))
 

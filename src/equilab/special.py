@@ -18,8 +18,12 @@ I_theta(s, n-s+1) and its complement at each s = C and D+1, taking per
 theta the form whose operands are small, so tiny powers and type-II masses
 keep their relative accuracy.  erfc is a numpy port of fdlibm's rational
 approximations (the algorithm of the C library ``erfc``), evaluated in
-slices of at most ``SLICE_ELEMENTS`` so its temporaries stay cache-sized;
-scalars and arrays take the same path.
+slices of at most ``SLICE_ELEMENTS`` with one scratch of 9 slice-sized
+rows: each slice is sorted once by branch and sign (a radix sort on 8-bit
+codes), and each branch runs in place over its contiguous run, so every
+element computes only its own expression; the normal CDF scales and halves
+inside the same slice loop, so the result is the only array as large as the
+input.  Scalars and arrays take the same path.
 All functions are pure and safe to call from concurrent workers.
 """
 
@@ -32,8 +36,9 @@ _SQRT2 = math.sqrt(2.0)
 
 # elements per erfc slice; also bounds the FDR simulation's replication
 # blocks.  erfc on the 1e6 values z / sqrt 2, z standard normal, takes
-# 61-68 ms in slices of 8192, 46-54 ms in slices of 16384 and 41-46 ms in
-# slices of 65536 (best of 7, three runs, 2-CPU Xeon): the knee is at 16384.
+# 38-61 ms in slices of 8192, 32-49 ms in slices of 16384 and 29-39 ms in
+# slices of 65536 (best of 7, six runs, shared 2-CPU Xeon): past 16384 the
+# gain is small, and the scratch of 9 slice-sized rows grows with the slice.
 SLICE_ELEMENTS = 16384
 
 
@@ -252,59 +257,145 @@ _ONE_OVER_035 = 2.8571414947509766  # 1/0.35 cut at the high word 0x4006DB6D
 _HIGH_WORD = np.uint64(0xFFFFFFFF00000000)
 
 
-def _poly(s, coefs):
-    """sum_i coefs[i] s^i grouped as the C library groups it: the pairs
-    c_2i + s c_2i+1 weighted by s^0, s^2, s^4, s^6 (s^4 s^2), s^8 (s^4 s^4),
-    added in order, so the roundings match."""
-    s2 = s * s
-    s4 = s2 * s2
-    powers = (s2, s4) if len(coefs) <= 6 else (s2, s4, s4 * s2, s4 * s4)
-    total = coefs[0] + s * coefs[1]
+_ERFC_EDGES = (0.84375, 1.25, _ONE_OVER_035, 28.0)
+
+
+def _poly(s, powers, coefs, out, tmp):
+    """sum_i coefs[i] s^i into ``out``, grouped as the C library groups it:
+    the pairs c_2i + s c_2i+1 weighted by 1 and the given powers s^2, s^4,
+    s^6, s^8, added in order, so the roundings match; ``tmp`` is scratch."""
+    np.multiply(s, coefs[1], out=out)
+    out += coefs[0]
     for power, i in zip(powers, range(2, len(coefs), 2)):
-        term = coefs[i] + s * coefs[i + 1] if i + 1 < len(coefs) else coefs[i]
-        total = total + power * term
-    return total
+        if i + 1 < len(coefs):
+            np.multiply(s, coefs[i + 1], out=tmp)
+            tmp += coefs[i]
+            tmp *= power
+        else:
+            np.multiply(power, coefs[i], out=tmp)
+        out += tmp
+    return out
 
 
-def _erfc_small(x):
-    """|x| < 0.84375: erfc = 1 - x - x P(x^2)/Q(x^2)."""
-    z = x * x
-    xy = x * (_poly(z, _PP) / _poly(z, _QQ))
-    return np.where(x < 0.25, 1.0 - (x + xy), 0.5 - (xy + (x - 0.5)))
+def _rational(s, p_coefs, q_coefs, work):
+    """P(s)/Q(s) into ``work[0]``, the powers s^2, s^4 = s^2 s^2,
+    s^6 = s^4 s^2 and s^8 = s^4 s^4 that either uses computed once."""
+    num, den, tmp, *powers = work
+    powers = powers[:(max(len(p_coefs), len(q_coefs)) - 1) // 2]
+    s2, s4, *higher = powers
+    np.multiply(s, s, out=s2)
+    np.multiply(s2, s2, out=s4)
+    for power, factor in zip(higher, (s2, s4)):
+        np.multiply(s4, factor, out=power)
+    _poly(s, powers, p_coefs, num, tmp)
+    num /= _poly(s, powers, q_coefs, den, tmp)
+    return num
 
 
-def _erfc_mid(x):
-    """0.84375 <= |x| < 1.25: erfc = 1 - erx - P(s)/Q(s), s = |x| - 1."""
-    s = np.abs(x) - 1.0
-    pq = _poly(s, _PA) / _poly(s, _QA)
-    return np.where(x >= 0.0, (1.0 - _ERX) - pq, 1.0 + (_ERX + pq))
+# Each branch overwrites its run of the sorted slice with erfc: the elements
+# with x < 0.25 (below |x| = 0.84375) or x < 0 (above) come before ``split``,
+# and ``work`` holds 8 scratch rows of the run's length.
+def _erfc_small(x, split, work):
+    """|x| < 0.84375: erfc = 1 - x - x P(x^2)/Q(x^2), as 1 - (x + xy) for
+    x < 0.25 and 0.5 - (xy + (x - 0.5)) above."""
+    z = np.multiply(x, x, out=work[0])
+    xy = _rational(z, _PP, _QQ, work[1:])
+    xy *= x
+    low, high = xy[:split], xy[split:]
+    low += x[:split]
+    np.subtract(1.0, low, out=x[:split])
+    high += np.subtract(x[split:], 0.5, out=z[split:])
+    np.subtract(0.5, high, out=x[split:])
 
 
-def _erfc_tail(r_coefs, s_coefs, x):
-    """1.25 <= |x| < 28: erfc(|x|) = exp(-x^2 - 0.5625 + R/S) / |x| in
-    1/x^2, with x^2 split at the high word of |x| so that the large exp
-    argument is exact; 2 - erfc(|x|) for negative x."""
-    a = np.abs(x)
-    s = 1.0 / (a * a)
-    z = (a.view(np.uint64) & _HIGH_WORD).view(np.float64)
-    q = np.exp(-z * z - 0.5625) * np.exp((z - a) * (z + a)
-                                         + _poly(s, r_coefs) / _poly(s, s_coefs)) / a
-    return np.where(x > 0.0, q, 2.0 - q)
+def _erfc_mid(x, split, work):
+    """0.84375 <= |x| < 1.25: erfc = 1 - erx - P(s)/Q(s), s = |x| - 1, as
+    1 + (erx + P/Q) for negative x and (1 - erx) - P/Q for positive."""
+    s = np.abs(x, out=x)
+    s -= 1.0
+    pq = _rational(s, _PA, _QA, work)
+    neg = pq[:split]
+    neg += _ERX
+    np.add(neg, 1.0, out=x[:split])
+    np.subtract(1.0 - _ERX, pq[split:], out=x[split:])
 
 
-_ERFC_BRANCHES = ((0.0, 0.84375, _erfc_small), (0.84375, 1.25, _erfc_mid),
-                  (1.25, _ONE_OVER_035, functools.partial(_erfc_tail, _RA, _SA)),
-                  (_ONE_OVER_035, 28.0, functools.partial(_erfc_tail, _RB, _SB)))
+def _erfc_tail(r_coefs, s_coefs, x, split, work):
+    """1.25 <= |x| < 28: erfc(|x|) = exp(-z^2 - 0.5625) exp((z - |x|)(z + |x|)
+    + R/S) / |x|, R/S in s = 1/x^2 and z = |x| cut to its high word so that
+    the large exp argument is exact; 2 - erfc(|x|) for negative x."""
+    a = np.abs(x, out=x)
+    s = np.multiply(a, a, out=work[0])
+    np.divide(1.0, s, out=s)
+    second = _rational(s, r_coefs, s_coefs, work[1:])
+    z, first, total = work[0], work[2], work[3]  # s and the rational's scratch are free
+    np.bitwise_and(a.view(np.uint64), _HIGH_WORD, out=z.view(np.uint64))
+    np.negative(z, out=first)
+    first *= z
+    first -= 0.5625
+    np.add(z, a, out=total)
+    z -= a
+    z *= total
+    second += z
+    first = np.exp(first, out=first)
+    first *= np.exp(second, out=second)
+    np.divide(first, a, out=x)
+    np.subtract(2.0, x[:split], out=x[:split])
 
 
-def _erfc_slice(x: np.ndarray, out: np.ndarray) -> None:
-    """fdlibm's erfc on one slice, written into ``out``."""
-    ax = np.abs(x)
-    out[:] = 1.0 - np.sign(x)  # 0 / 2 for |x| >= 28 and +-inf, nan for nan
-    for lo, hi, branch in _ERFC_BRANCHES:
-        idx = np.flatnonzero((ax >= lo) & (ax < hi))
-        if idx.size:
-            out[idx] = branch(x[idx])
+def _erfc_huge(x, split, work):
+    """|x| >= 28, +-inf and NaN: 1 - sign(x), so 0, 2 or NaN."""
+    np.subtract(1.0, np.sign(x, out=x), out=x)
+
+
+_ERFC_BRANCHES = (_erfc_small, _erfc_mid, functools.partial(_erfc_tail, _RA, _SA),
+                  functools.partial(_erfc_tail, _RB, _SB), _erfc_huge)
+
+
+def _erfc_slice(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
+    """fdlibm's erfc on one slice, written into ``out``: the elements sorted
+    by branch and sign, each branch run once over its run of the sorted copy
+    in ``work[0]``, then scattered back.  ``work`` has 9 rows of at least
+    x.size; ``x`` may be its last."""
+    n = x.size
+    ax = np.abs(x, out=work[1, :n])
+    # each element's code is 2 (the edges |x| is not below) + (x >= 0.25):
+    # NaN and +-inf are below no edge, so they join |x| >= 28
+    code = np.full(n, len(_ERFC_EDGES), dtype=np.uint8)
+    for edge in _ERFC_EDGES:
+        code -= ax < edge
+    code <<= 1
+    code += x >= 0.25
+    order = np.argsort(code, kind="stable")  # a radix sort on 8-bit keys
+    bounds = [0, *np.bincount(code, minlength=2 * len(_ERFC_BRANCHES)).cumsum().tolist()]
+    # mode "clip" (the indices are in range) takes into the row unbuffered
+    sorted_x = np.take(x, order, out=work[0, :n], mode="clip")
+    for k, branch in enumerate(_ERFC_BRANCHES):
+        lo, split, hi = bounds[2 * k:2 * k + 3]
+        if hi > lo:
+            branch(sorted_x[lo:hi], split - lo, work[1:, :hi - lo])
+    out[order] = sorted_x
+
+
+def _erfc_slices(z, cdf: bool) -> np.ndarray:
+    """erfc(z), or when ``cdf`` the normal CDF 0.5 erfc(-z / sqrt 2), as a
+    float array of z's shape, one slice of ``SLICE_ELEMENTS`` at a time: the
+    only array as large as z is the result."""
+    z = np.asarray(z, dtype=float)
+    flat = z.ravel()
+    out = np.empty(flat.shape)
+    # the sorted slice, then 8 scratch rows for a branch
+    work = np.empty((9, min(flat.size, SLICE_ELEMENTS)))
+    for start in range(0, flat.size, SLICE_ELEMENTS):
+        part = slice(start, start + SLICE_ELEMENTS)
+        x = flat[part]
+        if cdf:
+            x = np.negative(x, out=work[-1, :x.size])
+            x /= _SQRT2
+        _erfc_slice(x, out[part], work)
+        if cdf:
+            out[part] *= 0.5
+    return out.reshape(z.shape)
 
 
 def erfc(x):
@@ -313,29 +404,23 @@ def erfc(x):
     A numpy port of fdlibm's ``s_erf.c`` rational approximations, the
     algorithm of the C library ``erfc``: within 4 ulp of ``math.erfc``
     (bit-equal wherever numpy's ``exp`` is), in relative terms down to the
-    underflow near x = 27.  Evaluated in slices of ``SLICE_ELEMENTS``.
+    underflow near x = 27.  Evaluated in slices of ``SLICE_ELEMENTS``; each
+    slice is sorted once by branch and sign, and each element runs only its
+    own branch and form, in place.
     """
-    x = np.asarray(x, dtype=float)
-    flat = x.ravel()
-    out = np.empty_like(flat)
-    for start in range(0, flat.size, SLICE_ELEMENTS):
-        part = slice(start, start + SLICE_ELEMENTS)
-        _erfc_slice(flat[part], out[part])
-    return out.reshape(x.shape)
+    return _erfc_slices(x, cdf=False)
 
 
 def normal_cdf(z):
-    """Standard normal CDF 0.5 erfc(-z / sqrt 2) through :func:`erfc`.
+    """Standard normal CDF 0.5 erfc(-z / sqrt 2) through :func:`erfc`'s
+    slice loop: each slice is negated and scaled into scratch and halved in
+    the output, so the caller's array is never copied or changed.
 
     Elementwise on arrays; a float for a scalar, from the same kernel, so
     scalar and array values are bit-identical.  Relative error stays below
     1e-12 over the whole lower tail down to the underflow near z = -37.
     """
-    x = np.array(z, dtype=float)  # the one copy; the caller's array stays as it was
-    np.negative(x, out=x)
-    x /= _SQRT2
-    cdf = erfc(x)
-    cdf *= 0.5
+    cdf = _erfc_slices(z, cdf=True)
     return float(cdf) if cdf.ndim == 0 else cdf
 
 

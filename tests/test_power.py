@@ -223,6 +223,17 @@ class TestTableSimulation:
         b = table_simulation(spec, reps=2000, seed=7)
         assert a == b
 
+    def test_streams_are_numpys_seed_sequence_streams(self):
+        # the null and alternative draws are the streams (seed, 0) and
+        # (seed, 1), built here straight from numpy's SeedSequence
+        spec = spec_binom(40, (0.25, 0.75))
+        res = table_simulation(spec, reps=3000, seed=11, theta_alt=0.45)
+        c, d = _reject_regions(spec)[0]
+        for rate, path, theta in ((res.mc_type1, 0, 0.25), (res.mc_power, 1, 0.45)):
+            bits = np.random.Philox(np.random.SeedSequence(11, spawn_key=(path,)))
+            s = np.random.Generator(bits).binomial(40, theta, size=3000)
+            assert rate == float(np.mean((c <= s) & (s <= d)))
+
     def test_requires_binomial_model(self):
         spec = CurveSpec(model="normal", n=10, margin=EquivalenceMargin(0.0, 1.0))
         with pytest.raises(ValueError):

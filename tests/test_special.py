@@ -1,7 +1,9 @@
 """Kernel accuracy tests against independent oracles (mpmath, exact
 rationals, quadrature, brute-force enumeration)."""
 
+import functools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath
@@ -12,9 +14,10 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from equilab import EquivalenceMargin, binom_onesided_pvalues, binom_tost_pvalue
-from equilab.special import (_acklam_quantile, _lentz, _lentz_array, binomial_interval_prob,
-                             binomial_pmf_vector, binomial_tail_vectors, erfc, log_gamma,
-                             normal_cdf, normal_quantile, reg_inc_beta,
+from equilab.special import (_ERX, _HIGH_WORD, _ONE_OVER_035, _PA, _PP, _QA, _QQ, _RA, _RB,
+                             _SA, _SB, SLICE_ELEMENTS, _acklam_quantile, _lentz, _lentz_array,
+                             binomial_interval_prob, binomial_pmf_vector, binomial_tail_vectors,
+                             erfc, log_gamma, normal_cdf, normal_quantile, reg_inc_beta,
                              reg_inc_beta_pair)
 
 mpmath.mp.dps = 40
@@ -253,8 +256,9 @@ class TestErfcKernel:
         assert np.isnan(erfc(np.array([0.5, math.nan, -math.nan]))[1:]).all()
 
     def test_normal_cdf_leaves_its_input_unchanged(self):
-        # it negates, scales and halves one copy in place: same operations,
-        # same order, so the bits are the expression form's
+        # each slice is negated and scaled into scratch and halved in the
+        # output: same operations, same order, so the bits are the
+        # expression form's
         z = np.linspace(-40.0, 10.0, 501)
         kept = z.copy()
         cdf = normal_cdf(z)
@@ -276,6 +280,172 @@ class TestErfcKernel:
         np.testing.assert_array_equal(normal_cdf(z), scalar)
         np.testing.assert_array_equal(normal_cdf(z.reshape(-1, 1)).ravel(), scalar)
         assert all(type(normal_cdf(v)) is float for v in (0.3, np.float64(-2.0), 7))
+
+    def test_normal_cdf_peak_memory_is_about_its_output(self):
+        # slice by slice: the result is the only array as large as the input
+        z = np.random.default_rng(5).standard_normal(1_000_000)
+        kept = z.copy()
+        normal_cdf(z[:10])
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            cdf = normal_cdf(z)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * cdf.nbytes
+        assert np.array_equal(z, kept)
+
+
+# The masked port that erfc replaced, kept verbatim as the reference for its
+# bits: every branch on every element of its mask, both forms through np.where.
+def _ref_poly(s, coefs):
+    """sum_i coefs[i] s^i grouped as the C library groups it: the pairs
+    c_2i + s c_2i+1 weighted by s^0, s^2, s^4, s^6 (s^4 s^2), s^8 (s^4 s^4),
+    added in order, so the roundings match."""
+    s2 = s * s
+    s4 = s2 * s2
+    powers = (s2, s4) if len(coefs) <= 6 else (s2, s4, s4 * s2, s4 * s4)
+    total = coefs[0] + s * coefs[1]
+    for power, i in zip(powers, range(2, len(coefs), 2)):
+        term = coefs[i] + s * coefs[i + 1] if i + 1 < len(coefs) else coefs[i]
+        total = total + power * term
+    return total
+
+
+def _ref_erfc_small(x):
+    """|x| < 0.84375: erfc = 1 - x - x P(x^2)/Q(x^2)."""
+    z = x * x
+    xy = x * (_ref_poly(z, _PP) / _ref_poly(z, _QQ))
+    return np.where(x < 0.25, 1.0 - (x + xy), 0.5 - (xy + (x - 0.5)))
+
+
+def _ref_erfc_mid(x):
+    """0.84375 <= |x| < 1.25: erfc = 1 - erx - P(s)/Q(s), s = |x| - 1."""
+    s = np.abs(x) - 1.0
+    pq = _ref_poly(s, _PA) / _ref_poly(s, _QA)
+    return np.where(x >= 0.0, (1.0 - _ERX) - pq, 1.0 + (_ERX + pq))
+
+
+def _ref_erfc_tail(r_coefs, s_coefs, x):
+    """1.25 <= |x| < 28: erfc(|x|) = exp(-x^2 - 0.5625 + R/S) / |x| in
+    1/x^2, with x^2 split at the high word of |x| so that the large exp
+    argument is exact; 2 - erfc(|x|) for negative x."""
+    a = np.abs(x)
+    s = 1.0 / (a * a)
+    z = (a.view(np.uint64) & _HIGH_WORD).view(np.float64)
+    q = np.exp(-z * z - 0.5625) * np.exp((z - a) * (z + a)
+                                         + _ref_poly(s, r_coefs) / _ref_poly(s, s_coefs)) / a
+    return np.where(x > 0.0, q, 2.0 - q)
+
+
+_REF_ERFC_BRANCHES = ((0.0, 0.84375, _ref_erfc_small), (0.84375, 1.25, _ref_erfc_mid),
+                      (1.25, _ONE_OVER_035, functools.partial(_ref_erfc_tail, _RA, _SA)),
+                      (_ONE_OVER_035, 28.0, functools.partial(_ref_erfc_tail, _RB, _SB)))
+
+
+def _ref_erfc_slice(x: np.ndarray, out: np.ndarray) -> None:
+    """fdlibm's erfc on one slice, written into ``out``."""
+    ax = np.abs(x)
+    out[:] = 1.0 - np.sign(x)  # 0 / 2 for |x| >= 28 and +-inf, nan for nan
+    for lo, hi, branch in _REF_ERFC_BRANCHES:
+        idx = np.flatnonzero((ax >= lo) & (ax < hi))
+        if idx.size:
+            out[idx] = branch(x[idx])
+
+
+def ref_erfc(x):
+    x = np.asarray(x, dtype=float)
+    flat = x.ravel()
+    out = np.empty_like(flat)
+    for start in range(0, flat.size, SLICE_ELEMENTS):
+        part = slice(start, start + SLICE_ELEMENTS)
+        _ref_erfc_slice(flat[part], out[part])
+    return out.reshape(x.shape)
+
+
+def ref_normal_cdf(z):
+    x = np.array(z, dtype=float)
+    np.negative(x, out=x)
+    x /= math.sqrt(2.0)
+    cdf = ref_erfc(x)
+    cdf *= 0.5
+    return float(cdf) if cdf.ndim == 0 else cdf
+
+
+def assert_same_bits(got, want):
+    """Equal float64 bit patterns, shapes and types; NaN compared by position."""
+    assert type(got) is type(want)
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(got[~nan].view(np.uint64), want[~nan].view(np.uint64))
+
+
+# |x| intervals of the kernel's ten groups (branch, then x < 0.25 or x < 0
+# against the rest), each well inside its edges
+_ERFC_GROUPS = ((-0.84, 0.24), (0.26, 0.84), (-1.24, -0.85), (0.85, 1.24),
+                (-2.85, -1.26), (1.26, 2.85), (-27.9, -2.86), (2.86, 27.9),
+                (-1e3, -28.0), (28.0, 1e3))
+
+
+def _edge_points():
+    edges = [0.25, 0.84375, 1.25, _ONE_OVER_035, 28.0]
+    points = [np.nextafter(e, toward) for e in edges for toward in (0.0, e, math.inf)]
+    return np.array(points + [-p for p in points] + ERFC_SPECIALS + [math.nan, -math.nan])
+
+
+def _one_group_slices(rng):
+    """One full slice per group, then all groups mixed, so every slice
+    holds all ten."""
+    groups = [rng.uniform(lo, hi, SLICE_ELEMENTS) for lo, hi in _ERFC_GROUPS]
+    groups[8][::97] = -math.inf
+    groups[8][1::97] = math.nan
+    groups[9][::89] = math.inf
+    mixed = rng.permutation(np.concatenate(groups))
+    return np.concatenate(groups + [mixed])
+
+
+class TestErfcAgainstMaskedPort:
+    """erfc and normal_cdf keep the bits of the masked port above."""
+
+    @pytest.mark.parametrize("scale", [0.3, 0.7, 1.5, 3.0, 6.0, 12.0])
+    def test_seeded_normals(self, scale):
+        x = np.random.default_rng(int(scale * 10)).normal(0.0, scale, 3 * SLICE_ELEMENTS + 7)
+        assert_same_bits(erfc(x), ref_erfc(x))
+        assert_same_bits(normal_cdf(x), ref_normal_cdf(x))
+
+    def test_edges_neighbours_and_specials(self):
+        x = _edge_points()
+        assert_same_bits(erfc(x), ref_erfc(x))
+        assert_same_bits(normal_cdf(x), ref_normal_cdf(x))
+        assert_same_bits(normal_cdf(x * math.sqrt(2.0)), ref_normal_cdf(x * math.sqrt(2.0)))
+        for v in x:
+            assert_same_bits(erfc(v), ref_erfc(v))
+            assert_same_bits(normal_cdf(v), ref_normal_cdf(v))
+
+    def test_one_group_and_ten_group_slices(self):
+        x = _one_group_slices(np.random.default_rng(17))
+        assert_same_bits(erfc(x), ref_erfc(x))
+        assert_same_bits(normal_cdf(-math.sqrt(2.0) * x), ref_normal_cdf(-math.sqrt(2.0) * x))
+
+    @pytest.mark.parametrize("size", [0, 1, SLICE_ELEMENTS - 1, SLICE_ELEMENTS,
+                                      SLICE_ELEMENTS + 1, 3 * SLICE_ELEMENTS + 7])
+    def test_lengths(self, size):
+        x = np.random.default_rng(size).normal(0.0, 4.0, size)
+        assert_same_bits(erfc(x), ref_erfc(x))
+        assert_same_bits(normal_cdf(x), ref_normal_cdf(x))
+
+    def test_layouts_and_integers(self):
+        z = np.random.default_rng(23).normal(0.0, 5.0, 3 * 4099)
+        inputs = [z.reshape(3, 4099), np.asfortranarray(z.reshape(4099, 3)), z[::3],
+                  np.arange(-40, 41), np.arange(-40, 41).reshape(9, 9)]
+        for x in inputs:
+            kept = np.array(x, copy=True)
+            assert_same_bits(erfc(x), ref_erfc(x))
+            assert_same_bits(normal_cdf(x), ref_normal_cdf(x))
+            assert np.array_equal(x, kept)
 
 
 class TestNormal:

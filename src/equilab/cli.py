@@ -7,7 +7,9 @@ not read is an error) > defaults, both sources through the flag's converter
 in ``FLAG_TYPES``.  Records go to CSV (default) or JSON, plus a
 ``<output>.manifest.json`` sidecar with the command, the effective value of
 every flag read but ``--out``/``--format`` and a digest of them, the seed
-(null where nothing is drawn), the tool version and timestamps.
+(null where nothing is drawn), the tool version, timestamps and the
+environment (Python and numpy versions, operating system, release, machine
+and CPU count).
 
 Determinism contract: identical subcommand, flags and seed produce a
 byte-identical data file.  Floats are quantized to 12 significant digits
@@ -22,9 +24,13 @@ import functools
 import hashlib
 import json
 import math
+import os
+import platform
 import sys
 from dataclasses import astuple, fields, is_dataclass
 from datetime import datetime, timezone
+
+import numpy as np
 
 from . import __version__
 from .beta_binomial import BetaPrior
@@ -162,6 +168,16 @@ def load_config_file(path: str) -> dict:
 def _digest(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=1)
+def _environment() -> tuple:
+    """The interpreter, numpy and host of this process, as manifest items:
+    computed once.  Not ``platform.platform()``, whose first call reads the
+    interpreter binary."""
+    return (("python", platform.python_version()), ("numpy", np.__version__),
+            ("system", platform.system()), ("release", platform.release()),
+            ("machine", platform.machine()), ("cpu_count", os.cpu_count()))
 
 
 def write_output(records, fieldnames, out_path: str, fmt: str, manifest: dict) -> None:
@@ -417,6 +433,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "config": config,
             "config_digest": _digest(config),
+            "environment": dict(_environment()),
             "seed": opts.get("seed"),
             "tool_version": __version__,
             "rng": RNG_NOTE,

@@ -129,14 +129,21 @@ def normal_tost_pvalue(samp: NormalSampling, xbar: float,
     return EvidenceMeasure(value, "combined", "frequentist")
 
 
-def _posterior_tail_values(samp: NormalSampling, prior: NormalPrior, xbar,
-                           margin: EquivalenceMargin):
-    """Vectorized posterior tail probabilities (upper, lower)."""
+def _posterior_tail_values(samp: NormalSampling, prior: NormalPrior, xbar: np.ndarray,
+                           margin: EquivalenceMargin, upper=None):
+    """Posterior tail probabilities (upper, lower) at the sample means in the
+    float64 array ``xbar``, in place: the upper tail goes into ``upper``
+    (an array of xbar's shape, or a new one when None) and the lower tail
+    over ``xbar``.  The bits are those of 1 - Phi(coef (xbar - theta1)) and
+    Phi(coef (xbar - theta2))."""
     coef = posterior_coefficient(samp, prior)
-    x = np.asarray(xbar, dtype=float)
-    upper = 1.0 - normal_cdf(coef * (x - margin.theta1))
-    lower = normal_cdf(coef * (x - margin.theta2))
-    return upper, lower
+    upper = np.subtract(xbar, margin.theta1, out=upper)
+    upper *= coef
+    normal_cdf(upper, out=upper)
+    np.subtract(1.0, upper, out=upper)
+    xbar -= margin.theta2
+    xbar *= coef
+    return upper, normal_cdf(xbar, out=xbar)
 
 
 def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float,
@@ -150,8 +157,8 @@ def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float
         theta1, ``lower`` = P(theta >= theta2 | xbar) under the prior
         centered at theta2, ``combined`` their (clamped) sum.
     """
-    up, lo = _posterior_tail_values(samp, prior, xbar, margin)
-    up, lo = float(up), float(lo)
+    up, lo = _posterior_tail_values(samp, prior, np.array([xbar], dtype=float), margin)
+    up, lo = float(up[0]), float(lo[0])
     return (EvidenceMeasure(up, "upper", "bayesian"),
             EvidenceMeasure(lo, "lower", "bayesian"),
             EvidenceMeasure(min(1.0, max(0.0, up + lo)), "combined", "bayesian"))

@@ -202,11 +202,14 @@ def normal_curves(spec: CurveSpec, mc_reps: int = 100_000, seed: int = 0):
     if spec.prior is not None:
         if not isinstance(spec.prior, NormalPrior):
             raise ValueError("normal model requires a NormalPrior")
-        rng = spawn_rng(seed, 0)
-        xbar = spec.theta_true + spec.sigma / math.sqrt(spec.n) * \
-            rng.standard_normal(mc_reps)
-        up, lo = _posterior_tail_values(samp, spec.prior, xbar, spec.margin)
-        pb = np.sort(np.clip(up + lo, 0.0, 1.0))
+        xbar = spawn_rng(seed, 0).standard_normal(mc_reps)
+        xbar *= spec.sigma / math.sqrt(spec.n)
+        xbar += spec.theta_true
+        up, pb = _posterior_tail_values(samp, spec.prior, xbar, spec.margin)
+        pb += up
+        del up
+        np.clip(pb, 0.0, 1.0, out=pb)
+        pb.sort()
         y_b = np.searchsorted(pb, grid, side="right") / mc_reps  # the share at or below t
     y_f = normal_pvalue_cdf(samp, spec.theta_true, spec.margin, grid)
     return [CurvePoint(float(t), float(f), float(b)) for t, f, b in zip(grid, y_f, y_b)]

@@ -377,13 +377,23 @@ def _erfc_slice(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
     out[order] = sorted_x
 
 
-def _erfc_slices(z, cdf: bool) -> np.ndarray:
+def _erfc_slices(z, cdf: bool, out=None) -> np.ndarray:
     """erfc(z), or when ``cdf`` the normal CDF 0.5 erfc(-z / sqrt 2), as a
-    float array of z's shape, one slice of ``SLICE_ELEMENTS`` at a time: the
-    only array as large as z is the result."""
+    float array of z's shape, one slice of ``SLICE_ELEMENTS`` at a time,
+    written into ``out`` (a new array when None): the only array as large as
+    z is the result.  Each slice of z is copied into scratch before its
+    output slice is written, so ``out`` may be z itself."""
     z = np.asarray(z, dtype=float)
     flat = z.ravel()
-    out = np.empty(flat.shape)
+    if out is None:
+        out = np.empty(z.shape)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.shape == z.shape and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError("out must be a writeable C-contiguous float64 array of z's shape")
+    elif np.may_share_memory(out, z) and not (out.ctypes.data == z.ctypes.data
+                                              and out.strides == z.strides):
+        raise ValueError("out must be z itself or not overlap it")
+    flat_out = out.reshape(-1)
     # the sorted slice, then 8 scratch rows for a branch
     work = np.empty((9, min(flat.size, SLICE_ELEMENTS)))
     for start in range(0, flat.size, SLICE_ELEMENTS):
@@ -392,10 +402,10 @@ def _erfc_slices(z, cdf: bool) -> np.ndarray:
         if cdf:
             x = np.negative(x, out=work[-1, :x.size])
             x /= _SQRT2
-        _erfc_slice(x, out[part], work)
+        _erfc_slice(x, flat_out[part], work)
         if cdf:
-            out[part] *= 0.5
-    return out.reshape(z.shape)
+            flat_out[part] *= 0.5
+    return out
 
 
 def erfc(x):
@@ -411,15 +421,22 @@ def erfc(x):
     return _erfc_slices(x, cdf=False)
 
 
-def normal_cdf(z):
+def normal_cdf(z, out=None):
     """Standard normal CDF 0.5 erfc(-z / sqrt 2) through :func:`erfc`'s
     slice loop: each slice is negated and scaled into scratch and halved in
-    the output, so the caller's array is never copied or changed.
+    the output, so the caller's array is never copied, and it changes only
+    when it is passed as ``out``.
 
     Elementwise on arrays; a float for a scalar, from the same kernel, so
     scalar and array values are bit-identical.  Relative error stays below
     1e-12 over the whole lower tail down to the underflow near z = -37.
+    With ``out`` (a writeable C-contiguous float64 array of z's shape, which
+    may be z itself but must not partly overlap it) the CDF is written into
+    it, with the same bits, and ``out`` is returned; anything else raises
+    ValueError rather than being copied.
     """
+    if out is not None:
+        return _erfc_slices(z, cdf=True, out=out)
     cdf = _erfc_slices(z, cdf=True)
     return float(cdf) if cdf.ndim == 0 else cdf
 

@@ -2,8 +2,11 @@
 precedence, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
+import os
+import platform
 import shlex
 from pathlib import Path
 
@@ -170,6 +173,20 @@ class TestDeterminismAndManifest:
         assert manifest["started"] <= manifest["finished"]
         _, out = run(tmp_path, "tm", ["theta-max", "--n", "10", "--margin", "0.2,0.8"])
         assert read_manifest(out)["seed"] is None
+
+    def test_manifest_environment_outside_the_digest(self, tmp_path):
+        args = ["theta-max", "--n", "10", "--margin", "0.2,0.8"]
+        _, out = run(tmp_path, "env", args)
+        manifest = read_manifest(out)
+        assert manifest["environment"] == {
+            "python": platform.python_version(), "numpy": np.__version__,
+            "system": platform.system(), "release": platform.release(),
+            "machine": platform.machine(), "cpu_count": os.cpu_count()}
+        # the digest covers the config alone, and the data file is unchanged
+        canonical = json.dumps(manifest["config"], sort_keys=True, separators=(",", ":"))
+        assert manifest["config_digest"] == hashlib.sha256(canonical.encode()).hexdigest()
+        _, again = run(tmp_path, "env2", args)
+        assert again.read_bytes() == out.read_bytes()
 
     def test_same_effective_config_same_digest(self, tmp_path):
         cfg = tmp_path / "tm.cfg"

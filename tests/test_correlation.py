@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -82,6 +83,16 @@ class TestSampleCorrelation:
         se = float(np.sqrt(np.mean(psi * psi) / x.size))
         res = sample_correlation(x, y)
         assert (res.rho, res.std_error) == (r, se)
+
+
+    def test_inputs_left_unchanged(self):
+        rng = spawn_rng(4, 0)
+        x = rng.standard_normal(1000)
+        y = x + rng.standard_normal(1000)
+        kept_x, kept_y = x.copy(), y.copy()
+        assert sample_correlation(x, y).rho > 0.5
+        assert sample_correlation(x, x).rho == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(x, kept_x) and np.array_equal(y, kept_y)
 
 
 class TestEquivalenceCorrelation:
@@ -231,6 +242,46 @@ class TestMonteCarloPaths:
             assert (res.rho.hex(), res.std_error.hex()) == hexes[name]
 
 
+def _traced_peak(call):
+    """call()'s result and the tracemalloc peak of what it allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = call()
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+class TestMonteCarloMemory:
+    """Each MC path works in place: both evidence arrays and their product
+    are the only draw-sized arrays, with the bits the expression form gave."""
+
+    SAMP = NormalSampling(sigma=2.0, n=30)
+    PRIOR = NormalPrior(0.5)
+    MARGIN = EquivalenceMargin(1.0, 4.0)
+    DRAWS = 10**6
+
+    @pytest.mark.parametrize("name, hexes", [
+        ("two_sided", ("0x1.fdceb6a7a70dcp-1", "0x1.4e5d044600245p-18")),
+        ("equivalence", ("-0x1.f614aecf0e33ap-1", "0x1.2191620428702p-14")),
+        ("partial", ("-0x1.c6ec6d9873fd7p-6", "0x1.3a2b34c14f67dp-12")),
+    ])
+    def test_three_arrays_same_bits(self, name, hexes):
+        calls = {
+            "two_sided": lambda draws: corr_two_sided_mc(0.5, draws=draws, seed=8),
+            "equivalence": lambda draws: corr_equivalence_mc(
+                self.SAMP, self.PRIOR, self.MARGIN, draws=draws, seed=5, theta=2.0),
+            "partial": lambda draws: corr_partial_pvalues(self.SAMP, self.MARGIN,
+                                                          draws=draws, seed=5),
+        }
+        calls[name](16)  # first-use set-up is not part of the working set
+        res, peak = _traced_peak(lambda: calls[name](self.DRAWS))
+        assert peak <= 3.25 * 8 * self.DRAWS
+        assert (res.rho.hex(), res.std_error.hex()) == hexes
+
+
 class TestPartialPvalueCorrelation:
     def test_degenerate_margin_is_minus_one(self):
         res = corr_partial_pvalues(NormalSampling(1.0, 10), half_width=0.0)
@@ -276,8 +327,14 @@ class TestTwoSidedCorrelation:
         assert abs(mc.rho - closed) <= 3 * mc.std_error
 
     def test_mc_degenerate_limit(self):
-        mc = corr_two_sided_mc(1.0, draws=10**4, seed=8)
-        assert mc.rho == pytest.approx(1.0, abs=1e-12)
+        # w = 1 passes one array as both samples: the in-place estimator
+        # must centre a copy, not that buffer twice
+        for seed in (2, 8):
+            mc = corr_two_sided_mc(1.0, draws=10**4, seed=seed)
+            p = 2.0 * (spawn_rng(seed, 0).standard_normal(10**4) < 0.0).astype(float)
+            assert mc == sample_correlation(p, p.copy())
+            assert mc.rho == pytest.approx(1.0, abs=1e-12)
+            assert mc.std_error <= 1e-17
 
     def test_monotone_in_weight(self):
         values = [corr_two_sided(w).rho for w in np.arange(0.1, 1.01, 0.1)]

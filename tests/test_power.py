@@ -1,6 +1,7 @@
 """Exact curves, power maximizer search, and the simulation-table protocol."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -14,6 +15,7 @@ from equilab import (BetaPrior, CurveSpec, EquivalenceMargin, NormalPrior,
                      normal_curves, table_simulation, theta_max)
 from equilab import power
 from equilab.power import _argmax_toward_center, _reject_regions
+from equilab.special import SLICE_ELEMENTS
 
 mpmath.mp.dps = 40
 
@@ -198,6 +200,25 @@ class TestNormalCurves:
         for point in points:
             se = math.sqrt(point.x * (1 - point.x) / reps)
             assert abs(point.y_bayes - point.x) <= 3 * se
+
+    def test_posterior_column_in_place_same_values(self):
+        # the draws become the posterior evidence in place: with the upper
+        # tail that is two reps-sized arrays, plus the normal CDF's fixed
+        # scratch of 9 slice rows (1.2 MB, 1.5 such arrays at 1e5 reps)
+        spec = CurveSpec(model="normal", n=30, margin=EquivalenceMargin(1.0, 4.0),
+                         prior=NormalPrior(0.5), grid=[0.05, 0.2, 0.5, 0.8],
+                         theta_true=1.0, sigma=2.0)
+        reps = 100_000
+        normal_curves(spec, mc_reps=16, seed=5)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            points = normal_curves(spec, mc_reps=reps, seed=5)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * 8 * reps + 9 * 8 * SLICE_ELEMENTS
+        assert [p.y_bayes for p in points] == [0.02133, 0.14988, 0.50296, 0.85251]
 
     def test_no_prior_gives_nan_bayes_column(self):
         spec = CurveSpec(model="normal", n=10, margin=EquivalenceMargin(0.0, 2.0),

@@ -170,14 +170,13 @@ def _digest(config: dict) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-@functools.lru_cache(maxsize=1)
-def _environment() -> tuple:
-    """The interpreter, numpy and host of this process, as manifest items:
-    computed once.  Not ``platform.platform()``, whose first call reads the
-    interpreter binary."""
-    return (("python", platform.python_version()), ("numpy", np.__version__),
-            ("system", platform.system()), ("release", platform.release()),
-            ("machine", platform.machine()), ("cpu_count", os.cpu_count()))
+def _environment() -> dict:
+    """The interpreter, numpy and host of this process, for the manifest.
+    The platform module caches what it reads; ``platform.platform()`` is
+    left out, as its first call reads the interpreter binary."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "system": platform.system(), "release": platform.release(),
+            "machine": platform.machine(), "cpu_count": os.cpu_count()}
 
 
 def write_output(records, fieldnames, out_path: str, fmt: str, manifest: dict) -> None:
@@ -433,7 +432,7 @@ def main(argv=None) -> int:
             "command": args.command,
             "config": config,
             "config_digest": _digest(config),
-            "environment": dict(_environment()),
+            "environment": _environment(),
             "seed": opts.get("seed"),
             "tool_version": __version__,
             "rng": RNG_NOTE,

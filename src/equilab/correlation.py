@@ -93,14 +93,12 @@ def sample_correlation(x, y) -> CorrelationResult:
 
 
 def _correlation_in_place(x: np.ndarray, y: np.ndarray) -> CorrelationResult:
-    """:func:`sample_correlation` of two equal-length 1-d float arrays that it
-    overwrites: each is centred and scaled in its own buffer, and the product
-    is the only array allocated, so three arrays of the sample's size are
-    live at the peak.  The bits are those of (x - x.mean()) / x.std() and
+    """:func:`sample_correlation` of two distinct equal-length 1-d float
+    arrays that it overwrites: each is centred and scaled in its own buffer,
+    and the product is the only array allocated, so three arrays of the
+    sample's size are live at the peak.  The bits are those of (x - x.mean()) / x.std() and
     the plain expressions: x.std() is the root of the mean of the centred
     squares, taken here in the product's buffer."""
-    if np.may_share_memory(x, y):
-        y = y.copy()  # one buffer passed twice would be centred twice
     prod = np.empty_like(x)
     x -= x.mean()
     sx = np.sqrt(np.multiply(x, x, out=prod).mean())
@@ -178,10 +176,11 @@ def corr_equivalence_mc(samp: NormalSampling, prior: NormalPrior,
         z /= samp.sigma
         normal_cdf(z, out=z)
     p_signed += second
+    del z, second  # free that buffer before the upper posterior tail takes one
     p_signed -= 1.0
-    upper, p_bayes = _posterior_tail_values(samp, prior, xbar, margin, upper=second)
+    upper, p_bayes = _posterior_tail_values(samp, prior, xbar, margin)
     p_bayes += upper
-    del z, second, upper  # free that buffer before the core allocates its product
+    del upper  # and this one before the core allocates its product
     np.clip(p_bayes, 0.0, 1.0, out=p_bayes)
     return _correlation_in_place(p_bayes, p_signed)
 
@@ -282,9 +281,10 @@ def corr_two_sided_mc(w: float, draws: int = 1_000_000, seed: int = 0) -> Correl
         raise ValueError(f"w must lie in (0, 1], got {w}")
     z = _standard_normal_draws(draws, seed)
     if w == 1.0:
-        # both measures are one array; the core centres a copy of it
-        p_f = p_b = 2.0 * (z < 0.0).astype(float)
+        # both measures are one array; the core needs it in two buffers
+        p_f = 2.0 * (z < 0.0).astype(float)
         del z
+        p_b = p_f.copy()
     else:
         # p_f = 2 (1 - Phi(a z)) and p_b the same at b z, the latter in the draws
         p_f = np.multiply(z, 1.0 / math.sqrt(1.0 - w))

@@ -130,14 +130,13 @@ def normal_tost_pvalue(samp: NormalSampling, xbar: float,
 
 
 def _posterior_tail_values(samp: NormalSampling, prior: NormalPrior, xbar: np.ndarray,
-                           margin: EquivalenceMargin, upper=None):
+                           margin: EquivalenceMargin):
     """Posterior tail probabilities (upper, lower) at the sample means in the
-    float64 array ``xbar``, in place: the upper tail goes into ``upper``
-    (an array of xbar's shape, or a new one when None) and the lower tail
-    over ``xbar``.  The bits are those of 1 - Phi(coef (xbar - theta1)) and
-    Phi(coef (xbar - theta2))."""
+    float64 array ``xbar``: the upper tail in a new array and the lower tail
+    in place over ``xbar``.  The bits are those of
+    1 - Phi(coef (xbar - theta1)) and Phi(coef (xbar - theta2))."""
     coef = posterior_coefficient(samp, prior)
-    upper = np.subtract(xbar, margin.theta1, out=upper)
+    upper = np.subtract(xbar, margin.theta1)
     upper *= coef
     normal_cdf(upper, out=upper)
     np.subtract(1.0, upper, out=upper)

@@ -265,12 +265,14 @@ class TestMonteCarloMemory:
 
     @pytest.mark.parametrize("name, hexes", [
         ("two_sided", ("0x1.fdceb6a7a70dcp-1", "0x1.4e5d044600245p-18")),
+        ("two_sided_flat", ("0x1.0000000000000p+0", "0x0.0p+0")),
         ("equivalence", ("-0x1.f614aecf0e33ap-1", "0x1.2191620428702p-14")),
         ("partial", ("-0x1.c6ec6d9873fd7p-6", "0x1.3a2b34c14f67dp-12")),
     ])
     def test_three_arrays_same_bits(self, name, hexes):
         calls = {
             "two_sided": lambda draws: corr_two_sided_mc(0.5, draws=draws, seed=8),
+            "two_sided_flat": lambda draws: corr_two_sided_mc(1.0, draws=draws, seed=8),
             "equivalence": lambda draws: corr_equivalence_mc(
                 self.SAMP, self.PRIOR, self.MARGIN, draws=draws, seed=5, theta=2.0),
             "partial": lambda draws: corr_partial_pvalues(self.SAMP, self.MARGIN,
@@ -327,8 +329,8 @@ class TestTwoSidedCorrelation:
         assert abs(mc.rho - closed) <= 3 * mc.std_error
 
     def test_mc_degenerate_limit(self):
-        # w = 1 passes one array as both samples: the in-place estimator
-        # must centre a copy, not that buffer twice
+        # at w = 1 both measures are one array, which the in-place estimator
+        # gets in two buffers, so neither is centred twice
         for seed in (2, 8):
             mc = corr_two_sided_mc(1.0, draws=10**4, seed=seed)
             p = 2.0 * (spawn_rng(seed, 0).standard_normal(10**4) < 0.0).astype(float)

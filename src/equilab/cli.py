@@ -381,13 +381,12 @@ def resolve_options(args: argparse.Namespace) -> dict:
     return opts
 
 
-@functools.lru_cache(maxsize=len(SUBCOMMANDS) + 1)
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of every subcommand; given a ``command``, only that one's
-    flags are built (the others keep their help line and take none).
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand and its flags.
 
-    Memoized per ``command``: every caller shares the parser, so treat it
-    as read-only (parse with it, never add to or change it)."""
+    Memoized: every caller shares the parser, so treat it as read-only
+    (parse with it, never add to or change it)."""
     parser = argparse.ArgumentParser(
         prog="equilab",
         description="Equivalence-testing evidence curves, tables and FDR simulations.",
@@ -396,8 +395,6 @@ def build_parser(command=None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        if command is not None and name != command:
-            continue
         for flag, default in flags.items():
             kind = FLAG_TYPES[flag]
             if kind is parse_switch:
@@ -411,11 +408,8 @@ def build_parser(command=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the first word that is not an option names the subcommand
-    parser = build_parser(next((word for word in argv if not word.startswith("-")), None))
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     started = datetime.now(timezone.utc).isoformat()

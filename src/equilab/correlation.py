@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .equivalence import EquivalenceMargin
-from .normal import NormalPrior, NormalSampling, _posterior_tail_values
+from .normal import NormalPrior, NormalSampling, _posterior_evidence
 from .rng import spawn_rng
 from .special import normal_cdf
 
@@ -178,11 +178,7 @@ def corr_equivalence_mc(samp: NormalSampling, prior: NormalPrior,
     p_signed += second
     del z, second  # free that buffer before the upper posterior tail takes one
     p_signed -= 1.0
-    upper, p_bayes = _posterior_tail_values(samp, prior, xbar, margin)
-    p_bayes += upper
-    del upper  # and this one before the core allocates its product
-    np.clip(p_bayes, 0.0, 1.0, out=p_bayes)
-    return _correlation_in_place(p_bayes, p_signed)
+    return _correlation_in_place(_posterior_evidence(samp, prior, xbar, margin), p_signed)
 
 
 def _partial_c(samp: NormalSampling, margin: Optional[EquivalenceMargin],

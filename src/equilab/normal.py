@@ -145,6 +145,17 @@ def _posterior_tail_values(samp: NormalSampling, prior: NormalPrior, xbar: np.nd
     return upper, normal_cdf(xbar, out=xbar)
 
 
+def _posterior_evidence(samp: NormalSampling, prior: NormalPrior, xbar: np.ndarray,
+                        margin: EquivalenceMargin) -> np.ndarray:
+    """Combined posterior probability of non-equivalence, lower + upper tail
+    clamped to [0, 1], at the sample means in the float64 array ``xbar``,
+    in place over ``xbar``; the upper tail's array is freed on return."""
+    upper, lower = _posterior_tail_values(samp, prior, xbar, margin)
+    lower += upper
+    del upper
+    return np.clip(lower, 0.0, 1.0, out=lower)
+
+
 def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float,
                            margin: EquivalenceMargin):
     """Posterior tail probabilities and their sum for the observed mean.

@@ -28,9 +28,8 @@ import numpy as np
 from .beta_binomial import BetaPrior
 from .equivalence import (EquivalenceMargin, SignificanceLevels, _pvalue_tails,
                           binom_critical_constants)
-from .normal import NormalPrior, NormalSampling, normal_pvalue_cdf, \
-    _posterior_tail_values
-from .rng import spawn_rng, stream_keys
+from .normal import NormalPrior, NormalSampling, normal_pvalue_cdf, _posterior_evidence
+from .rng import spawn_rng
 from .special import binomial_interval_prob, binomial_pmf_vector, reg_inc_beta_pair
 
 MODELS = ("binomial", "normal")
@@ -205,10 +204,7 @@ def normal_curves(spec: CurveSpec, mc_reps: int = 100_000, seed: int = 0):
         xbar = spawn_rng(seed, 0).standard_normal(mc_reps)
         xbar *= spec.sigma / math.sqrt(spec.n)
         xbar += spec.theta_true
-        up, pb = _posterior_tail_values(samp, spec.prior, xbar, spec.margin)
-        pb += up
-        del up
-        np.clip(pb, 0.0, 1.0, out=pb)
+        pb = _posterior_evidence(samp, spec.prior, xbar, spec.margin)
         pb.sort()
         y_b = np.searchsorted(pb, grid, side="right") / mc_reps  # the share at or below t
     y_f = normal_pvalue_cdf(samp, spec.theta_true, spec.margin, grid)
@@ -228,11 +224,8 @@ def table_simulation(spec: CurveSpec, reps: int, seed: int,
         raise ValueError(f"reps must be positive, got {reps}")
     region_f, region_b = _reject_regions(spec)
     c, d = region_f if region_b is None else region_b
-    # the streams (seed, 0) and (seed, 1), both keys from one pass
-    null_key, alt_key = stream_keys(seed, [[0], [1]])
-    s_null = np.random.Generator(np.random.Philox(key=null_key)).binomial(
-        spec.n, spec.margin.theta1, size=reps)
-    s_alt = np.random.Generator(np.random.Philox(key=alt_key)).binomial(spec.n, theta_alt, size=reps)
+    s_null = spawn_rng(seed, 0).binomial(spec.n, spec.margin.theta1, size=reps)
+    s_alt = spawn_rng(seed, 1).binomial(spec.n, theta_alt, size=reps)
     exact_type1, exact_power = binomial_interval_prob(spec.n, c, d,
                                                       (spec.margin.theta1, theta_alt))
     return TableResult(

@@ -8,9 +8,10 @@ get disjoint streams and results are identical however the work is
 scheduled.
 
 A Philox stream's whole state is its 128-bit key and a counter that starts
-at 0, so :func:`stream_keys` derives the keys of many paths in one pass of
-SeedSequence's pool hash over arrays, and :func:`rekey` moves one generator
-to the start of another stream; :func:`spawn_rng` is one key of each.
+at 0, so :func:`stream_keys` derives the keys of many paths at once: it
+takes numpy's own pool after the seed and continues SeedSequence's pool hash
+over arrays of path words.  :func:`rekey` moves one generator to the start
+of another stream; :func:`spawn_rng` is one key of each.
 """
 
 import operator
@@ -27,27 +28,24 @@ _SHIFT = 16
 _MASK32 = 0xFFFF_FFFF
 
 
-# Each step works on Python ints and on uint32 arrays alike: the arrays wrap
-# and the ints are masked to the same 32 bits.
+# Each step works on uint32 arrays, which wrap as numpy's 32-bit words do.
 def _hash(value, before, after):
     """SeedSequence's ``hashmix`` of ``value`` under the multiplier
     ``before``, which the hash advances to ``after``."""
-    value = (value ^ before) * after & _MASK32
+    value = (value ^ before) * after
     return value ^ value >> _SHIFT
 
 
 def _mix(x, y):
-    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    result = _MIX_L * x - _MIX_R * y
     return result ^ result >> _SHIFT
 
 
-def _multipliers(const, mult, steps):
-    """The multiplier before each of ``steps`` hashes and after the last:
-    const, const mult, const mult**2, ... (mod 2**32)."""
-    out = [const]
-    for _ in range(steps):
-        out.append(out[-1] * mult & _MASK32)
-    return out
+def _multipliers(const, mult, start, steps):
+    """The multiplier before each of ``steps`` hashes from the ``start``-th
+    on and after the last, const mult**i (mod 2**32), as a uint32 column."""
+    return np.array([const * pow(mult, i, 1 << 32) & _MASK32
+                     for i in range(start, start + steps + 1)], dtype=np.uint32)[:, np.newaxis]
 
 
 def stream_keys(seed: int, paths) -> np.ndarray:
@@ -56,45 +54,31 @@ def stream_keys(seed: int, paths) -> np.ndarray:
     elements are 32-bit words, in [0, 2**32).
 
     Row r equals ``SeedSequence(seed, spawn_key=paths[r])
-    .generate_state(2, np.uint64)``: numpy's pool hash, with each entropy
-    word past the pool mixed into all four pool words at once.  The pool
-    after the seed is the same for every row; each column of ``paths`` is
-    then one step over all rows.
+    .generate_state(2, np.uint64)``.  The pool after the seed is the same
+    for every row, ``SeedSequence(seed).pool``; numpy's pool hash then
+    continues over all rows at once, each column of ``paths`` one step that
+    mixes its word into all four pool words.
     """
     seed = operator.index(seed)
     if seed < 0:
-        # checked first: splitting a negative int into words never ends
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     paths = np.asarray(paths)
     if paths.ndim != 2 or paths.size and (paths.dtype.kind not in "iu" or paths.min() < 0
                                           or paths.max() > _MASK32):
         raise ValueError("spawn paths must be a (rows, depth) array of integers "
                          "in [0, 2**32)")
-    words = [seed & _MASK32]
-    while seed := seed >> 32:
-        words.append(seed & _MASK32)
-    # zeros up to the pool size, as SeedSequence pads a seed that a spawn
-    # key follows; without one they change nothing (a missing word hashes as 0)
-    words += [0] * (_POOL - len(words))
-    # then the seed's words past the pool and the path's words, in order
-    columns = [*words[_POOL:], *paths.astype(np.uint32).T]
-    mult = _multipliers(_INIT_A, _MULT_A, _POOL * (_POOL + len(columns)))
-    pool = [_hash(word, mult[i], mult[i + 1]) for i, word in enumerate(words[:_POOL])]
-    step = _POOL
-    # every pool word reaches every other
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], _hash(pool[src], mult[step], mult[step + 1]))
-                step += 1
-    pool = np.repeat(np.array(pool, dtype=np.uint32)[:, np.newaxis], len(paths), axis=1)
-    mult = np.array(mult, dtype=np.uint32)[:, np.newaxis]
-    for word in columns:
-        pool = _mix(pool, _hash(word, mult[step:step + _POOL], mult[step + 1:step + _POOL + 1]))
-        step += _POOL
+    # the seed's words took 4 hashes to fill the pool, 12 to mix it and 4
+    # per word past the pool
+    words = max(1, -(-seed.bit_length() // 32))
+    step = _POOL * (_POOL + max(0, words - _POOL))
+    mult = _multipliers(_INIT_A, _MULT_A, step, _POOL * paths.shape[1])
+    pool = np.repeat(np.random.SeedSequence(seed).pool[:, np.newaxis], len(paths), axis=1)
+    for word in paths.astype(np.uint32).T:
+        pool = _mix(pool, _hash(word, mult[:_POOL], mult[1:_POOL + 1]))
+        mult = mult[_POOL:]
     # generate_state(2, np.uint64): one output word per pool word, paired
     # little-endian
-    mult = np.array(_multipliers(_INIT_B, _MULT_B, _POOL), dtype=np.uint32)[:, np.newaxis]
+    mult = _multipliers(_INIT_B, _MULT_B, 0, _POOL)
     out = _hash(pool, mult[:-1], mult[1:]).astype(np.uint64)
     return np.stack((out[0] | out[1] << 32, out[2] | out[3] << 32), axis=-1)
 

@@ -11,20 +11,21 @@ incomplete beta is one array kernel, :func:`reg_inc_beta_pair`: the
 modified Lentz continued fraction with a per-element symmetry switch, each
 element leaving the iteration when it converges, returning (I, 1 - I) with
 the small member computed directly; scalar :func:`reg_inc_beta` is a
-one-element call.  On it, :func:`binomial_interval_prob` gives
-P_theta(C <= T <= D) over a whole grid of theta for one region or an array
-of regions, one kernel call for every region of a curve: P(T >= s) =
-I_theta(s, n-s+1) and its complement at each s = C and D+1, taking per
-theta the form whose operands are small, so tiny powers and type-II masses
-keep their relative accuracy.  erfc is a numpy port of fdlibm's rational
-approximations (the algorithm of the C library ``erfc``), evaluated in
-slices of at most ``SLICE_ELEMENTS`` with one scratch of 9 slice-sized
+one-element call, and the float and array iterations share one step.  On
+it, :func:`binomial_interval_prob` gives P_theta(C <= T <= D) over a whole
+grid of theta for one region or an array of regions, one kernel call for
+every region of a curve: P(T >= s) = I_theta(s, n-s+1) and its complement
+at each s = C and D+1, taking per theta the form whose operands are small,
+so tiny powers and type-II masses keep their relative accuracy.  erfc is a
+numpy port of fdlibm's rational approximations (the algorithm of the C
+library ``erfc``), evaluated in place over a copy of its input, the result,
+in slices of at most ``SLICE_ELEMENTS`` with one scratch of 9 slice-sized
 rows: each slice is sorted once by branch and sign (a radix sort on 8-bit
 codes), and each branch runs in place over its contiguous run, so every
 element computes only its own expression; the normal CDF scales and halves
 inside the same slice loop, so the result is the only array as large as the
-input.  Scalars and arrays take the same path.
-All functions are pure and safe to call from concurrent workers.
+input.  Scalars and arrays take the same path.  All functions are pure and
+safe to call from concurrent workers.
 """
 
 import functools
@@ -33,6 +34,7 @@ import math
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
+_NO_CONVERGENCE = "incomplete beta continued fraction did not converge for a={}, b={}, x={}"
 
 # elements per erfc slice; also bounds the FDR simulation's replication
 # blocks.  erfc on the 1e6 values z / sqrt 2, z standard normal, takes
@@ -94,6 +96,24 @@ def _guard(t, tiny: float = 1e-300):
     return t + (abs(t) < tiny) * (tiny - t)
 
 
+def _lentz_step(m, a, b, x, qab, qap, qam, c, d, h, guard):
+    """The m-th even and odd steps of the continued fraction, on floats or
+    elementwise on arrays, with ``guard`` keeping each divisor off zero;
+    returns the next (c, d, h) and the odd step's factor delta."""
+    m2 = 2 * m
+    # even step
+    num = m * (b - m) * x / ((qam + m2) * (a + m2))
+    d = 1.0 / guard(1.0 + num * d)
+    c = guard(1.0 + num / c)
+    h = h * (d * c)
+    # odd step
+    num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+    d = 1.0 / guard(1.0 + num * d)
+    c = guard(1.0 + num / c)
+    delta = d * c
+    return c, d, h * delta, delta
+
+
 def _lentz(a: float, b: float, x: float, max_iter: int = 1000, eps: float = 1e-16) -> float:
     """Continued fraction for the incomplete beta (modified Lentz method;
     I. J. Thompson and A. R. Barnett, J. Comput. Phys. 64, 1986) on floats.
@@ -106,27 +126,12 @@ def _lentz(a: float, b: float, x: float, max_iter: int = 1000, eps: float = 1e-1
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
-    d = 1.0 / _guard(1.0 - qab * x / qap)
-    h = d
+    d = h = 1.0 / _guard(1.0 - qab * x / qap)
     for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        # even step
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 / _guard(1.0 + num * d)
-        c = _guard(1.0 + num / c)
-        h = h * (d * c)
-        # odd step
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 / _guard(1.0 + num * d)
-        c = _guard(1.0 + num / c)
-        delta = d * c
-        h = h * delta
+        c, d, h, delta = _lentz_step(m, a, b, x, qab, qap, qam, c, d, h, _guard)
         if abs(delta - 1.0) < eps:
             return h
-    raise RuntimeError(
-        f"incomplete beta continued fraction did not converge for "
-        f"a={a}, b={b}, x={x}"
-    )
+    raise RuntimeError(_NO_CONVERGENCE.format(a, b, x))
 
 
 def _guarded(t: np.ndarray, tiny: float = 1e-300) -> np.ndarray:
@@ -146,21 +151,9 @@ def _lentz_array(a, b, x, max_iter: int = 1000, eps: float = 1e-16) -> np.ndarra
     qap = a + 1.0
     qam = a - 1.0
     c = np.ones_like(x)
-    d = 1.0 / _guarded(1.0 - qab * x / qap)
-    h = d
+    d = h = 1.0 / _guarded(1.0 - qab * x / qap)
     for m in range(1, max_iter + 1):
-        m2 = 2 * m
-        # even step
-        num = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 / _guarded(1.0 + num * d)
-        c = _guarded(1.0 + num / c)
-        h = h * (d * c)
-        # odd step
-        num = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 / _guarded(1.0 + num * d)
-        c = _guarded(1.0 + num / c)
-        delta = d * c
-        h = h * delta
+        c, d, h, delta = _lentz_step(m, a, b, x, qab, qap, qam, c, d, h, _guarded)
         done = np.abs(delta - 1.0) < eps
         if done.any():
             out[active] = h  # final for the converged; the rest write again later
@@ -169,10 +162,7 @@ def _lentz_array(a, b, x, max_iter: int = 1000, eps: float = 1e-16) -> np.ndarra
                 return out
             active, a, b, x, qab, qap, qam, c, d, h = (
                 v.take(going) for v in (active, a, b, x, qab, qap, qam, c, d, h))
-    raise RuntimeError(
-        f"incomplete beta continued fraction did not converge for "
-        f"a={a}, b={b}, x={x}"
-    )
+    raise RuntimeError(_NO_CONVERGENCE.format(a, b, x))
 
 
 def reg_inc_beta_pair(a, b, x):
@@ -352,11 +342,11 @@ _ERFC_BRANCHES = (_erfc_small, _erfc_mid, functools.partial(_erfc_tail, _RA, _SA
                   functools.partial(_erfc_tail, _RB, _SB), _erfc_huge)
 
 
-def _erfc_slice(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
-    """fdlibm's erfc on one slice, written into ``out``: the elements sorted
-    by branch and sign, each branch run once over its run of the sorted copy
-    in ``work[0]``, then scattered back.  ``work`` has 9 rows of at least
-    x.size; ``x`` may be its last."""
+def _erfc_slice(x: np.ndarray, work: np.ndarray) -> None:
+    """fdlibm's erfc on one slice, in place: the elements sorted by branch
+    and sign, each branch run once over its run of the sorted copy in
+    ``work[0]``, then scattered back into ``x``.  ``work`` has 9 rows of at
+    least x.size."""
     n = x.size
     ax = np.abs(x, out=work[1, :n])
     # each element's code is 2 (the edges |x| is not below) + (x >= 0.25):
@@ -374,38 +364,26 @@ def _erfc_slice(x: np.ndarray, out: np.ndarray, work: np.ndarray) -> None:
         lo, split, hi = bounds[2 * k:2 * k + 3]
         if hi > lo:
             branch(sorted_x[lo:hi], split - lo, work[1:, :hi - lo])
-    out[order] = sorted_x
+    x[order] = sorted_x
 
 
-def _erfc_slices(z, cdf: bool, out=None) -> np.ndarray:
-    """erfc(z), or when ``cdf`` the normal CDF 0.5 erfc(-z / sqrt 2), as a
-    float array of z's shape, one slice of ``SLICE_ELEMENTS`` at a time,
-    written into ``out`` (a new array when None): the only array as large as
-    z is the result.  Each slice of z is copied into scratch before its
-    output slice is written, so ``out`` may be z itself."""
-    z = np.asarray(z, dtype=float)
-    flat = z.ravel()
-    if out is None:
-        out = np.empty(z.shape)
-    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
-              and out.shape == z.shape and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError("out must be a writeable C-contiguous float64 array of z's shape")
-    elif np.may_share_memory(out, z) and not (out.ctypes.data == z.ctypes.data
-                                              and out.strides == z.strides):
-        raise ValueError("out must be z itself or not overlap it")
-    flat_out = out.reshape(-1)
+def _erfc_slices(x: np.ndarray, cdf: bool) -> np.ndarray:
+    """Overwrite the writeable C-contiguous float64 array ``x`` with
+    erfc(x), or when ``cdf`` with the normal CDF 0.5 erfc(-x / sqrt 2), one
+    slice of ``SLICE_ELEMENTS`` at a time, and return it: besides x only a
+    scratch of 9 slice-sized rows is allocated."""
+    flat = x.reshape(-1)
     # the sorted slice, then 8 scratch rows for a branch
     work = np.empty((9, min(flat.size, SLICE_ELEMENTS)))
     for start in range(0, flat.size, SLICE_ELEMENTS):
-        part = slice(start, start + SLICE_ELEMENTS)
-        x = flat[part]
+        part = flat[start:start + SLICE_ELEMENTS]
         if cdf:
-            x = np.negative(x, out=work[-1, :x.size])
-            x /= _SQRT2
-        _erfc_slice(x, flat_out[part], work)
+            np.negative(part, out=part)
+            part /= _SQRT2
+        _erfc_slice(part, work)
         if cdf:
-            flat_out[part] *= 0.5
-    return out
+            part *= 0.5
+    return x
 
 
 def erfc(x):
@@ -414,31 +392,33 @@ def erfc(x):
     A numpy port of fdlibm's ``s_erf.c`` rational approximations, the
     algorithm of the C library ``erfc``: within 4 ulp of ``math.erfc``
     (bit-equal wherever numpy's ``exp`` is), in relative terms down to the
-    underflow near x = 27.  Evaluated in slices of ``SLICE_ELEMENTS``; each
-    slice is sorted once by branch and sign, and each element runs only its
-    own branch and form, in place.
+    underflow near x = 27.  Evaluated in slices of ``SLICE_ELEMENTS`` over a
+    copy of x, the result; each slice is sorted once by branch and sign,
+    and each element runs only its own branch and form, in place.
     """
-    return _erfc_slices(x, cdf=False)
+    return _erfc_slices(np.array(x, dtype=float, order="C"), cdf=False)
 
 
 def normal_cdf(z, out=None):
     """Standard normal CDF 0.5 erfc(-z / sqrt 2) through :func:`erfc`'s
-    slice loop: each slice is negated and scaled into scratch and halved in
-    the output, so the caller's array is never copied, and it changes only
-    when it is passed as ``out``.
+    slice loop: each slice is negated, scaled, evaluated and halved in
+    place, over a copy of z that becomes the result, or over z itself when
+    it is passed as ``out``.
 
     Elementwise on arrays; a float for a scalar, from the same kernel, so
     scalar and array values are bit-identical.  Relative error stays below
     1e-12 over the whole lower tail down to the underflow near z = -37.
-    With ``out`` (a writeable C-contiguous float64 array of z's shape, which
-    may be z itself but must not partly overlap it) the CDF is written into
-    it, with the same bits, and ``out`` is returned; anything else raises
-    ValueError rather than being copied.
+    ``out`` may only be z itself, a writeable C-contiguous float64 array,
+    which is then overwritten with the same bits and returned; any other
+    ``out`` raises ValueError rather than being copied.
     """
-    if out is not None:
-        return _erfc_slices(z, cdf=True, out=out)
-    cdf = _erfc_slices(z, cdf=True)
-    return float(cdf) if cdf.ndim == 0 else cdf
+    if out is None:
+        cdf = _erfc_slices(np.array(z, dtype=float, order="C"), cdf=True)
+        return float(cdf) if cdf.ndim == 0 else cdf
+    if not (out is z and isinstance(z, np.ndarray) and z.dtype == np.float64
+            and z.flags.c_contiguous and z.flags.writeable):
+        raise ValueError("out must be z itself, a writeable C-contiguous float64 array")
+    return _erfc_slices(z, cdf=True)
 
 
 # Acklam's rational approximation for the initial quantile guess.

@@ -538,12 +538,14 @@ def test_readme_commands_parse():
         parser.parse_args(argv)
 
 
-def test_parser_for_one_subcommand_builds_only_its_flags(capsys):
-    parser = build_parser("tables")
+def test_parser_builds_every_subcommands_flags(capsys):
+    parser = build_parser()
     args = parser.parse_args(["tables", "--row", "n=20", "--margin", "0.25,0.75"])
     assert args.row == ["n=20"] and args.margin == "0.25,0.75"
+    args = parser.parse_args(["power-curve", "--n", "10", "--theta-grid", "0.5"])
+    assert args.command == "power-curve" and args.n == "10" and args.theta_grid == "0.5"
     with pytest.raises(SystemExit):
-        parser.parse_args(["power-curve", "--n", "10"])
+        parser.parse_args(["power-curve", "--row", "n=20"])
     capsys.readouterr()
     assert main(["power-curve", "--help"]) == 0
     assert "--theta-grid" in capsys.readouterr().out
@@ -555,9 +557,11 @@ class TestMemoizedParser:
 
     TABLES = ["tables", "--margin", "0.25,0.75", "--reps", "200", "--seed", "3"]
 
-    def test_one_parser_per_command(self):
-        assert build_parser("tables") is build_parser("tables")
-        assert build_parser("tables") is not build_parser("power-curve")
+    def test_one_shared_parser(self, tmp_path):
+        parser = build_parser()
+        assert run(tmp_path, "tables", self.TABLES + ["--row", "n=20"])[0] == 0
+        assert main(["power-curve", "--help"]) == 0
+        assert build_parser() is parser and build_parser.cache_info().currsize == 1
 
     def test_repeated_rows_do_not_accumulate(self, tmp_path):
         for n in ("20", "30"):
@@ -576,7 +580,6 @@ class TestMemoizedParser:
         capsys.readouterr()
 
     def test_top_level_help_lists_every_subcommand(self, capsys):
-        build_parser("tables")
         assert main(["--help"]) == 0
         out = capsys.readouterr().out
         assert len(SUBCOMMANDS) == 7

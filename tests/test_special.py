@@ -449,8 +449,8 @@ class TestErfcAgainstMaskedPort:
 
 
 class TestNormalCdfOut:
-    """normal_cdf(z, out=...) writes a fresh call's bits into ``out``, which
-    may be z itself; any other ``out`` is refused, never copied."""
+    """normal_cdf(z, out=z) overwrites z with the bits of a fresh, separate
+    call; any other ``out`` is refused, never copied or written."""
 
     @pytest.mark.parametrize("shape", [(0,), (1,), (SLICE_ELEMENTS - 1,), (SLICE_ELEMENTS,),
                                        (SLICE_ELEMENTS + 1,), (3 * SLICE_ELEMENTS + 7,),
@@ -460,40 +460,51 @@ class TestNormalCdfOut:
         flat = z.reshape(-1)
         edges = _edge_points() * math.sqrt(2.0)  # with the specials and NaN
         flat[:edges.size] = edges[:flat.size]
-        want = np.asarray(normal_cdf(z))
         kept = z.copy()
-        out = np.empty(shape)
-        assert normal_cdf(z, out=out) is out
-        assert_same_bits(out, want)
-        assert np.array_equal(z, kept, equal_nan=True)
+        want = np.asarray(normal_cdf(z))
+        assert np.array_equal(z, kept, equal_nan=True)  # only out=z writes z
         assert normal_cdf(z, out=z) is z
         assert_same_bits(z, want)
 
     @pytest.mark.parametrize("make_out", [
+        lambda z: np.zeros(z.shape),
         lambda z: np.zeros(z.shape, dtype=np.float32),
         lambda z: np.zeros(z.size + 1),
         lambda z: np.zeros(z.size).reshape(2, -1),
         lambda z: np.zeros((z.size, 2))[:, 0],
         lambda z: np.zeros(z.size).tolist(),
         lambda z: np.broadcast_to(0.0, z.shape),
-    ], ids=["float32", "longer", "2-d", "strided", "list", "read-only"])
+    ], ids=["separate", "float32", "longer", "2-d", "strided", "list", "read-only"])
     def test_refuses_other_outs(self, make_out):
         z = np.linspace(-3.0, 3.0, 10)
         out = make_out(z)
         kept = np.array(out, copy=True)
-        with pytest.raises(ValueError, match="out"):
+        with pytest.raises(ValueError, match="out must be z itself"):
             normal_cdf(z, out=out)
         assert np.array_equal(np.asarray(out), kept)
         assert np.array_equal(z, np.linspace(-3.0, 3.0, 10))
 
     def test_refuses_partial_overlap_and_fortran_order(self):
         buffer = np.linspace(-3.0, 3.0, 11)
-        with pytest.raises(ValueError, match="overlap"):
+        with pytest.raises(ValueError, match="out must be z itself"):
             normal_cdf(buffer[:-1], out=buffer[1:])
-        z = np.arange(12.0).reshape(3, 4)
-        with pytest.raises(ValueError, match="C-contiguous"):
-            normal_cdf(z, out=np.zeros((3, 4), order="F"))
         assert np.array_equal(buffer, np.linspace(-3.0, 3.0, 11))
+        z = np.asfortranarray(np.arange(12.0).reshape(3, 4))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            normal_cdf(z, out=z)
+        assert np.array_equal(z, np.arange(12.0).reshape(3, 4))
+
+    @pytest.mark.parametrize("make_z", [
+        lambda: np.linspace(-3.0, 3.0, 10, dtype=np.float32),
+        lambda: np.linspace(-3.0, 3.0, 20)[::2],
+        lambda: np.broadcast_to(np.linspace(-3.0, 3.0, 10), (2, 10)),
+    ], ids=["float32", "strided", "read-only"])
+    def test_refuses_z_it_cannot_overwrite(self, make_z):
+        z = make_z()
+        kept = z.copy()
+        with pytest.raises(ValueError, match="out must be z itself"):
+            normal_cdf(z, out=z)
+        assert np.array_equal(z, kept)
 
 
 class TestNormal:

@@ -20,7 +20,7 @@ t_grid = np.round(np.arange(0.05, 0.96, 0.05), 2)
 curves = {}
 for label, prior in priors.items():
     for theta, panel in ((margin.theta1, "null"), (0.4, "alternative")):
-        spec = CurveSpec(model="binomial", n=n, margin=margin, prior=prior,
+        spec = CurveSpec(n=n, margin=margin, prior=prior,
                          grid=t_grid, theta_true=theta)
         curves[(label, panel)] = binom_cdf_curve(spec)
 

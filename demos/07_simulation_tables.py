@@ -20,7 +20,7 @@ print(f"{'n':>4} {'measure':>14} | {'type1 mc':>9} {'type1 exact':>11} |"
 print("-" * 68)
 for n in range(20, 81, 10):
     for label, prior in measures:
-        spec = CurveSpec(model="binomial", n=n, margin=margin, prior=prior)
+        spec = CurveSpec(n=n, margin=margin, prior=prior)
         res = table_simulation(spec, reps=10_000, seed=42, theta_alt=0.4)
         print(f"{n:>4} {label:>14} | {res.mc_type1:9.4f} {res.exact_type1:11.4f} |"
               f" {res.mc_power:9.4f} {res.exact_power:11.4f}")

@@ -38,7 +38,8 @@ from .correlation import (check_draws, corr_equivalence_closed, corr_equivalence
                           corr_partial_closed, corr_partial_pvalues, corr_two_sided,
                           corr_two_sided_mc)
 from .equivalence import EquivalenceMargin, SignificanceLevels
-from .fdr import FdrExperiment, fdr_power_simulation
+from .fdr import COMBINATIONS, EVIDENCE_KINDS, SAMPLING_MODES, FdrExperiment, \
+    fdr_power_simulation
 from .normal import NormalPrior, NormalSampling
 from .power import CurveSpec, binom_cdf_curve, binom_power_curve, normal_curves, \
     table_simulation, theta_max
@@ -199,8 +200,8 @@ def write_output(records, fieldnames, out_path: str, fmt: str, manifest: dict) -
 
 def _binomial_spec(opts, **curve) -> CurveSpec:
     levels = SignificanceLevels(opts["alpha_upper"], opts["alpha_lower"])
-    return CurveSpec(model="binomial", n=opts["n"], margin=opts["margin"],
-                     prior=opts["prior_beta"], levels=levels, **curve)
+    return CurveSpec(n=opts["n"], margin=opts["margin"], prior=opts["prior_beta"],
+                     levels=levels, **curve)
 
 
 def _curve_records(points):
@@ -226,16 +227,21 @@ def run_theta_max(opts):
 
 def run_noise_cdf(opts):
     prior = None if opts["tau"] is None else NormalPrior(opts["tau"])
-    spec = CurveSpec(model="normal", n=opts["n"], margin=opts["margin"], prior=prior,
-                     grid=opts["t_grid"], theta_true=opts["theta"], sigma=opts["sigma"])
-    return _curve_records(normal_curves(spec, mc_reps=opts["reps"], seed=opts["seed"]))
+    return _curve_records(normal_curves(NormalSampling(opts["sigma"], opts["n"]), prior,
+                                        opts["margin"], opts["theta"], opts["t_grid"],
+                                        mc_reps=opts["reps"], seed=opts["seed"]))
 
 
-# the flags each correlation mode reads besides --draws and --seed; True if required
+# correlation mode -> (the design flags it reads, all required; closed form;
+# Monte Carlo twin; the design both take, from the options)
 CORRELATION_MODES = {
-    "two_sided": {"w": True, "mc": False},
-    "equivalence": {"n": True, "sigma": True, "tau": True, "margin": True, "mc": False},
-    "partial": {"n": True, "sigma": True, "margin": True, "mc": False},
+    "two_sided": (("w",), corr_two_sided, corr_two_sided_mc, lambda opts: (opts["w"],)),
+    "equivalence": (("n", "sigma", "tau", "margin"), corr_equivalence_closed,
+                    corr_equivalence_mc,
+                    lambda opts: (NormalSampling(opts["sigma"], opts["n"]),
+                                  NormalPrior(opts["tau"]), opts["margin"])),
+    "partial": (("n", "sigma", "margin"), corr_partial_closed, corr_partial_pvalues,
+                lambda opts: (NormalSampling(opts["sigma"], opts["n"]), opts["margin"])),
 }
 
 
@@ -244,29 +250,16 @@ def run_correlation(opts):
     if len(modes) != 1:
         raise ConfigError("choose exactly one of --two-sided, --equivalence, --partial")
     mode = modes[0]
-    reads = CORRELATION_MODES[mode]
-    for name in ("w", "n", "sigma", "tau", "margin", "mc"):
-        given = opts[name] is not None and opts[name] is not False
-        if given and name not in reads:
+    reads, closed, twin, make_design = CORRELATION_MODES[mode]
+    for name in ("w", "n", "sigma", "tau", "margin"):
+        if opts[name] is not None and name not in reads:
             raise ConfigError(f"{_flag(mode)} does not read {_flag(name)}")
-        if reads.get(name) and not given:
+        if opts[name] is None and name in reads:
             raise ConfigError(f"missing required option {_flag(name)} for {_flag(mode)}")
-    mc = {"draws": opts["draws"], "seed": opts["seed"]}
-    if mode == "two_sided":
-        rows = [("two_sided", corr_two_sided(opts["w"]))]
-        if opts["mc"]:
-            rows.append(("two_sided_mc", corr_two_sided_mc(opts["w"], **mc)))
-    elif mode == "equivalence":
-        design = (NormalSampling(opts["sigma"], opts["n"]), NormalPrior(opts["tau"]),
-                  opts["margin"])
-        rows = [("equivalence", corr_equivalence_closed(*design))]
-        if opts["mc"]:
-            rows.append(("equivalence_mc", corr_equivalence_mc(*design, **mc)))
-    else:
-        design = (NormalSampling(opts["sigma"], opts["n"]), opts["margin"])
-        rows = [("partial", corr_partial_closed(*design))]
-        if opts["mc"]:
-            rows.append(("partial_mc", corr_partial_pvalues(*design, **mc)))
+    design = make_design(opts)
+    rows = [(mode, closed(*design))]
+    if opts["mc"]:
+        rows.append((f"{mode}_mc", twin(*design, draws=opts["draws"], seed=opts["seed"])))
     records = [{"mode": row_mode, **vars(result),
                 "std_error": "" if result.std_error is None else result.std_error}
                for row_mode, result in rows]
@@ -311,9 +304,9 @@ FLAG_TYPES = {
     "row": parse_rows,
     "out": str,
     "format": ("csv", "json"),
-    "evidence": ("frequentist", "bayesian"),
-    "sampling": ("per_tail", "per_tail_literal", "shared"),
-    "combination": ("max", "difference"),
+    "evidence": EVIDENCE_KINDS,
+    "sampling": SAMPLING_MODES,
+    "combination": COMBINATIONS,
 }
 
 OUTPUT = {"format": "csv", "out": None}

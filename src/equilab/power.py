@@ -1,6 +1,8 @@
 """Power analysis: exact CDF and power curves for both evidence measures,
 maximum-power parameter search, and the simulation-table protocol.  A
 single level or parameter is a one-point grid of the curve functions.
+The binomial studies take a :class:`CurveSpec`; :func:`normal_curves` takes
+the normal model's ``NormalSampling`` and ``NormalPrior``.
 
 Binomial quantities are exact; Monte Carlo appears only where it mirrors a
 simulation protocol (and then against seeded, replayable streams).  The
@@ -21,7 +23,7 @@ of a curve (:func:`~equilab.special.binomial_interval_prob`).  Decision rules:
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,30 +34,31 @@ from .normal import NormalPrior, NormalSampling, normal_pvalue_cdf, _posterior_e
 from .rng import spawn_rng
 from .special import binomial_interval_prob, binomial_pmf_vector, reg_inc_beta_pair
 
-MODELS = ("binomial", "normal")
+
+def _check_grid(grid) -> np.ndarray:
+    """The grid as a float array, refused unless strictly increasing."""
+    grid = np.asarray(grid, dtype=float)
+    if grid.size > 1 and not np.all(np.diff(grid) > 0):
+        raise ValueError("grid must be strictly increasing")
+    return grid
 
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """One curve configuration: model, design, margin, prior and grid."""
+    """One binomial study: n, margin, optional Beta prior (None leaves the
+    Bayesian column NaN), tail levels, grid and the CDF curve's true theta."""
 
-    model: str
     n: int
     margin: EquivalenceMargin
-    prior: Optional[Union[BetaPrior, NormalPrior]] = None
+    prior: Optional[BetaPrior] = None
     levels: SignificanceLevels = field(default_factory=SignificanceLevels)
     grid: Sequence[float] = ()
     theta_true: float = 0.5
-    sigma: float = 1.0
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"model must be one of {MODELS}, got {self.model!r}")
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        g = np.asarray(self.grid, dtype=float)
-        if g.size > 1 and not np.all(np.diff(g) > 0):
-            raise ValueError("grid must be strictly increasing")
+        _check_grid(self.grid)
 
 
 @dataclass(frozen=True)
@@ -127,11 +130,6 @@ def _reject_regions(spec: CurveSpec):
     return binom_critical_constants(spec.n, spec.margin, spec.levels), region_b
 
 
-def _require_model(spec: CurveSpec, model: str, name: str) -> None:
-    if spec.model != model:
-        raise ValueError(f"{name} needs a {model} CurveSpec")
-
-
 def _power_arrays(spec: CurveSpec, thetas):
     """Exact rejection probability of each measure at each theta (NaN for
     the Bayesian one without a prior)."""
@@ -142,7 +140,6 @@ def _power_arrays(spec: CurveSpec, thetas):
 
 def binom_cdf_curve(spec: CurveSpec):
     """Exact P_theta(measure <= t) at theta_true for each t of the grid."""
-    _require_model(spec, "binomial", "binom_cdf_curve")
     pf, pb = binom_evidence_values(spec.n, spec.margin, spec.prior)
     pmf = binomial_pmf_vector(spec.n, spec.theta_true)
     return [CurvePoint(float(t), float(pmf @ (pf <= t)),
@@ -152,7 +149,6 @@ def binom_cdf_curve(spec: CurveSpec):
 
 def binom_power_curve(spec: CurveSpec):
     """Exact rejection probability at each parameter theta of the grid."""
-    _require_model(spec, "binomial", "binom_power_curve")
     y_f, y_b = _power_arrays(spec, spec.grid)
     return [CurvePoint(float(theta), float(f), float(b))
             for theta, f, b in zip(spec.grid, y_f, y_b)]
@@ -173,7 +169,6 @@ def theta_max(spec: CurveSpec, resolution: float = 1e-3):
     Returns (theta_f, theta_b); theta_b is NaN when the spec carries no
     prior.  The grid is i * resolution for i = 1 .. ceil(1/resolution)-1.
     """
-    _require_model(spec, "binomial", "theta_max")
     if not 0.0 < resolution <= 1e-3:
         raise ValueError(f"resolution must lie in (0, 1e-3], got {resolution}")
     steps = int(math.ceil(1.0 / resolution))
@@ -186,28 +181,28 @@ def theta_max(spec: CurveSpec, resolution: float = 1e-3):
     return theta_f, _argmax_toward_center(thetas, y_b)
 
 
-def normal_curves(spec: CurveSpec, mc_reps: int = 100_000, seed: int = 0):
-    """Evidence-CDF curve for the normal model across the t-grid.
+def normal_curves(samp: NormalSampling, prior: Optional[NormalPrior],
+                  margin: EquivalenceMargin, theta: float, grid: Sequence[float],
+                  mc_reps: int = 100_000, seed: int = 0):
+    """Evidence-CDF curve of the normal model at the true mean theta across
+    the t-grid.
 
     The p-value CDF is analytic; the posterior-measure CDF is a seeded
-    Monte Carlo estimate (mc_reps draws of the sample mean at theta_true).
+    Monte Carlo estimate (mc_reps draws of the sample mean at theta), and
+    NaN at every t when prior is None.
     """
-    _require_model(spec, "normal", "normal_curves")
     if mc_reps < 1:
         raise ValueError(f"mc_reps must be positive, got {mc_reps}")
-    samp = NormalSampling(sigma=spec.sigma, n=spec.n)
-    grid = np.asarray(spec.grid, dtype=float)
+    grid = _check_grid(grid)
     y_b = np.full(grid.shape, math.nan)
-    if spec.prior is not None:
-        if not isinstance(spec.prior, NormalPrior):
-            raise ValueError("normal model requires a NormalPrior")
+    if prior is not None:
         xbar = spawn_rng(seed, 0).standard_normal(mc_reps)
-        xbar *= spec.sigma / math.sqrt(spec.n)
-        xbar += spec.theta_true
-        pb = _posterior_evidence(samp, spec.prior, xbar, spec.margin)
+        xbar *= samp.sigma / math.sqrt(samp.n)
+        xbar += theta
+        pb = _posterior_evidence(samp, prior, xbar, margin)
         pb.sort()
         y_b = np.searchsorted(pb, grid, side="right") / mc_reps  # the share at or below t
-    y_f = normal_pvalue_cdf(samp, spec.theta_true, spec.margin, grid)
+    y_f = normal_pvalue_cdf(samp, theta, margin, grid)
     return [CurvePoint(float(t), float(f), float(b)) for t, f, b in zip(grid, y_f, y_b)]
 
 
@@ -219,9 +214,10 @@ def table_simulation(spec: CurveSpec, reps: int, seed: int,
     decision rule at the spec's levels; the exact enumeration values are
     returned alongside so simulation noise can be checked directly.
     """
-    _require_model(spec, "binomial", "table_simulation")
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
+    if not 0.0 <= theta_alt <= 1.0:
+        raise ValueError(f"theta_alt must lie in [0, 1], got {theta_alt}")
     region_f, region_b = _reject_regions(spec)
     c, d = region_f if region_b is None else region_b
     s_null = spawn_rng(seed, 0).binomial(spec.n, spec.margin.theta1, size=reps)

@@ -101,7 +101,7 @@ def test_criterion_03_pvalue_maximizer_centered():
     started = time.perf_counter()
     locs = []
     for n in (10, 30, 50):
-        spec = CurveSpec(model="binomial", n=n, margin=EquivalenceMargin(0.2, 0.8))
+        spec = CurveSpec(n=n, margin=EquivalenceMargin(0.2, 0.8))
         theta_f, _ = theta_max(spec, 1e-3)
         locs.append(theta_f)
     elapsed = time.perf_counter() - started
@@ -111,7 +111,7 @@ def test_criterion_03_pvalue_maximizer_centered():
 
 
 def test_criterion_03_strong_prior_maximizer_centered():
-    spec = CurveSpec(model="binomial", n=10, margin=EquivalenceMargin(0.2, 0.8),
+    spec = CurveSpec(n=10, margin=EquivalenceMargin(0.2, 0.8),
                      prior=BetaPrior(50, 50))
     _, theta_b = theta_max(spec, 1e-3)
     check(3, "Beta(50,50) posterior maximizer at 0.5 +- 1e-3 (n=10)",
@@ -119,7 +119,7 @@ def test_criterion_03_strong_prior_maximizer_centered():
 
 
 def test_criterion_03_skewed_prior_shifts_left():
-    spec = CurveSpec(model="binomial", n=30, margin=EquivalenceMargin(0.2, 0.8),
+    spec = CurveSpec(n=30, margin=EquivalenceMargin(0.2, 0.8),
                      prior=BetaPrior(1, 15))
     theta_f, theta_b = theta_max(spec, 1e-3)
     check(3, "Beta(1,15) posterior maximizer strictly below the p-value one",
@@ -175,7 +175,7 @@ PUBLISHED_BETA_HALF = {
 @pytest.mark.parametrize("measure", ["p_value", "beta_half"])
 def test_criterion_04_table_reproduction(n, measure):
     prior = None if measure == "p_value" else BetaPrior(0.5, 0.5)
-    spec = CurveSpec(model="binomial", n=n, margin=EquivalenceMargin(0.25, 0.75),
+    spec = CurveSpec(n=n, margin=EquivalenceMargin(0.25, 0.75),
                      prior=prior, levels=SignificanceLevels(0.05, 0.05))
     reps = 10_000
     res = table_simulation(spec, reps=reps, seed=1234, theta_alt=0.4)

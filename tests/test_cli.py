@@ -3,6 +3,7 @@ precedence, exit codes."""
 
 import csv
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -14,7 +15,8 @@ import numpy as np
 import pytest
 
 from equilab import correlation, fdr, power
-from equilab.cli import SUBCOMMANDS, ConfigError, build_parser, main, parse_grid
+from equilab.cli import (SUBCOMMANDS, ConfigError, build_parser, main, parse_grid,
+                         resolve_options)
 
 
 def run(tmp_path, name, args):
@@ -326,6 +328,20 @@ class TestConfigAndErrors:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["tables", "--row", "n=20", "--margin", "0.25,0.75", "--theta-alt", "1.5"],
+         "theta_alt must lie in [0, 1], got 1.5"),
+        (["tables", "--row", "n=20", "--margin", "0.25,0.75", "--theta-alt", "-0.5"],
+         "theta_alt must lie in [0, 1], got -0.5"),
+        (["noise-cdf", "--n", "30", "--sigma", "2", "--margin", "1,4", "--theta", "1.5",
+          "--t-grid", "0.5,0.2"], "grid must be strictly increasing"),
+    ])
+    def test_value_outside_its_domain_exits_2(self, tmp_path, capsys, args, message):
+        code, out = run(tmp_path, "x", args)
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_repeated_config_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "twice.cfg"
         cfg.write_text("n = 10\nmargin = 0.2,0.8\nn = 30\n")
@@ -536,6 +552,27 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def benchmark_workloads():
+    """``bench/workloads.py``, loaded from its file (``bench`` is no package)."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_command_lines_resolve(tmp_path, seed):
+    # every flag the benchmark passes must still parse and resolve; the
+    # studies themselves are not run
+    workloads = benchmark_workloads()
+    parser = build_parser()
+    for workload in workloads.WORKLOADS:
+        for study in workloads.build(workload, seed, str(tmp_path)):
+            opts = resolve_options(parser.parse_args(study["argv"]))
+            assert opts["out"] == study["out"]
 
 
 def test_parser_builds_every_subcommands_flags(capsys):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from equilab import (BetaPrior, CurveSpec, EquivalenceMargin, NormalPrior,
-                     SignificanceLevels, binom_evidence_values,
+                     NormalSampling, SignificanceLevels, binom_evidence_values,
                      binom_cdf_curve, binom_power_curve,
                      binomial_pmf_vector,
                      normal_curves, table_simulation, theta_max)
@@ -21,7 +21,7 @@ mpmath.mp.dps = 40
 
 
 def spec_binom(n, margin, prior=None, levels=None, theta=0.5):
-    return CurveSpec(model="binomial", n=n, margin=EquivalenceMargin(*margin),
+    return CurveSpec(n=n, margin=EquivalenceMargin(*margin),
                      prior=prior, levels=levels or SignificanceLevels(),
                      theta_true=theta)
 
@@ -178,10 +178,9 @@ class TestThetaMax:
 
 class TestNormalCurves:
     def test_cdf_curve_nondecreasing(self):
-        spec = CurveSpec(model="normal", n=30, margin=EquivalenceMargin(1.0, 4.0),
-                         prior=NormalPrior(0.5), grid=np.linspace(0.05, 0.95, 19),
-                         theta_true=2.0, sigma=2.0)
-        points = normal_curves(spec, mc_reps=20_000, seed=5)
+        points = normal_curves(NormalSampling(2.0, 30), NormalPrior(0.5),
+                               EquivalenceMargin(1.0, 4.0), 2.0, np.linspace(0.05, 0.95, 19),
+                               mc_reps=20_000, seed=5)
         yf = [p.y_frequentist for p in points]
         yb = [p.y_bayes for p in points]
         assert all(b >= a - 1e-12 for a, b in zip(yf, yf[1:]))
@@ -192,11 +191,9 @@ class TestNormalCurves:
         # the lower boundary reduces to the (uniform) one-sided p-value
         margin = EquivalenceMargin(0.0, 10.0)
         grid = np.arange(0.1, 0.95, 0.1)
-        spec = CurveSpec(model="normal", n=25, margin=margin,
-                         prior=NormalPrior(1e6), grid=grid, theta_true=0.0,
-                         sigma=1.0)
         reps = 100_000
-        points = normal_curves(spec, mc_reps=reps, seed=11)
+        points = normal_curves(NormalSampling(1.0, 25), NormalPrior(1e6), margin, 0.0, grid,
+                               mc_reps=reps, seed=11)
         for point in points:
             se = math.sqrt(point.x * (1 - point.x) / reps)
             assert abs(point.y_bayes - point.x) <= 3 * se
@@ -205,15 +202,14 @@ class TestNormalCurves:
         # the draws become the posterior evidence in place: with the upper
         # tail that is two reps-sized arrays, plus the normal CDF's fixed
         # scratch of 9 slice rows (1.2 MB, 1.5 such arrays at 1e5 reps)
-        spec = CurveSpec(model="normal", n=30, margin=EquivalenceMargin(1.0, 4.0),
-                         prior=NormalPrior(0.5), grid=[0.05, 0.2, 0.5, 0.8],
-                         theta_true=1.0, sigma=2.0)
+        design = (NormalSampling(2.0, 30), NormalPrior(0.5), EquivalenceMargin(1.0, 4.0),
+                  1.0, [0.05, 0.2, 0.5, 0.8])
         reps = 100_000
-        normal_curves(spec, mc_reps=16, seed=5)
+        normal_curves(*design, mc_reps=16, seed=5)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            points = normal_curves(spec, mc_reps=reps, seed=5)
+            points = normal_curves(*design, mc_reps=reps, seed=5)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -221,9 +217,8 @@ class TestNormalCurves:
         assert [p.y_bayes for p in points] == [0.02133, 0.14988, 0.50296, 0.85251]
 
     def test_no_prior_gives_nan_bayes_column(self):
-        spec = CurveSpec(model="normal", n=10, margin=EquivalenceMargin(0.0, 2.0),
-                         grid=[0.2, 0.5], theta_true=1.0, sigma=1.0)
-        points = normal_curves(spec, mc_reps=10, seed=0)
+        points = normal_curves(NormalSampling(1.0, 10), None, EquivalenceMargin(0.0, 2.0), 1.0,
+                               [0.2, 0.5], mc_reps=10, seed=0)
         assert math.isnan(points[0].y_bayes)
         assert 0.0 <= points[0].y_frequentist <= 1.0
 
@@ -255,7 +250,8 @@ class TestTableSimulation:
             s = np.random.Generator(bits).binomial(40, theta, size=3000)
             assert rate == float(np.mean((c <= s) & (s <= d)))
 
-    def test_requires_binomial_model(self):
-        spec = CurveSpec(model="normal", n=10, margin=EquivalenceMargin(0.0, 1.0))
-        with pytest.raises(ValueError):
-            table_simulation(spec, reps=10, seed=0)
+    @pytest.mark.parametrize("theta_alt", [1.5, -0.5, math.nan])
+    def test_theta_alt_outside_unit_interval_is_refused(self, theta_alt):
+        spec = spec_binom(10, (0.25, 0.75))
+        with pytest.raises(ValueError, match=r"theta_alt must lie in \[0, 1\]"):
+            table_simulation(spec, reps=10, seed=0, theta_alt=theta_alt)

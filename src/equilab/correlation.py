@@ -16,10 +16,10 @@ are deterministic transforms of a single normal draw, so the naive
 influence-function estimate is used instead.
 
 Memory: each Monte Carlo path turns its draws into its two evidence arrays
-in place and the estimator centres and scales those in their own buffers,
-so a path holds at most three draw-sized float arrays, the two evidence
-arrays and their product (24 MB at 1e6 draws), the floor for numpy's
-pairwise mean of the product.
+in place, building any further term one slice at a time, and the estimator
+centres and scales those in their own buffers and takes every mean of a
+product slice by slice (:func:`_pairwise_sum`), so a path holds two
+draw-sized float arrays, the two evidence arrays (16 MB at 1e6 draws).
 """
 
 import functools
@@ -32,7 +32,7 @@ import numpy as np
 from .equivalence import EquivalenceMargin
 from .normal import NormalPrior, NormalSampling, _posterior_evidence
 from .rng import spawn_rng
-from .special import normal_cdf
+from .special import SLICE_ELEMENTS, normal_cdf
 
 _TWO_PI = 2.0 * math.pi
 # Gauss-Legendre nodes of the partial correlation's two integrals over
@@ -92,33 +92,68 @@ def sample_correlation(x, y) -> CorrelationResult:
     return _correlation_in_place(x, y)
 
 
+def _pairwise_sum(term, n: int) -> float:
+    """``np.sum`` of the n-element float64 array whose slice [lo, hi)
+    ``term(lo, hi, out)`` writes into ``out``, bit for bit, without that
+    array: numpy sums a contiguous array by pairwise recursion, splitting
+    n at n2 = n//2 - (n//2) % 8 (N. J. Higham, SIAM J. Sci. Comput. 14,
+    1993).  The same split, down to leaves of at most ``SLICE_ELEMENTS``,
+    makes every leaf a node of numpy's tree; each leaf is written into one
+    slice-sized scratch and summed, and the leaf sums are added in tree
+    order."""
+    return float(_pairwise_node(term, np.empty(min(n, SLICE_ELEMENTS)), 0, n))
+
+
+def _pairwise_node(term, scratch: np.ndarray, lo: int, hi: int):
+    """The sum of the node [lo, hi) of :func:`_pairwise_sum`'s tree.  A
+    module-level function: a recursive closure would form a reference
+    cycle that keeps ``term``'s arrays alive until the garbage collector
+    runs."""
+    if hi - lo <= SLICE_ELEMENTS:
+        out = scratch[:hi - lo]
+        term(lo, hi, out)
+        return out.sum()
+    half = (hi - lo) // 2
+    half -= half % 8
+    return (_pairwise_node(term, scratch, lo, lo + half)
+            + _pairwise_node(term, scratch, lo + half, hi))
+
+
 def _correlation_in_place(x: np.ndarray, y: np.ndarray) -> CorrelationResult:
     """:func:`sample_correlation` of two distinct equal-length 1-d float
     arrays that it overwrites: each is centred and scaled in its own buffer,
-    and the product is the only array allocated, so three arrays of the
-    sample's size are live at the peak.  The bits are those of (x - x.mean()) / x.std() and
-    the plain expressions: x.std() is the root of the mean of the centred
-    squares, taken here in the product's buffer."""
-    prod = np.empty_like(x)
+    and every mean of a product is a :func:`_pairwise_sum` over slices, so
+    no further array of the sample's size is allocated.  The bits are
+    those of (x - x.mean()) / x.std() and the plain expressions: x.std() is
+    the root of the mean of the centred squares."""
+    n = x.size
+
+    def mean_product(u, v):
+        return _pairwise_sum(lambda lo, hi, out: np.multiply(u[lo:hi], v[lo:hi], out=out),
+                             n) / n
+
     x -= x.mean()
-    sx = np.sqrt(np.multiply(x, x, out=prod).mean())
+    sx = math.sqrt(mean_product(x, x))
     y -= y.mean()
-    sy = np.sqrt(np.multiply(y, y, out=prod).mean())
+    sy = math.sqrt(mean_product(y, y))
     if sx == 0.0 or sy == 0.0:
         raise ValueError("correlation undefined for a constant sample")
     x /= sx
     y /= sy
-    np.multiply(x, y, out=prod)
-    r = float(np.mean(prod))
-    r = max(-1.0, min(1.0, r))
-    # psi = zx zy - 0.5 r (zx^2 + zy^2) in place, in the same operation order
-    x *= x
-    y *= y
-    x += y
-    x *= 0.5 * r
-    prod -= x
-    prod *= prod
-    se = float(np.sqrt(np.mean(prod) / x.size))
+    r = max(-1.0, min(1.0, mean_product(x, y)))
+
+    def psi_squared(lo, hi, out):
+        # psi = zx zy - 0.5 r (zx^2 + zy^2), the squares over the slices of x and y
+        zx, zy = x[lo:hi], y[lo:hi]
+        np.multiply(zx, zy, out=out)
+        zx *= zx
+        zy *= zy
+        zx += zy
+        zx *= 0.5 * r
+        out -= zx
+        out *= out
+
+    se = math.sqrt(_pairwise_sum(psi_squared, n) / n / n)
     return CorrelationResult(r, "monte_carlo", se)
 
 
@@ -169,14 +204,17 @@ def corr_equivalence_mc(samp: NormalSampling, prior: NormalPrior,
     xbar = _standard_normal_draws(draws, seed)
     xbar *= samp.sigma / samp.root_n
     xbar += center
-    # z_i = sqrt(n) (xbar - theta_i) / sigma, each in its own buffer
-    p_signed, second = np.subtract(xbar, margin.theta1), np.subtract(xbar, margin.theta2)
-    for z in (p_signed, second):
-        z *= samp.root_n
-        z /= samp.sigma
-        normal_cdf(z, out=z)
-    p_signed += second
-    del z, second  # free that buffer before the upper posterior tail takes one
+    # Phi(z_i) with z_i = sqrt(n) (xbar - theta_i) / sigma: the first in its
+    # own buffer, the second one slice at a time
+    p_signed = np.subtract(xbar, margin.theta1)
+    for start in range(0, xbar.size, SLICE_ELEMENTS):
+        part = slice(start, start + SLICE_ELEMENTS)
+        second = np.subtract(xbar[part], margin.theta2)
+        for z in (p_signed[part], second):
+            z *= samp.root_n
+            z /= samp.sigma
+            normal_cdf(z, out=z)
+        p_signed[part] += second
     p_signed -= 1.0
     return _correlation_in_place(_posterior_evidence(samp, prior, xbar, margin), p_signed)
 
@@ -277,9 +315,10 @@ def corr_two_sided_mc(w: float, draws: int = 1_000_000, seed: int = 0) -> Correl
         raise ValueError(f"w must lie in (0, 1], got {w}")
     z = _standard_normal_draws(draws, seed)
     if w == 1.0:
-        # both measures are one array; the core needs it in two buffers
-        p_f = 2.0 * (z < 0.0).astype(float)
-        del z
+        # both measures are one array, 2 (z < 0) in the draws; the core
+        # needs it in two buffers
+        p_f = np.less(z, 0.0, out=z)
+        p_f *= 2.0
         p_b = p_f.copy()
     else:
         # p_f = 2 (1 - Phi(a z)) and p_b the same at b z, the latter in the draws

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivalence import EquivalenceMargin, EvidenceMeasure
-from .special import normal_cdf, normal_quantile
+from .special import SLICE_ELEMENTS, normal_cdf, normal_quantile
 
 CONSTANT_MODES = ("approximate", "exact_symmetric")
 
@@ -58,10 +58,19 @@ def posterior_coefficient(samp: NormalSampling, prior: NormalPrior) -> float:
     """Scale n*tau / (sigma * sqrt(sigma^2 + n tau^2)) applied to (xbar - boundary).
 
     Tends to sqrt(n)/sigma as tau grows, where the posterior tails become
-    the one-sided p-values.
+    the one-sided p-values.  Where sigma^2 + n tau^2 overflows, the same
+    scale is taken as n / (sigma sqrt(sigma^2 / tau^2 + n)), which does
+    not; elsewhere the first form is kept, as the two differ in the last
+    bit on many designs.
     """
-    return (samp.n * prior.tau
-            / (samp.sigma * math.sqrt(samp.sigma ** 2 + samp.n * prior.tau ** 2)))
+    try:
+        total = samp.sigma ** 2 + samp.n * prior.tau ** 2
+    except OverflowError:  # a square past the float range
+        total = math.inf
+    if math.isfinite(total):
+        return samp.n * prior.tau / (samp.sigma * math.sqrt(total))
+    ratio = samp.sigma / prior.tau
+    return samp.n / (samp.sigma * math.sqrt(ratio * ratio + samp.n))
 
 
 def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
@@ -148,12 +157,14 @@ def _posterior_tail_values(samp: NormalSampling, prior: NormalPrior, xbar: np.nd
 def _posterior_evidence(samp: NormalSampling, prior: NormalPrior, xbar: np.ndarray,
                         margin: EquivalenceMargin) -> np.ndarray:
     """Combined posterior probability of non-equivalence, lower + upper tail
-    clamped to [0, 1], at the sample means in the float64 array ``xbar``,
-    in place over ``xbar``; the upper tail's array is freed on return."""
-    upper, lower = _posterior_tail_values(samp, prior, xbar, margin)
-    lower += upper
-    del upper
-    return np.clip(lower, 0.0, 1.0, out=lower)
+    clamped to [0, 1], at the sample means in the 1-d float64 array
+    ``xbar``, in place over ``xbar``: the tails are taken one slice at a
+    time, so the upper tail never takes an array of the sample's size."""
+    for start in range(0, xbar.size, SLICE_ELEMENTS):
+        upper, lower = _posterior_tail_values(samp, prior, xbar[start:start + SLICE_ELEMENTS],
+                                              margin)
+        lower += upper
+    return np.clip(xbar, 0.0, 1.0, out=xbar)
 
 
 def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float,

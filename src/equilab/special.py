@@ -34,7 +34,8 @@ import math
 import numpy as np
 
 _SQRT2 = math.sqrt(2.0)
-_NO_CONVERGENCE = "incomplete beta continued fraction did not converge for a={}, b={}, x={}"
+_NO_CONVERGENCE = ("incomplete beta continued fraction did not converge for {} element(s),"
+                   " the first at a={!r}, b={!r}, x={!r}")
 
 # elements per erfc slice; also bounds the FDR simulation's replication
 # blocks.  erfc on the 1e6 values z / sqrt 2, z standard normal, takes
@@ -131,7 +132,7 @@ def _lentz(a: float, b: float, x: float, max_iter: int = 1000, eps: float = 1e-1
         c, d, h, delta = _lentz_step(m, a, b, x, qab, qap, qam, c, d, h, _guard)
         if abs(delta - 1.0) < eps:
             return h
-    raise RuntimeError(_NO_CONVERGENCE.format(a, b, x))
+    raise RuntimeError(_NO_CONVERGENCE.format(1, a, b, x))
 
 
 def _guarded(t: np.ndarray, tiny: float = 1e-300) -> np.ndarray:
@@ -162,7 +163,7 @@ def _lentz_array(a, b, x, max_iter: int = 1000, eps: float = 1e-16) -> np.ndarra
                 return out
             active, a, b, x, qab, qap, qam, c, d, h = (
                 v.take(going) for v in (active, a, b, x, qab, qap, qam, c, d, h))
-    raise RuntimeError(_NO_CONVERGENCE.format(a, b, x))
+    raise RuntimeError(_NO_CONVERGENCE.format(x.size, float(a[0]), float(b[0]), float(x[0])))
 
 
 def reg_inc_beta_pair(a, b, x):

@@ -139,6 +139,35 @@ class TestSubcommands:
         assert all(0.0 <= float(r["mean_fdr"]) <= 1.0 for r in rows)
 
 
+class TestPastFloatRange:
+    NOISE = ["noise-cdf", "--n", "30", "--sigma", "2", "--margin", "1,4", "--theta", "2",
+             "--reps", "1000", "--seed", "3"]
+    FDR = ["fdr-power", "--k", "50", "--k1-grid", "10,40", "--n", "30", "--margin", "0,2",
+           "--evidence", "bayesian", "--reps", "10", "--seed", "1"]
+
+    @pytest.mark.parametrize("args", [NOISE, FDR], ids=["noise-cdf", "fdr-power"])
+    def test_prior_sd_past_overflow_is_the_flat_limit(self, tmp_path, args):
+        # n tau^2 overflows from tau = 1e154 at n = 30: the Bayesian evidence
+        # must stay that of tau = 1e150, not collapse to 0 or fail
+        outputs = []
+        for tau in ("1e150", "1e154", "1e155"):
+            code, out = run(tmp_path, f"t{tau}", args + ["--tau", tau])
+            assert code == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+        if args is self.NOISE:
+            assert any(float(row["y_bayes"]) > 0.0 for row in read_csv(out))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_convergence_message_is_bounded(self, tmp_path, capsys):
+        code, _ = run(tmp_path, "tm", ["theta-max", "--n", "30", "--margin", "0.2,0.8",
+                                       "--prior-beta", "1e300,1"])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        assert "did not converge for 62 element(s), the first at a=1e+300" in err
+        assert len(err) < 200
+
+
 class TestDeterminismAndManifest:
     def test_byte_identical_reruns(self, tmp_path):
         args = ["fdr-power", "--k", "40", "--k1-grid", "5,20", "--n", "15",

@@ -1,19 +1,27 @@
 """Golden outputs: every CLI subcommand at one small fixed configuration must
-reproduce its stored CSV byte for byte.
+reproduce its stored CSV byte for byte, and every study of the benchmark's
+three workloads at seed 1 must pass the benchmark's own oracles and
+reproduce the SHA-256 of its data file stored in ``bench-seed1.sha256``.
 
 An intended numeric change regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and explains the diff in
 CHANGES.md.
 """
 
+import hashlib
+import importlib.util
 import os
 import sys
+import tempfile
 
 import pytest
 
 from equilab.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+BENCH_DIR = os.path.join(os.path.dirname(GOLDEN_DIR), os.pardir, "bench")
+BENCH_DIGESTS = os.path.join(GOLDEN_DIR, "bench-seed1.sha256")
+BENCH_SEED = 1
 
 CONFIGS = {
     "conservativity": [
@@ -52,6 +60,44 @@ def test_golden_csv(tmp_path, name):
         assert out.read_bytes() == handle.read()
 
 
+def bench_module(name):
+    """``bench/<name>.py``, loaded from its file (``bench`` is no package)."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}",
+                                                  os.path.join(BENCH_DIR, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def bench_outputs(out_dir):
+    """Run every study of the three workloads at ``BENCH_SEED`` into
+    ``out_dir``; return {file name: SHA-256} and {study id: problems}."""
+    workloads, oracles = bench_module("workloads"), bench_module("oracles")
+    digests, problems = {}, {}
+    for workload in workloads.WORKLOADS:
+        for study in workloads.build(workload, BENCH_SEED, str(out_dir)):
+            code = main(list(study["argv"]))
+            found = oracles.check(study) if code == 0 else [f"exit code {code}"]
+            if found:
+                problems[study["id"]] = found
+            with open(study["out"], "rb") as handle:
+                digests[os.path.basename(study["out"])] = hashlib.sha256(
+                    handle.read()).hexdigest()
+    return digests, problems
+
+
+def read_bench_digests():
+    with open(BENCH_DIGESTS, encoding="utf-8") as handle:
+        return dict(reversed(line.split("  ")) for line in handle.read().splitlines())
+
+
+def test_benchmark_studies_pass_oracles_with_golden_digests(tmp_path):
+    digests, problems = bench_outputs(tmp_path)
+    assert problems == {}
+    assert len(digests) == 39
+    assert digests == read_bench_digests()
+
+
 def regenerate():
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name, argv in CONFIGS.items():
@@ -59,6 +105,12 @@ def regenerate():
         if main(argv + ["--out", path]) != 0:
             raise SystemExit(f"{name} failed")
         os.remove(path + ".manifest.json")
+    with tempfile.TemporaryDirectory() as scratch:
+        digests, problems = bench_outputs(scratch)
+    if problems:
+        raise SystemExit(f"benchmark oracles failed: {problems}")
+    with open(BENCH_DIGESTS, "w", encoding="utf-8") as handle:
+        handle.writelines(f"{digest}  {name}\n" for name, digest in sorted(digests.items()))
 
 
 if __name__ == "__main__":

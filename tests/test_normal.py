@@ -11,7 +11,7 @@ from scipy import integrate, stats
 from equilab import (EquivalenceMargin, NormalPrior, NormalSampling,
                      normal_critical_constants, normal_onesided_pvalues,
                      normal_posterior_probs, normal_pvalue_cdf,
-                     normal_tost_pvalue)
+                     normal_tost_pvalue, posterior_coefficient)
 from equilab.normal import _combined_pvalue_values
 from equilab.special import normal_cdf, normal_quantile
 
@@ -213,6 +213,27 @@ class TestPosteriorProbs:
             gaps.append(sup)
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
         assert gaps[-1] < 1e-5
+
+
+class TestPosteriorCoefficient:
+    def test_finite_designs_keep_the_expression(self):
+        rng = np.random.default_rng(4)
+        for sigma, tau, n in zip(10.0 ** rng.uniform(-3, 3, 500), 10.0 ** rng.uniform(-3, 3, 500),
+                                 rng.integers(1, 10**4, 500)):
+            samp, prior = NormalSampling(float(sigma), int(n)), NormalPrior(float(tau))
+            expected = n * tau / (sigma * math.sqrt(sigma ** 2 + n * tau ** 2))
+            assert posterior_coefficient(samp, prior).hex() == float(expected).hex()
+
+    @pytest.mark.parametrize("tau", [1e150, 1e154, 1e155, 1e300])
+    def test_flat_limit_past_overflow(self, tau):
+        # n tau^2 overflows from tau = 1e154 at n = 30; the scale keeps its
+        # limit sqrt(n) / sigma
+        got = posterior_coefficient(NormalSampling(2.0, 30), NormalPrior(tau))
+        assert got == pytest.approx(math.sqrt(30) / 2.0, rel=1e-15)
+
+    def test_vanishing_prior_past_overflow(self):
+        # sigma^2 overflows; the prior dominates and the scale tends to 0
+        assert posterior_coefficient(NormalSampling(1e300, 30), NormalPrior(1e-300)) == 0.0
 
 
 class TestPvalueCdf:

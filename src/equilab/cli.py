@@ -44,6 +44,7 @@ from .normal import NormalPrior, NormalSampling
 from .power import CurveSpec, binom_cdf_curve, binom_power_curve, normal_curves, \
     table_simulation, theta_max
 
+MAX_GRID_POINTS = 100_000  # the theta-max grid at its finest resolution, 1e-5
 RNG_NOTE = "philox counter-based; streams via SeedSequence(seed, spawn_key=path)"
 
 
@@ -86,7 +87,8 @@ def parse_beta_prior(text: str) -> BetaPrior:
 
 
 def parse_grid(text: str):
-    """A grid given either as 'start:stop:step' (inclusive) or 'a,b,c'."""
+    """A grid given either as 'start:stop:step' (inclusive) or 'a,b,c', of
+    at most ``MAX_GRID_POINTS`` values."""
     try:
         if ":" in text:
             start, stop, step = (parse_float(part) for part in text.split(":"))
@@ -95,6 +97,8 @@ def parse_grid(text: str):
             values = []
             x = start
             while x <= stop + 1e-12:
+                if len(values) == MAX_GRID_POINTS:  # also a step lost in rounding
+                    raise ValueError(f"more than {MAX_GRID_POINTS} values")
                 values.append(round(x, 12))
                 x += step
             if not values:
@@ -103,6 +107,26 @@ def parse_grid(text: str):
         return [parse_float(part) for part in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"invalid grid {text!r}: {exc}") from None
+
+
+def _unit_grid(text: str, inside, interval: str):
+    """A strictly increasing grid whose values all pass ``inside``."""
+    values = parse_grid(text)
+    if not all(map(inside, values)):
+        raise ConfigError(f"invalid grid {text!r}: every value must lie in {interval}")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ConfigError(f"invalid grid {text!r}: grid must be strictly increasing")
+    return values
+
+
+def parse_level_grid(text: str):
+    """Levels t of an evidence CDF: a strictly increasing grid in (0, 1)."""
+    return _unit_grid(text, lambda t: 0.0 < t < 1.0, "(0, 1)")
+
+
+def parse_theta_grid(text: str):
+    """Binomial parameters: a strictly increasing grid in [0, 1]."""
+    return _unit_grid(text, lambda t: 0.0 <= t <= 1.0, "[0, 1]")
 
 
 def parse_count_grid(text: str):
@@ -121,7 +145,10 @@ def parse_rows(texts):
         key, _, value = text.partition("=")
         if key.strip() != "n":
             raise ConfigError(f"unsupported row key {key!r} (only n=<int>)")
-        rows.append(int(value))
+        n = int(value)
+        if n < 1:
+            raise ConfigError(f"row n must be positive, got {n}")
+        rows.append(n)
     return rows
 
 
@@ -259,7 +286,10 @@ def run_correlation(opts):
     design = make_design(opts)
     rows = [(mode, closed(*design))]
     if opts["mc"]:
-        rows.append((f"{mode}_mc", twin(*design, draws=opts["draws"], seed=opts["seed"])))
+        try:
+            rows.append((f"{mode}_mc", twin(*design, draws=opts["draws"], seed=opts["seed"])))
+        except ValueError as exc:  # no estimate from these draws, e.g. a constant sample
+            raise ConfigError(f"--mc: {exc}") from None
     records = [{"mode": row_mode, **vars(result),
                 "std_error": "" if result.std_error is None else result.std_error}
                for row_mode, result in rows]
@@ -298,8 +328,8 @@ FLAG_TYPES = {
     **dict.fromkeys(("two_sided", "equivalence", "partial", "mc", "adaptive"), parse_switch),
     "margin": parse_margin,
     "prior_beta": parse_beta_prior,
-    "t_grid": parse_grid,
-    "theta_grid": parse_grid,
+    "t_grid": parse_level_grid,
+    "theta_grid": parse_theta_grid,
     "k1_grid": parse_count_grid,
     "row": parse_rows,
     "out": str,
@@ -312,7 +342,7 @@ FLAG_TYPES = {
 OUTPUT = {"format": "csv", "out": None}
 LEVELS = {"alpha": 0.05, "alpha_upper": lambda opts: opts["alpha"],
           "alpha_lower": lambda opts: opts["alpha"]}
-T_GRID = parse_grid("0.05:0.95:0.05")
+T_GRID = parse_level_grid("0.05:0.95:0.05")
 
 # subcommand -> (runner, help, {flag: default or REQUIRED}); a callable default
 # is computed from the flags resolved before it
@@ -322,7 +352,7 @@ SUBCOMMANDS = {
         "theta": lambda opts: opts["margin"].theta1, "t_grid": T_GRID, **LEVELS, **OUTPUT}),
     "power-curve": (run_power_curve, "exact power curve, binomial model", {
         "margin": REQUIRED, "n": REQUIRED, "prior_beta": None,
-        "theta_grid": parse_grid("0.01:0.99:0.01"), **LEVELS, **OUTPUT}),
+        "theta_grid": parse_theta_grid("0.01:0.99:0.01"), **LEVELS, **OUTPUT}),
     "theta-max": (run_theta_max, "power-maximizing parameter search", {
         "margin": REQUIRED, "n": REQUIRED, "prior_beta": None, "resolution": 1e-3,
         **LEVELS, **OUTPUT}),

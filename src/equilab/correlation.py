@@ -30,7 +30,8 @@ from typing import Optional
 import numpy as np
 
 from .equivalence import EquivalenceMargin
-from .normal import NormalPrior, NormalSampling, _posterior_evidence
+from .normal import (NormalPrior, NormalSampling, _boundary_cdfs, _posterior_evidence,
+                     _variance_sum)
 from .rng import spawn_rng
 from .special import SLICE_ELEMENTS, normal_cdf
 
@@ -38,6 +39,9 @@ _TWO_PI = 2.0 * math.pi
 # Gauss-Legendre nodes of the partial correlation's two integrals over
 # [0, pi/6]: relative error within 1.3e-14 for c <= 10 against mpmath
 _PARTIAL_NODES = 20
+# past this c, exp(-c^2 / 6) underflows to 0 (and c^2 overflows from 1.3e154):
+# the ratio of the integrals stays finite, so rho is its limit +0
+_PARTIAL_C_ZERO = math.sqrt(6.0 * 746.0)
 _MIN_PAIRS = 4  # the fewest pairs a sample correlation is estimated from
 
 
@@ -58,9 +62,16 @@ class CorrelationResult:
             raise ValueError("std_error must be present iff method is monte_carlo")
 
 
+def _unit_ratio(x: float) -> float:
+    """x / sqrt(1 + x^2), +-1 at +-inf."""
+    return x / math.hypot(1.0, x) if math.isfinite(x) else math.copysign(1.0, x)
+
+
 def expected_phi_product(a: float, b: float) -> float:
     """E[Phi(aZ) Phi(bZ)] for standard normal Z, in closed form."""
-    arg = a * b / math.sqrt((1.0 + a * a) * (1.0 + b * b))
+    root = math.sqrt((1.0 + a * a) * (1.0 + b * b))
+    # past the float range the root is taken apart into a's and b's factors
+    arg = a * b / root if root < math.inf else _unit_ratio(a) * _unit_ratio(b)
     return 0.25 + math.asin(arg) / _TWO_PI
 
 
@@ -164,8 +175,10 @@ def equivalence_covariance_terms(samp: NormalSampling, prior: NormalPrior):
     with a = sqrt(sigma^2 + n tau^2)/sigma and b = sqrt(n) tau / sigma; the
     covariance of the two combined measures is t1 - t2 + t3 - t4 = 0.
     """
-    a = math.sqrt(samp.sigma ** 2 + samp.n * prior.tau ** 2) / samp.sigma
     b = samp.root_n * prior.tau / samp.sigma
+    total = _variance_sum(samp, prior)
+    # a^2 = 1 + b^2, the second form where sigma^2 + n tau^2 leaves the range
+    a = math.hypot(1.0, b) if total is None else math.sqrt(total) / samp.sigma
     term = expected_phi_product(a, b) - 0.25
     return term, term, term, term
 
@@ -204,17 +217,13 @@ def corr_equivalence_mc(samp: NormalSampling, prior: NormalPrior,
     xbar = _standard_normal_draws(draws, seed)
     xbar *= samp.sigma / samp.root_n
     xbar += center
-    # Phi(z_i) with z_i = sqrt(n) (xbar - theta_i) / sigma: the first in its
-    # own buffer, the second one slice at a time
-    p_signed = np.subtract(xbar, margin.theta1)
+    # Phi(z_1) + Phi(z_2) with z_i = sqrt(n) (xbar - theta_i) / sigma, one
+    # slice at a time over a copy of the means
+    p_signed = xbar.copy()
     for start in range(0, xbar.size, SLICE_ELEMENTS):
-        part = slice(start, start + SLICE_ELEMENTS)
-        second = np.subtract(xbar[part], margin.theta2)
-        for z in (p_signed[part], second):
-            z *= samp.root_n
-            z /= samp.sigma
-            normal_cdf(z, out=z)
-        p_signed[part] += second
+        first, second = _boundary_cdfs(p_signed[start:start + SLICE_ELEMENTS], margin,
+                                       samp.root_n, samp.sigma)
+        second += first
     p_signed -= 1.0
     return _correlation_in_place(_posterior_evidence(samp, prior, xbar, margin), p_signed)
 
@@ -258,7 +267,10 @@ def corr_partial_closed(samp: NormalSampling, margin: Optional[EquivalenceMargin
     Gauss-Legendre rule evaluates what is left.  Pass either a margin or a
     bare ``half_width`` (the latter admits the degenerate width 0).
     """
-    k = 0.5 * _partial_c(samp, margin, half_width) ** 2
+    c = _partial_c(samp, margin, half_width)
+    if c > _PARTIAL_C_ZERO:
+        return CorrelationResult(0.0, "closed_form")
+    k = 0.5 * c ** 2
     s, weights = _partial_rule()
     # the covariance and variance integrals, each over its integrand's maximum
     cov = weights @ np.exp(-k * s / (1.0 - s))

@@ -78,7 +78,7 @@ class EvidenceMeasure:
 def _check_binom_margin(margin: EquivalenceMargin) -> None:
     if not (0.0 < margin.theta1 and margin.theta2 < 1.0):
         raise ValueError(
-            f"binomial margins must lie inside (0, 1), got "
+            f"binomial margin must lie inside (0, 1), got "
             f"({margin.theta1}, {margin.theta2})"
         )
 

@@ -70,7 +70,8 @@ def _first_ranks(p, alpha: float, k0, k: int) -> np.ndarray:
     The guess ceil(p k0 / alpha) can round across an integer; one step down
     and one step up against the thresholds themselves settle it.
     """
-    j = np.clip(np.ceil(p * k0 / alpha), 1, k + 1).astype(np.int64)
+    with np.errstate(over="ignore"):  # past the float range the guess is k + 1
+        j = np.clip(np.ceil(p * k0 / alpha), 1, k + 1).astype(np.int64)
     j -= (j > 1) & (p <= alpha * (j - 1) / k0)
     j += (j <= k) & (p > alpha * j / k0)
     return j
@@ -197,6 +198,7 @@ class FdrExperiment:
             raise ValueError("every k1 must lie in [0, k]")
         if self.sigma <= 0 or self.tau <= 0:
             raise ValueError("sigma and tau must be positive")
+        NormalSampling(self.sigma, self.n)  # the normal model's range of sigma
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must lie in (0, 1)")
         if self.epsilon_star <= 0:
@@ -224,6 +226,7 @@ class FdrPoint:
     se_fdr: float
 
 
+@np.errstate(over="ignore")  # a z past the float range is +-inf
 def _tail_z_stats(exp: FdrExperiment, truth: np.ndarray, rng, keys) -> tuple:
     """Standardized per-tail statistics, one row per replication stream:
     ``rng``, re-keyed to each of ``keys`` in turn, fills the rows.

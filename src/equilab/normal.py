@@ -11,10 +11,12 @@ gives that of the folded p-value
 with t the standardized distance of xbar from the margin center; it is 0 at
 the center and increases to 1, and :func:`normal_tost_pvalue` reports it.
 Conjugate normal priors are centered at the tested boundary for each tail,
-which makes every posterior tail probability a single Phi evaluation.
+which makes every posterior tail probability a single Phi evaluation: one
+kernel, :func:`_boundary_cdfs`, serves the one-sided p-values and the tails.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +39,10 @@ class NormalSampling:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if self.n < 1:
             raise ValueError(f"n must be a positive integer, got {self.n}")
+        # the sd of the mean and its reciprocal, the z scale, stay in range
+        if self.sigma / self.root_n < sys.float_info.min:
+            raise ValueError(f"sigma / sqrt(n) must be at least {sys.float_info.min:g}, "
+                             f"got sigma={self.sigma}, n={self.n}")
 
     @property
     def root_n(self) -> float:
@@ -54,23 +60,31 @@ class NormalPrior:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
 
+def _variance_sum(samp: NormalSampling, prior: NormalPrior):
+    """sigma^2 + n tau^2, or None where that sum overflows or is not a
+    normal float (it underflows below sys.float_info.min)."""
+    try:
+        total = samp.sigma ** 2 + samp.n * prior.tau ** 2
+    except OverflowError:  # a square past the float range
+        return None
+    return total if sys.float_info.min <= total < math.inf else None
+
+
 def posterior_coefficient(samp: NormalSampling, prior: NormalPrior) -> float:
     """Scale n*tau / (sigma * sqrt(sigma^2 + n tau^2)) applied to (xbar - boundary).
 
     Tends to sqrt(n)/sigma as tau grows, where the posterior tails become
-    the one-sided p-values.  Where sigma^2 + n tau^2 overflows, the same
-    scale is taken as n / (sigma sqrt(sigma^2 / tau^2 + n)), which does
-    not; elsewhere the first form is kept, as the two differ in the last
-    bit on many designs.
+    the one-sided p-values.  Where sigma^2 + n tau^2 or its root times
+    sigma is out of the normal float range (:func:`_variance_sum`), the
+    same scale is taken as n / (sigma hypot(sigma / tau, sqrt n)), which
+    neither over- nor underflows on the way; elsewhere the first form is
+    kept, as the two differ in the last bit on many designs.
     """
-    try:
-        total = samp.sigma ** 2 + samp.n * prior.tau ** 2
-    except OverflowError:  # a square past the float range
-        total = math.inf
-    if math.isfinite(total):
-        return samp.n * prior.tau / (samp.sigma * math.sqrt(total))
-    ratio = samp.sigma / prior.tau
-    return samp.n / (samp.sigma * math.sqrt(ratio * ratio + samp.n))
+    total = _variance_sum(samp, prior)
+    denominator = 0.0 if total is None else samp.sigma * math.sqrt(total)
+    if denominator >= sys.float_info.min:
+        return samp.n * prior.tau / denominator
+    return samp.n / (samp.sigma * math.hypot(samp.sigma / prior.tau, samp.root_n))
 
 
 def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
@@ -93,8 +107,12 @@ def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
         raise ValueError(f"mode must be one of {CONSTANT_MODES}, got {mode!r}")
     scale = samp.sigma * samp.root_n
     if mode == "approximate":
-        c = samp.n * margin.theta1 + scale * normal_quantile(1.0 - level)
-        d = samp.n * margin.theta2 + scale * normal_quantile(level)
+        # q(1 - level) = -q(level), taken so where 1 - level rounds to 1
+        lost = 1.0 - level == 1.0
+        q_level = normal_quantile(level)
+        q_upper = np.where(lost, -q_level, normal_quantile(np.where(lost, 0.5, 1.0 - level)))
+        c = samp.n * margin.theta1 + scale * q_upper[()]
+        d = samp.n * margin.theta2 + scale * q_level
         return c, d
 
     h = margin.half_width * samp.root_n / samp.sigma
@@ -109,6 +127,21 @@ def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
     return c, samp.n * (margin.theta1 + margin.theta2) - c
 
 
+def _boundary_cdfs(xbar: np.ndarray, margin: EquivalenceMargin, scale: float,
+                   divisor: float):
+    """Phi((xbar - theta_i) scale / divisor) over the 1-d float64 array ``xbar``:
+    theta1's in a new array, theta2's in place.  The p-values pass (sqrt n,
+    sigma), the posterior tails (:func:`posterior_coefficient`, 1.0)."""
+    first = np.subtract(xbar, margin.theta1)
+    xbar -= margin.theta2
+    with np.errstate(over="ignore"):  # a distance past the float range is +-inf
+        for z in (first, xbar):
+            z *= scale
+            z /= divisor
+            normal_cdf(z, out=z)
+    return first, xbar
+
+
 def normal_onesided_pvalues(samp: NormalSampling, xbar: float,
                             margin: EquivalenceMargin):
     """One-sided LFC p-values at the observed mean.
@@ -116,10 +149,10 @@ def normal_onesided_pvalues(samp: NormalSampling, xbar: float,
     Upper-tailed test of theta <= theta1: 1 - Phi(sqrt(n)(xbar - theta1)/sigma);
     lower-tailed test of theta >= theta2: Phi(sqrt(n)(xbar - theta2)/sigma).
     """
-    z1 = samp.root_n * (xbar - margin.theta1) / samp.sigma
-    z2 = samp.root_n * (xbar - margin.theta2) / samp.sigma
-    return (EvidenceMeasure(1.0 - normal_cdf(z1), "upper", "frequentist"),
-            EvidenceMeasure(normal_cdf(z2), "lower", "frequentist"))
+    first, second = _boundary_cdfs(np.array([xbar], dtype=float), margin, samp.root_n,
+                                   samp.sigma)
+    return (EvidenceMeasure(1.0 - float(first[0]), "upper", "frequentist"),
+            EvidenceMeasure(float(second[0]), "lower", "frequentist"))
 
 
 def _combined_pvalue_values(samp: NormalSampling, xbar, margin: EquivalenceMargin):
@@ -138,32 +171,16 @@ def normal_tost_pvalue(samp: NormalSampling, xbar: float,
     return EvidenceMeasure(value, "combined", "frequentist")
 
 
-def _posterior_tail_values(samp: NormalSampling, prior: NormalPrior, xbar: np.ndarray,
-                           margin: EquivalenceMargin):
-    """Posterior tail probabilities (upper, lower) at the sample means in the
-    float64 array ``xbar``: the upper tail in a new array and the lower tail
-    in place over ``xbar``.  The bits are those of
-    1 - Phi(coef (xbar - theta1)) and Phi(coef (xbar - theta2))."""
-    coef = posterior_coefficient(samp, prior)
-    upper = np.subtract(xbar, margin.theta1)
-    upper *= coef
-    normal_cdf(upper, out=upper)
-    np.subtract(1.0, upper, out=upper)
-    xbar -= margin.theta2
-    xbar *= coef
-    return upper, normal_cdf(xbar, out=xbar)
-
-
 def _posterior_evidence(samp: NormalSampling, prior: NormalPrior, xbar: np.ndarray,
                         margin: EquivalenceMargin) -> np.ndarray:
     """Combined posterior probability of non-equivalence, lower + upper tail
     clamped to [0, 1], at the sample means in the 1-d float64 array
     ``xbar``, in place over ``xbar``: the tails are taken one slice at a
     time, so the upper tail never takes an array of the sample's size."""
+    coef = posterior_coefficient(samp, prior)
     for start in range(0, xbar.size, SLICE_ELEMENTS):
-        upper, lower = _posterior_tail_values(samp, prior, xbar[start:start + SLICE_ELEMENTS],
-                                              margin)
-        lower += upper
+        upper, lower = _boundary_cdfs(xbar[start:start + SLICE_ELEMENTS], margin, coef, 1.0)
+        lower += np.subtract(1.0, upper, out=upper)
     return np.clip(xbar, 0.0, 1.0, out=xbar)
 
 
@@ -178,8 +195,9 @@ def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float
         theta1, ``lower`` = P(theta >= theta2 | xbar) under the prior
         centered at theta2, ``combined`` their (clamped) sum.
     """
-    up, lo = _posterior_tail_values(samp, prior, np.array([xbar], dtype=float), margin)
-    up, lo = float(up[0]), float(lo[0])
+    first, second = _boundary_cdfs(np.array([xbar], dtype=float), margin,
+                                   posterior_coefficient(samp, prior), 1.0)
+    up, lo = 1.0 - float(first[0]), float(second[0])
     return (EvidenceMeasure(up, "upper", "bayesian"),
             EvidenceMeasure(lo, "lower", "bayesian"),
             EvidenceMeasure(min(1.0, max(0.0, up + lo)), "combined", "bayesian"))
@@ -198,6 +216,7 @@ def normal_pvalue_cdf(samp: NormalSampling, theta: float, margin: EquivalenceMar
         raise ValueError(f"t must lie in (0, 1), got {t}")
     c, d = normal_critical_constants(samp, margin, t, mode=mode)
     scale = samp.sigma * samp.root_n
-    value = (normal_cdf((d - samp.n * theta) / scale)
-             - normal_cdf((c - samp.n * theta) / scale))
+    with np.errstate(over="ignore"):  # a distance past the float range is +-inf
+        value = (normal_cdf((d - samp.n * theta) / scale)
+                 - normal_cdf((c - samp.n * theta) / scale))
     return np.where(c > d, 0.0, np.maximum(value, 0.0))[()]

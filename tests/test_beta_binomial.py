@@ -12,6 +12,7 @@ from equilab import (BetaPrior, EquivalenceMargin, binom_tost_pvalue,
                      binomial_pmf_vector, posterior_prob_equiv,
                      posterior_prob_lower, posterior_prob_upper,
                      posterior_update)
+from equilab.beta_binomial import MAX_PRIOR_SHAPE, posterior_values
 from equilab.special import log_gamma, reg_inc_beta
 
 
@@ -29,6 +30,16 @@ class TestPriorAndUpdate:
             BetaPrior(0.0, 1.0)
         with pytest.raises(ValueError):
             BetaPrior(1.0, -3.0)
+
+    def test_prior_shape_domain(self):
+        # the continued fraction converges for shapes up to the bound plus n
+        BetaPrior(MAX_PRIOR_SHAPE, MAX_PRIOR_SHAPE)
+        for p, q in ((1e100, 0.3), (0.3, 1e100), (MAX_PRIOR_SHAPE * 2, 1.0)):
+            with pytest.raises(ValueError, match="Beta prior needs"):
+                BetaPrior(p, q)
+        values = posterior_values(30, EquivalenceMargin(0.2, 0.8),
+                                  BetaPrior(MAX_PRIOR_SHAPE, 0.3))
+        assert np.all((values >= 0.0) & (values <= 1.0))
 
     def test_prior_variance(self):
         assert BetaPrior(0.5, 0.5).prior_variance() == pytest.approx(0.125)
@@ -152,3 +163,33 @@ class TestConservativityDirection:
         # coarse grid rather than between jumps
         for t in (0.6, 0.7, 0.8, 0.9):
             assert float(pmf @ (pb <= t)) >= t
+
+
+class TestPosteriorVector:
+    """:func:`posterior_values` is the scalar rule at every count, bit for bit."""
+
+    def test_equals_the_scalar_update(self):
+        # 300 designs, both ends of the support and 10 random counts of each
+        rng = np.random.default_rng(22)
+        for _ in range(300):
+            n = int(rng.integers(5, 201))
+            prior = BetaPrior(*rng.uniform(0.1, 5.0, 2).tolist())
+            theta1 = float(rng.uniform(0.01, 0.6))
+            margin = EquivalenceMargin(theta1, float(rng.uniform(theta1 + 0.01, 0.99)))
+            values = posterior_values(n, margin, prior)
+            assert values.shape == (n + 1,)
+            for s in {0, n, *rng.integers(0, n + 1, 10).tolist()}:
+                value = float(values[s])
+                scalar = posterior_prob_equiv(posterior_update(prior, n, s), margin).value
+                assert value.hex() == scalar.hex(), (n, prior, margin, s)
+
+    def test_tiny_prior_shape_survives_the_update(self):
+        # q + (n - s) keeps q = 1e-15 at s = n, where q + n - s rounds it away
+        values = posterior_values(30, EquivalenceMargin(0.2, 0.8), BetaPrior(1.0, 1e-15))
+        last = posterior_prob_equiv(posterior_update(BetaPrior(1.0, 1e-15), 30, 30),
+                                    EquivalenceMargin(0.2, 0.8)).value
+        assert values[-1] == last
+
+    def test_margin_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match="binomial margin must lie inside"):
+            posterior_values(10, EquivalenceMargin(-0.1, 0.5), BetaPrior(1.0, 1.0))

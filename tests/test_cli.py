@@ -17,6 +17,7 @@ import pytest
 from equilab import correlation, fdr, power
 from equilab.cli import (SUBCOMMANDS, ConfigError, build_parser, main, parse_grid,
                          resolve_options)
+from equilab.special import reg_inc_beta_pair
 
 
 def run(tmp_path, name, args):
@@ -159,13 +160,71 @@ class TestPastFloatRange:
             assert any(float(row["y_bayes"]) > 0.0 for row in read_csv(out))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_convergence_message_is_bounded(self, tmp_path, capsys):
-        code, _ = run(tmp_path, "tm", ["theta-max", "--n", "30", "--margin", "0.2,0.8",
-                                       "--prior-beta", "1e300,1"])
-        assert code == 1
-        err = capsys.readouterr().err.strip()
-        assert "did not converge for 62 element(s), the first at a=1e+300" in err
-        assert len(err) < 200
+    def test_non_convergence_message_is_bounded(self):
+        # the kernel names the count of unconverged elements and the first,
+        # not every element; the CLI no longer reaches it (the next test)
+        with pytest.raises(RuntimeError) as info:
+            reg_inc_beta_pair(np.full(62, 1e300), 1.0, np.linspace(0.2, 0.8, 62))
+        message = str(info.value)
+        assert "did not converge for 62 element(s), the first at a=1e+300" in message
+        assert len(message) < 200
+
+    @pytest.mark.parametrize("prior, code", [("1e300,1", 2), ("1e100,0.3", 2), ("0.3,2e6", 2),
+                                             ("1e6,0.3", 0)])
+    def test_prior_shape_domain(self, tmp_path, capsys, prior, code):
+        # past 1e6 a prior shape exits 2 naming the flag, not 1 from the kernel
+        assert run(tmp_path, "x", ["theta-max", "--n", "30", "--margin", "0.2,0.8",
+                                   "--prior-beta", prior])[0] == code
+        assert ("--prior-beta" in capsys.readouterr().err) == (code == 2)
+
+    @pytest.mark.parametrize("args", [
+        ["noise-cdf", "--margin=-3,3", "--n", "1", "--sigma", "1e-200", "--theta", "0",
+         "--tau", "2.5e-200", "--reps", "50"],
+        ["fdr-power", "--margin", "0,1.5", "--n", "7", "--sigma", "1e-200", "--tau", "1e-200",
+         "--evidence", "bayesian", "--k", "20", "--k1-grid", "5", "--reps", "3"],
+    ], ids=["noise-cdf", "fdr-power"])
+    def test_variance_sum_past_underflow(self, tmp_path, args):
+        # sigma^2 + n tau^2 underflows to 0; the posterior scale stays finite
+        code, out = run(tmp_path, "x", args)
+        assert code == 0
+        if args[0] == "noise-cdf":
+            # x-bar is within 1e-199 of 0, deep inside (-3, 3): the evidence is
+            # 0, so its CDF is 1 at every level
+            assert all(float(row["y_bayes"]) == 1.0 for row in read_csv(out))
+
+    @pytest.mark.parametrize("args", [
+        ["--partial", "--n", "7", "--sigma", "2500", "--margin=-1e200,1e200"],
+        ["--partial", "--n", "10", "--sigma", "1e-150", "--margin", "0,1"],
+        ["--equivalence", "--n", "10", "--sigma", "1e-200", "--tau", "1e200",
+         "--margin", "0,1"],
+    ])
+    def test_correlation_closed_form_limits(self, tmp_path, args):
+        code, out = run(tmp_path, "x", ["correlation"] + args)
+        assert code == 0
+        assert read_csv(out)[0]["rho"] == "0"
+
+    def test_constant_monte_carlo_sample_names_mc(self, tmp_path, capsys):
+        code, out = run(tmp_path, "x", ["correlation", "--equivalence", "--n", "10",
+                                        "--sigma", "1", "--tau", "1", "--margin=-1e10,1e10",
+                                        "--mc", "--draws", "40"])
+        assert code == 2
+        assert "--mc: correlation undefined for a constant sample" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestPosteriorVectorThroughCli:
+    def test_tiny_prior_shape_runs(self, tmp_path):
+        # q = 1e-15 is lost in q + n - s; q + (n - s) keeps it
+        assert run(tmp_path, "x", ["power-curve", "--n", "30", "--margin", "0.2,0.8",
+                                   "--prior-beta", "1,1e-15"])[0] == 0
+
+    @pytest.mark.parametrize("command", ["power-curve", "theta-max", "conservativity"])
+    def test_margin_outside_unit_interval_with_prior(self, tmp_path, capsys, command):
+        code, out = run(tmp_path, "x", [command, "--n", "10", "--margin=-0.1,0.5",
+                                        "--prior-beta", "1,1"])
+        assert code == 2
+        assert "binomial margin must lie inside (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestDeterminismAndManifest:
@@ -364,6 +423,28 @@ class TestConfigAndErrors:
          "theta_alt must lie in [0, 1], got -0.5"),
         (["noise-cdf", "--n", "30", "--sigma", "2", "--margin", "1,4", "--theta", "1.5",
           "--t-grid", "0.5,0.2"], "grid must be strictly increasing"),
+        (["tables", "--row", "n=0", "--margin", "0.25,0.75"],
+         "--row: row n must be positive, got 0"),
+        (["noise-cdf", "--n", "30", "--sigma", "2", "--margin", "1,4", "--theta", "1.5",
+          "--t-grid", "0.5,1.5"],
+         "--t-grid: invalid grid '0.5,1.5': every value must lie in (0, 1)"),
+        (["conservativity", "--n", "30", "--margin", "0.25,0.75", "--t-grid", "0,0.5"],
+         "--t-grid: invalid grid '0,0.5': every value must lie in (0, 1)"),
+        (["power-curve", "--n", "10", "--margin", "0.2,0.8", "--theta-grid", "0.5,1.5"],
+         "--theta-grid: invalid grid '0.5,1.5': every value must lie in [0, 1]"),
+        (["power-curve", "--n", "10", "--margin", "0.2,0.8", "--theta-grid", "0:1e-11:1e-13"],
+         "--theta-grid: invalid grid '0:1e-11:1e-13': grid must be strictly increasing"),
+        (["power-curve", "--n", "10", "--margin", "0.2,0.8", "--theta-grid", "0:1:1e-7"],
+         "--theta-grid: invalid grid '0:1:1e-7': more than 100000 values"),
+        # a step lost in rounding never reaches the stop
+        (["conservativity", "--n", "10", "--margin", "0.2,0.8", "--t-grid", "1e300:1e300:1"],
+         "--t-grid: invalid grid '1e300:1e300:1': more than 100000 values"),
+        (["theta-max", "--n", "10", "--margin", "0.2,0.8", "--resolution", "1e-6"],
+         "resolution must lie in [1e-5, 1e-3], got 1e-06"),
+        (["noise-cdf", "--n", "30", "--sigma", "1e-310", "--margin", "1,4", "--theta", "1.5"],
+         "sigma / sqrt(n) must be at least 2.22507e-308"),
+        (["fdr-power", "--n", "30", "--sigma", "1e-310", "--margin", "0,2", "--k", "20",
+          "--k1-grid", "5", "--reps", "2"], "sigma / sqrt(n) must be at least 2.22507e-308"),
     ])
     def test_value_outside_its_domain_exits_2(self, tmp_path, capsys, args, message):
         code, out = run(tmp_path, "x", args)

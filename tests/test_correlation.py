@@ -31,6 +31,13 @@ class TestExpectedPhiProduct:
             expected = 0.25 + math.asin(a * a / (1 + a * a)) / (2 * math.pi)
             assert expected_phi_product(a, a) == pytest.approx(expected, rel=1e-14)
 
+    @pytest.mark.parametrize("a, b, expected", [
+        (math.inf, math.inf, 0.5), (1e200, 1e200, 0.5), (1e300, 1e10, 0.5),
+        (math.inf, 1.0, 0.375), (1e200, 1.0, 0.375)])
+    def test_arguments_past_the_float_range(self, a, b, expected):
+        # the root overflows: the product of the factors a / sqrt(1 + a^2)
+        assert expected_phi_product(a, b) == pytest.approx(expected, rel=1e-15)
+
     def test_unit_arguments_equal_one_third(self):
         value = expected_phi_product(1.0, 1.0)
         assert value == pytest.approx(1.0 / 3.0, rel=1e-14)
@@ -121,6 +128,18 @@ class TestEquivalenceCorrelation:
                                   draws=200_000, seed=3)
         assert abs(res.rho) <= 3 * res.std_error
 
+    @pytest.mark.parametrize("sigma, tau, n", [(1e-200, 1e200, 10), (1e-200, 1e-200, 7),
+                                               (1e200, 1e200, 30), (1e300, 1e-300, 3)])
+    def test_past_the_float_range(self, sigma, tau, n):
+        # sigma^2 + n tau^2 over- or underflows: a = sqrt(1 + b^2) and the
+        # term is asin(b / sqrt(2 + b^2)) / (2 pi)
+        samp, prior = NormalSampling(sigma, n), NormalPrior(tau)
+        t1, t2, t3, t4 = equivalence_covariance_terms(samp, prior)
+        b = mpmath.sqrt(n) * mpmath.mpf(tau) / mpmath.mpf(sigma)
+        expected = float(mpmath.asin(b / mpmath.sqrt(2 + b ** 2)) / (2 * mpmath.pi))
+        assert t1 == t2 == t3 == t4 == pytest.approx(expected, rel=1e-14, abs=1e-300)
+        assert corr_equivalence_closed(samp, prior, EquivalenceMargin(0.0, 1.0)).rho == 0.0
+
     def test_scale_change_keeps_zero(self):
         for sigma in (1.0, 2.0):
             res = corr_equivalence_closed(NormalSampling(sigma, 20),
@@ -172,6 +191,22 @@ class TestPartialClosedForm:
     def test_wide_margin_is_positive_zero(self):
         rho = corr_partial_closed(self.UNIT, half_width=400.0).rho
         assert rho == 0.0 and math.copysign(1.0, rho) == 1.0
+
+    @pytest.mark.parametrize("half_width", [67.0, 1e10, 1e197, 1e300])
+    def test_past_the_underflow_is_positive_zero(self, half_width):
+        # exp(-c^2 / 6) underflows from c = 66.9 and c^2 overflows from 1.3e154
+        rho = corr_partial_closed(self.UNIT, half_width=half_width).rho
+        assert rho == 0.0 and math.copysign(1.0, rho) == 1.0
+
+    def test_tiny_sigma_is_positive_zero(self):
+        rho = corr_partial_closed(NormalSampling(1e-150, 10), EquivalenceMargin(0.0, 1.0)).rho
+        assert rho == 0.0 and math.copysign(1.0, rho) == 1.0
+
+    def test_continuous_at_the_underflow(self):
+        values = [corr_partial_closed(self.UNIT, half_width=c).rho
+                  for c in np.linspace(60.0, 70.0, 41)]
+        assert all(-1e-250 < v <= 0.0 for v in values)
+        assert all(b >= a for a, b in zip(values, values[1:]))
 
     @pytest.mark.parametrize("sigma, n, margin, seed", [
         (1.0, 25, (-1.0, 1.0), 23),   # c = 5, acceptance criterion 7's design

@@ -4,6 +4,7 @@ Monte Carlo at the boundary parameter, quadrature of the posterior density."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, stats
@@ -12,7 +13,7 @@ from equilab import (EquivalenceMargin, NormalPrior, NormalSampling,
                      normal_critical_constants, normal_onesided_pvalues,
                      normal_posterior_probs, normal_pvalue_cdf,
                      normal_tost_pvalue, posterior_coefficient)
-from equilab.normal import _combined_pvalue_values
+from equilab.normal import _boundary_cdfs, _combined_pvalue_values, _posterior_evidence
 from equilab.special import normal_cdf, normal_quantile
 
 
@@ -24,6 +25,16 @@ class TestCriticalConstants:
         scale = 2.0 * math.sqrt(30)
         assert c == pytest.approx(30 * 1.0 + scale * normal_quantile(0.95), rel=1e-12)
         assert d == pytest.approx(30 * 4.0 + scale * normal_quantile(0.05), rel=1e-12)
+
+    def test_level_below_the_spacing_at_one(self):
+        # 1 - level rounds to 1 below 2^-53: the upper quantile is -q(level)
+        samp = NormalSampling(sigma=2.0, n=30)
+        margin = EquivalenceMargin(1.0, 4.0)
+        c, d = normal_critical_constants(samp, margin, np.array([1e-300, 0.05]))
+        scale = 2.0 * math.sqrt(30)
+        assert c[0] == 30 * 1.0 - scale * normal_quantile(1e-300)
+        assert d[0] == 30 * 4.0 + scale * normal_quantile(1e-300)
+        assert (c[1], d[1]) == normal_critical_constants(samp, margin, 0.05)
 
     @pytest.mark.parametrize("mode", ["approximate", "exact_symmetric"])
     def test_symmetric_margin_gives_opposite_constants(self, mode):
@@ -215,7 +226,77 @@ class TestPosteriorProbs:
         assert gaps[-1] < 1e-5
 
 
+class TestBoundaryKernel:
+    """Both evidence rules of the normal model are :func:`_boundary_cdfs`."""
+
+    @staticmethod
+    def designs():
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            samp = NormalSampling(float(10.0 ** rng.uniform(-2, 2)), int(rng.integers(1, 500)))
+            theta1 = float(rng.uniform(-3, 3))
+            margin = EquivalenceMargin(theta1, theta1 + float(10.0 ** rng.uniform(-2, 1)))
+            xbar = rng.normal(margin.center, 3 * margin.half_width + samp.sigma, 25)
+            yield samp, NormalPrior(float(10.0 ** rng.uniform(-2, 2))), margin, xbar
+
+    def test_onesided_pvalues_are_the_kernel_elements(self):
+        for samp, _, margin, xbar in self.designs():
+            first, second = _boundary_cdfs(xbar.copy(), margin, samp.root_n, samp.sigma)
+            for x, phi1, phi2 in zip(xbar.tolist(), first.tolist(), second.tolist()):
+                upper, lower = normal_onesided_pvalues(samp, x, margin)
+                assert upper.value.hex() == (1.0 - phi1).hex()
+                assert lower.value.hex() == phi2.hex()
+                # the bits of the plain expressions
+                z1 = samp.root_n * (x - margin.theta1) / samp.sigma
+                z2 = samp.root_n * (x - margin.theta2) / samp.sigma
+                assert upper.value.hex() == (1.0 - normal_cdf(z1)).hex()
+                assert lower.value.hex() == normal_cdf(z2).hex()
+
+    def test_posterior_probs_are_the_kernel_elements(self):
+        for samp, prior, margin, xbar in self.designs():
+            coef = posterior_coefficient(samp, prior)
+            first, second = _boundary_cdfs(xbar.copy(), margin, coef, 1.0)
+            evidence = _posterior_evidence(samp, prior, xbar.copy(), margin)
+            for x, phi1, phi2, pb in zip(xbar.tolist(), first.tolist(), second.tolist(),
+                                         evidence.tolist()):
+                upper, lower, combined = normal_posterior_probs(samp, prior, x, margin)
+                assert upper.value.hex() == (1.0 - phi1).hex()
+                assert lower.value.hex() == phi2.hex()
+                assert upper.value.hex() == (1.0 - normal_cdf(coef * (x - margin.theta1))).hex()
+                assert lower.value.hex() == normal_cdf(coef * (x - margin.theta2)).hex()
+                assert combined.value.hex() == pb.hex()
+
+    def test_second_term_in_place(self):
+        xbar = np.linspace(-1.0, 2.0, 7)
+        first, second = _boundary_cdfs(xbar, EquivalenceMargin(0.0, 1.0), 2.0, 1.0)
+        assert second is xbar and not np.shares_memory(first, xbar)
+
+    def test_distance_past_the_float_range(self):
+        # (xbar - theta) sqrt(n) / sigma overflows: Phi of +-inf, no warning
+        samp = NormalSampling(1e-200, 30)
+        upper, lower = normal_onesided_pvalues(samp, 1e200, EquivalenceMargin(-1.0, 1.0))
+        assert (upper.value, lower.value) == (0.0, 1.0)
+
+
+class TestSamplingDomain:
+    def test_sd_of_the_mean_must_be_a_normal_float(self):
+        NormalSampling(1e-300, 30)
+        for sigma, n in ((5e-324, 1), (1e-310, 1), (3e-308, 30)):
+            with pytest.raises(ValueError, match="sigma / sqrt"):
+                NormalSampling(sigma, n)
+
+
 class TestPosteriorCoefficient:
+    @pytest.mark.parametrize("sigma, tau, n", [(1e-200, 2.5e-200, 1), (1e-200, 1e-200, 7),
+                                               (1e-300, 1e-15, 7), (1e-160, 5e-324, 1)])
+    def test_past_underflow(self, sigma, tau, n):
+        # sigma^2 + n tau^2 or sigma times its root underflows; the scale is
+        # invariant under sigma, tau -> s sigma, s tau up to the factor 1/s
+        got = posterior_coefficient(NormalSampling(sigma, n), NormalPrior(tau))
+        scaled = mpmath.mpf(tau) / mpmath.mpf(sigma)
+        expected = n * scaled / (mpmath.mpf(sigma) * mpmath.sqrt(1 + n * scaled ** 2))
+        assert got == pytest.approx(float(expected), rel=1e-14)
+
     def test_finite_designs_keep_the_expression(self):
         rng = np.random.default_rng(4)
         for sigma, tau, n in zip(10.0 ** rng.uniform(-3, 3, 500), 10.0 ** rng.uniform(-3, 3, 500),

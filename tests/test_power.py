@@ -13,7 +13,7 @@ from equilab import (BetaPrior, CurveSpec, EquivalenceMargin, NormalPrior,
                      binom_cdf_curve, binom_power_curve,
                      binomial_pmf_vector,
                      normal_curves, table_simulation, theta_max)
-from equilab import power
+from equilab.beta_binomial import posterior_values
 from equilab.power import _argmax_toward_center, _reject_regions
 from equilab.special import SLICE_ELEMENTS
 
@@ -118,8 +118,7 @@ class TestIntervalEngine:
                          (15, 1), (50, 2)):
                 for margin in ((0.25, 0.75), (0.2, 0.8), (0.3, 0.6), (0.05, 0.15),
                                (0.45, 0.55)):
-                    pb = power._posterior_values(n, EquivalenceMargin(*margin),
-                                                 BetaPrior(p, q))
+                    pb = posterior_values(n, EquivalenceMargin(*margin), BetaPrior(p, q))
                     inside = pb[None, :] <= ts[:, None]
                     runs = inside[:, 0] + np.count_nonzero(inside[:, 1:] & ~inside[:, :-1],
                                                            axis=1)

@@ -12,7 +12,7 @@ import io
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equilab import cli
@@ -118,6 +118,10 @@ def out_dir(tmp_path_factory):
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(argv=argvs())
+# a subnormal theta in the PMF's deviance and a prior shape of 1e-300 in the
+# incomplete beta's front factor
+@example(argv=["conservativity", "--margin=5e-324,1e-300", "--n=2"])
+@example(argv=["power-curve", "--n", "30", "--margin", "0.2,0.8", "--prior-beta", "1e-300,1"])
 def test_every_run_exits_0_or_2_naming_a_flag(out_dir, argv):
     out = str(out_dir / "out.csv")
     err = io.StringIO()

@@ -575,8 +575,8 @@ class TestBinomial:
 
     def test_pmf_normalization(self):
         total = math.fsum(binomial_pmf_vector(50, 0.25))
-        assert total == pytest.approx(1.0, abs=1e-10)
-        np.testing.assert_allclose(binomial_pmf_vector(50, 0.25).sum(), 1.0, atol=1e-10)
+        assert total == pytest.approx(1.0, abs=1e-13)
+        np.testing.assert_allclose(binomial_pmf_vector(50, 0.25).sum(), 1.0, atol=1e-13)
 
     def test_cdf_sf_complement(self):
         cdf, sf = binomial_tail_vectors(40, 0.3)
@@ -619,12 +619,86 @@ class TestBinomial:
             binom_onesided_pvalues(10, 11, EquivalenceMargin(0.25, 0.75))
 
 
-def assert_relative(got, ref, rel=1e-10):
+def assert_relative(got, ref, rel=5e-12):
     """Relative error at most ``rel`` wherever the reference exceeds 1e-300."""
     got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
     keep = ref > 1e-300
     err = np.abs(got[keep] - ref[keep]) / ref[keep]
     assert err.max() <= rel, f"worst relative error {err.max():.3g}"
+
+
+def exact_binomial(n: int, theta: float):
+    """The PMF of Bin(n, theta) and both tails, P(T <= s) and P(T >= s), in
+    40-digit arithmetic from the ratio of consecutive terms."""
+    t = mpmath.mpf(theta)
+    pmf = [(1 - t) ** n]
+    for k in range(n):
+        pmf.append(pmf[-1] * (n - k) / (k + 1) * t / (1 - t))
+    cdf, sf = [], []
+    for terms, sums in ((pmf, cdf), (pmf[::-1], sf)):
+        total = mpmath.mpf(0)
+        for term in terms:
+            total += term
+            sums.append(float(total))
+    return np.array([float(v) for v in pmf]), np.array(cdf), np.array(sf[::-1])
+
+
+class TestExactBinomialReference:
+    """The PMF, both tails and the kernel on the binomial shapes at n = 1e4
+    against exact sums, where scipy itself is about 1.4e-12 off."""
+
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 0.7311])
+    def test_pmf_tails_and_kernel(self, theta):
+        n = 10_000
+        pmf, cdf, sf = exact_binomial(n, theta)
+        got_pmf = binomial_pmf_vector(n, theta)
+        got_cdf, got_sf = binomial_tail_vectors(n, theta)
+        assert_relative(got_pmf, pmf, rel=1e-12)
+        assert abs(math.fsum(got_pmf) - 1.0) <= 1e-13
+        assert_relative(got_cdf, cdf, rel=1e-12)
+        assert_relative(got_sf, sf, rel=1e-12)
+        s = np.arange(1, n + 1)
+        at_least, below = reg_inc_beta_pair(s, n - s + 1, theta)
+        assert_relative(at_least, sf[1:], rel=1e-12)
+        assert_relative(below, cdf[:-1], rel=1e-12)
+
+
+class TestTinyShapes:
+    """The kernel against I_x(a, 1) = x^a and I_x(a, 2) = x^a (1 + a(1 - x))
+    for shapes from 1e-300 up, and free of warnings at subnormal shapes."""
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-15, 0.5])
+    @pytest.mark.parametrize("x", [0.25, 0.8])
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_closed_forms(self, a, b, x):
+        big_a, big_x = mpmath.mpf(a), mpmath.mpf(x)
+        extra = big_a * (1 - big_x) * big_x ** big_a if b == 2 else 0
+        lower = big_x ** big_a + extra
+        upper = -(mpmath.expm1(big_a * mpmath.log(big_x)) + extra)
+        got_lower, got_upper = reg_inc_beta_pair(a, b, x)
+        assert abs(got_lower - lower) <= 1e-13 * lower
+        if x < (a + 1.0) / (a + b + 2.0) and upper < 1e-3:
+            # I close to 1 on the continued fraction's side: its complement
+            # keeps only absolute accuracy
+            assert abs(got_upper - upper) <= 1e-13
+        else:
+            assert abs(got_upper - upper) <= 1e-13 * upper
+
+    @pytest.mark.parametrize("a, b, x", [(0.0036, 0.0046, 5e-324), (0.0037, 54.5, 5e-324),
+                                         (0.02, 31.3, 1e-310), (0.5, 1.5, 5e-324)])
+    def test_subnormal_x(self, a, b, x):
+        # (a + b) x rounds in the subnormal range; x^a does not
+        exact = mpmath.betainc(a, b, 0, mpmath.mpf(x), regularized=True)
+        lower, upper = reg_inc_beta_pair(a, b, x)
+        assert abs(lower - exact) <= 1e-13 * exact
+        assert abs(upper - (1 - exact)) <= 1e-13 * (1 - exact)
+
+    def test_subnormal_shapes_raise_no_warning(self):
+        lower, upper = reg_inc_beta_pair(5e-324, 5e-324, 0.5)
+        assert 0.0 <= lower <= 1.0 and 0.0 <= upper <= 1.0
+        # 1 - I_x(a, 2) = -a (log x + 1 - x) to first order in a
+        assert reg_inc_beta_pair(1e-300, 2, 0.3)[1] == pytest.approx(
+            -(math.log(0.3) + 0.7) * 1e-300, rel=1e-13)
 
 
 class TestBinomialTailAccuracy:

@@ -28,7 +28,7 @@ from .normal import (NormalPrior, NormalSampling, normal_critical_constants,
                      posterior_coefficient)
 from .power import (CurvePoint, CurveSpec, TableResult, bayes_combined_level,
                     binom_cdf_curve, binom_evidence_values, binom_power_curve,
-                    normal_curves, table_simulation, theta_max)
+                    exact_size, normal_curves, table_simulation, theta_max)
 from .rng import spawn_rng
 from .special import (binomial_interval_prob, binomial_pmf_vector, log_gamma,
                       normal_cdf, normal_quantile, reg_inc_beta, reg_inc_beta_pair)
@@ -52,7 +52,7 @@ __all__ = [
     # power analysis
     "CurveSpec", "CurvePoint", "TableResult", "binom_evidence_values",
     "binom_cdf_curve", "binom_power_curve",
-    "theta_max", "normal_curves",
+    "theta_max", "exact_size", "normal_curves",
     "table_simulation", "bayes_combined_level",
     # correlation
     "CorrelationResult", "expected_phi_product", "sample_correlation",

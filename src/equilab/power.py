@@ -1,6 +1,7 @@
 """Power analysis: exact CDF and power curves for both evidence measures,
-maximum-power parameter search, and the simulation-table protocol.  A
-single level or parameter is a one-point grid of the curve functions.
+the power-maximizing parameter and the exact size over the whole null, and
+the simulation-table protocol.  A single level or parameter is a
+one-point grid of the curve functions.
 The binomial studies take a :class:`CurveSpec`; :func:`normal_curves` takes
 the normal model's ``NormalSampling`` and ``NormalPrior``.
 
@@ -12,7 +13,11 @@ support s = 0..n, the posterior vector by
 by its monotone tails, the posterior's by total positivity; see
 :func:`_reject_regions`), so a power curve or an exact table rate is
 P_theta(C <= T <= D) over the whole grid, one kernel call for every region
-of a curve (:func:`~equilab.special.binomial_interval_prob`).  Decision rules:
+of a curve (:func:`~equilab.special.binomial_interval_prob`).  The power of
+a count interval is unimodal with a closed-form maximizer
+(:func:`_maximizer`), so :func:`theta_max` evaluates it only on the grid
+points around that peak and :func:`exact_size` only at theta1, theta2 and
+the peak.  Decision rules:
 
 * frequentist evidence rejects when each one-sided p-value is at or below
   its own tail level (for equal tails this is "max p-value <= alpha");
@@ -140,8 +145,11 @@ def binom_power_curve(spec: CurveSpec):
             for theta, f, b in zip(spec.grid, y_f, y_b)]
 
 
+TIE_TOL = 1e-12  # grid powers this close to the top tie
+
+
 def _argmax_toward_center(thetas: np.ndarray, values: np.ndarray,
-                          tie_tol: float = 1e-12) -> float:
+                          tie_tol: float = TIE_TOL) -> float:
     """Grid argmax; ties (within tie_tol) resolve toward 0.5, then smaller theta."""
     top = values.max()
     tied = thetas[values >= top - tie_tol]
@@ -149,23 +157,114 @@ def _argmax_toward_center(thetas: np.ndarray, values: np.ndarray,
     return float(tied[order[0]])
 
 
+def _maximizer(n: int, c: int, d: int) -> float:
+    """The theta that maximizes P_theta(c <= T <= d) for T ~ Bin(n, theta).
+
+    With b(j; m, theta) the Bin(m, theta) PMF, the derivative is
+    n [b(c-1; n-1, theta) - b(d; n-1, theta)].  For 1 <= c <= d <= n-1 the
+    ratio of its terms, C(n-1, c-1) / C(n-1, d) (theta / (1-theta))^(c-1-d),
+    strictly decreases, so the power has one maximizer, where the ratio is 1:
+    logit theta* = (log C(n-1, c-1) - log C(n-1, d)) / (d - c + 1).  A region
+    from count 0 (c <= 0) has falling power, peaked at 0; one up to count n
+    (d >= n) rising power, peaked at 1; an empty one (c > d) power 0, taken
+    as peaked at 0.5.
+    """
+    if c > d:
+        return 0.5
+    if c <= 0:
+        return 0.0
+    if d >= n:
+        return 1.0
+    log_ratio = (math.lgamma(d + 1) + math.lgamma(n - d)
+                 - math.lgamma(c) - math.lgamma(n - c + 1))
+    return 1.0 / (1.0 + math.exp(-log_ratio / (d - c + 1)))
+
+
 def theta_max(spec: CurveSpec, resolution: float = 1e-3):
-    """Grid search for the power-maximizing parameter of each measure.
+    """The power-maximizing parameter of each measure on the grid
+    i * resolution, i = 1 .. ceil(1/resolution)-1, resolution in
+    [1e-5, 1e-3]: the grid argmax of the exact power, ties within
+    ``TIE_TOL`` of the top resolved toward 0.5, then toward the smaller
+    theta.
 
     Returns (theta_f, theta_b); theta_b is NaN when the spec carries no
-    prior.  The grid is i * resolution for i = 1 .. ceil(1/resolution)-1;
-    resolution lies in [1e-5, 1e-3] (1e-6 takes 0.9 GB at n = 300).
+    prior.  The power of a count region is unimodal (:func:`_maximizer`),
+    so the tied grid points form one run around the peak, and only a
+    segment that holds that run is evaluated: the 4 grid points around an
+    interior maximizer, or for a monotone region the points from the one
+    nearest 0.5 to the grid's end at its peak.  An empty region (power 0)
+    and the whole support (power 1) evaluate nothing and answer the point
+    nearest 0.5.  A segment with an end still tied (a flat top) grows by its
+    own width past each such end until both ends fall below the tie or
+    reach the grid's ends: one kernel call for both measures per round, on
+    the points not evaluated yet.  The grid is built whole and a monotone
+    region or a flat top can still evaluate much of it, so the resolution
+    stays at or above 1e-5 (99 999 points).
     """
     if not 1e-5 <= resolution <= 1e-3:
         raise ValueError(f"resolution must lie in [1e-5, 1e-3], got {resolution}")
     steps = int(math.ceil(1.0 / resolution))
     thetas = np.arange(1, steps) * resolution
     thetas = thetas[(thetas > 0.0) & (thetas < 1.0)]
-    y_f, y_b = _power_arrays(spec, thetas)
-    theta_f = _argmax_toward_center(thetas, y_f)
-    if spec.prior is None:
-        return theta_f, math.nan
-    return theta_f, _argmax_toward_center(thetas, y_b)
+    last = thetas.size - 1
+    half = int(np.argmin(np.abs(thetas - 0.5)))  # the first of equidistant points
+    regions = [region for region in _reject_regions(spec) if region is not None]
+    answers = [float(thetas[half])] * len(regions)
+    segments = {}
+    for k, (c, d) in enumerate(regions):
+        if c > d or (c <= 0 and d >= spec.n):
+            continue  # the power is exactly 0 or exactly 1 everywhere
+        peak = _maximizer(spec.n, c, d)
+        if peak == 0.0:
+            segments[k] = (0, half)
+        elif peak == 1.0:
+            segments[k] = (half, last)
+        else:
+            j = int(np.searchsorted(thetas, peak))
+            segments[k] = (max(j - 2, 0), min(j + 1, last))
+    power = np.full((len(regions), thetas.size), math.nan)  # each point evaluated once
+    while segments:
+        pending = list(segments)
+        wanted = np.zeros(thetas.size, dtype=bool)
+        for lo, hi in segments.values():
+            wanted[lo:hi + 1] = True
+        points = np.flatnonzero(wanted & np.isnan(power[pending]).any(axis=0))
+        power[np.ix_(pending, points)] = binomial_interval_prob(
+            spec.n, *np.transpose([regions[k] for k in pending]), thetas[points])
+        for k in pending:
+            lo, hi = segments.pop(k)
+            v = power[k, lo:hi + 1]
+            floor = v.max() - TIE_TOL
+            grow_lo, grow_hi = lo > 0 and v[0] >= floor, hi < last and v[-1] >= floor
+            if grow_lo or grow_hi:
+                width = hi - lo + 1
+                segments[k] = (max(lo - grow_lo * width, 0), min(hi + grow_hi * width, last))
+            else:
+                answers[k] = _argmax_toward_center(thetas[lo:hi + 1], v)
+    return answers[0], (answers[1] if len(answers) > 1 else math.nan)
+
+
+def exact_size(spec: CurveSpec):
+    """Exact size of each measure's test: the supremum of its rejection
+    probability over the whole null {theta <= theta1} and {theta >= theta2}.
+
+    Returns (size_f, size_b); size_b is NaN when the spec carries no prior.
+    The power is unimodal with its peak at theta* (:func:`_maximizer`), so
+    the supremum over each side of the null is the power at the side's
+    point nearest theta*: max(P(theta1), P(theta2)) when theta* lies in
+    [theta1, theta2], P(theta*) when it lies outside, 1 when a monotone
+    region reaches the end of the support on the null side and 0 for an
+    empty region; one kernel call at {theta1, theta2, theta*}.
+    """
+    theta1, theta2 = spec.margin.theta1, spec.margin.theta2
+    regions = [region for region in _reject_regions(spec) if region is not None]
+    peaks = [_maximizer(spec.n, c, d) for c, d in regions]
+    points = np.array([theta1, theta2] + peaks)
+    values = binomial_interval_prob(spec.n, *np.transpose(regions), points)
+    sizes = [float(max(row[2 + k] if peak < theta1 else row[0],
+                       row[2 + k] if peak > theta2 else row[1]))
+             for k, (row, peak) in enumerate(zip(values, peaks))]
+    return sizes[0], (sizes[1] if len(sizes) > 1 else math.nan)
 
 
 def normal_curves(samp: NormalSampling, prior: Optional[NormalPrior],

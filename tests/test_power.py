@@ -1,21 +1,25 @@
 """Exact curves, power maximizer search, and the simulation-table protocol."""
 
 import math
+import random
 import tracemalloc
 from dataclasses import replace
 
 import mpmath
 import numpy as np
 import pytest
+from scipy import optimize, stats
 
 from equilab import (BetaPrior, CurveSpec, EquivalenceMargin, NormalPrior,
                      NormalSampling, SignificanceLevels, binom_evidence_values,
                      binom_cdf_curve, binom_power_curve,
-                     binomial_pmf_vector,
+                     binomial_interval_prob, binomial_pmf_vector, exact_size,
                      normal_curves, table_simulation, theta_max)
+from equilab import power
 from equilab.beta_binomial import posterior_values
-from equilab.power import _argmax_toward_center, _reject_regions
+from equilab.power import _argmax_toward_center, _maximizer, _power_arrays, _reject_regions
 from equilab.special import SLICE_ELEMENTS
+from test_golden import bench_module
 
 mpmath.mp.dps = 40
 
@@ -173,6 +177,226 @@ class TestThetaMax:
         assert _argmax_toward_center(thetas, flat) == 0.5
         bimodal = np.array([0.1, 1.0, 0.5, 1.0, 0.1])
         assert _argmax_toward_center(thetas, bimodal) == 0.4  # equidistant: smaller
+
+
+def theta_max_full_grid(spec, resolution=1e-3):
+    """The grid search that theta_max replaced: the power at every grid
+    point, then the tie rule; kept as the reference."""
+    steps = int(math.ceil(1.0 / resolution))
+    thetas = np.arange(1, steps) * resolution
+    thetas = thetas[(thetas > 0.0) & (thetas < 1.0)]
+    y_f, y_b = _power_arrays(spec, thetas)
+    theta_f = _argmax_toward_center(thetas, y_f)
+    if spec.prior is None:
+        return theta_f, math.nan
+    return theta_f, _argmax_toward_center(thetas, y_b)
+
+
+def benchmark_theta_max_specs(seeds):
+    """The designs of the benchmark's theta-max studies, from their params."""
+    workloads = bench_module("workloads")
+    specs = []
+    for seed in seeds:
+        for study in workloads.build("exact-binomial", seed, "unused"):
+            p = study["params"]
+            if study["kind"] == "theta-max":
+                specs.append(spec_binom(p["n"], p["margin"],
+                                        BetaPrior(*p["prior"]) if p["prior"] else None,
+                                        SignificanceLevels(*p["levels"])))
+    return specs
+
+
+def edge_specs():
+    """Empty, whole-support, monotone and flat-topped regions."""
+    specs = [spec_binom(30, (0.2, 0.8), prior) for q in (1, 5, 10, 15)
+             for prior in (BetaPrior(1, q), BetaPrior(q, 1))]
+    specs.append(spec_binom(10, (0.2, 0.8), BetaPrior(50, 50)))  # whole support, flat at 1
+    specs.append(spec_binom(10, (0.3, 0.7)))  # empty
+    specs += [spec_binom(10_000, (0.25, 0.75), prior) for prior in (None, BetaPrior(0.5, 0.5))]
+    return specs
+
+
+def random_specs(count, seed, max_n=1000):
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(count):
+        lo = round(rng.uniform(0.02, 0.9), 3)
+        hi = round(rng.uniform(lo + 0.01, 0.98), 3)
+        prior = (BetaPrior(round(rng.uniform(0.3, 20), 2), round(rng.uniform(0.3, 20), 2))
+                 if rng.random() < 0.6 else None)
+        levels = SignificanceLevels(rng.choice((0.025, 0.05, 0.1)), rng.choice((0.025, 0.05, 0.1)))
+        specs.append(spec_binom(rng.randint(2, max_n), (lo, hi), prior, levels))
+    return specs
+
+
+class TestMaximizer:
+    """The closed-form maximizer of P_theta(C <= T <= D) against scipy."""
+
+    @staticmethod
+    def interior_regions(count=250):
+        rng = random.Random(24)
+        for _ in range(count):
+            n = rng.randint(2, 1000)
+            c = rng.randint(1, n - 1)
+            yield n, c, rng.randint(c, n - 1)
+
+    def test_agrees_with_scipy_minimize_scalar(self):
+        # the power is flat at its peak, so minimize_scalar on it locates the
+        # peak only to about sqrt(eps) / curvature; the log ratio of the
+        # derivative's two PMF terms crosses zero there with a nonzero slope,
+        # so its absolute value pins theta* to rounding
+        for n, c, d in self.interior_regions():
+            theta_star = _maximizer(n, c, d)
+
+            def log_ratio_gap(x):
+                theta = 1.0 / (1.0 + math.exp(-min(max(x, -30.0), 30.0)))
+                return abs(stats.binom.logpmf(c - 1, n - 1, theta)
+                           - stats.binom.logpmf(d, n - 1, theta))
+
+            found = optimize.minimize_scalar(log_ratio_gap, bracket=(-1.0, 1.0),
+                                             method="brent", tol=1e-12)
+            assert 1.0 / (1.0 + math.exp(-found.x)) == pytest.approx(theta_star, abs=1e-9)
+
+            def neg_power(theta):
+                return -(stats.binom.cdf(d, n, theta) - stats.binom.cdf(c - 1, n, theta))
+
+            best = optimize.minimize_scalar(neg_power, bounds=(0.0, 1.0), method="bounded",
+                                            options={"xatol": 1e-12})
+            assert -best.fun <= -neg_power(theta_star) + 1e-14, (n, c, d)
+
+    def test_derivative_changes_sign_once(self):
+        thetas = np.linspace(1e-4, 1 - 1e-4, 20_001)
+        for n, c, d in self.interior_regions(200):
+            theta_star = _maximizer(n, c, d)
+            # the derivative n [b(c-1; n-1) - b(d; n-1)] has the sign of the log ratio
+            sign = np.sign(stats.binom.logpmf(c - 1, n - 1, thetas)
+                           - stats.binom.logpmf(d, n - 1, thetas))
+            rising, falling = thetas[sign > 0], thetas[sign < 0]
+            # one flip, from + to -, at most one grid point exactly on the root
+            assert rising.size and falling.size and rising.max() < falling.min(), (n, c, d)
+            assert np.count_nonzero(sign == 0) <= 1
+            assert rising.max() <= theta_star <= falling.min()
+
+    def test_monotone_regions_peak_at_the_support_ends(self):
+        assert _maximizer(30, 0, 12) == 0.0
+        assert _maximizer(30, 14, 30) == 1.0
+
+
+def region_kind(n, c, d):
+    if c > d:
+        return "empty"
+    if c <= 0 and d >= n:
+        return "whole"
+    return "monotone" if c <= 0 or d >= n else "interior"
+
+
+# designs per resolution, one non-dividing
+REFERENCE_DESIGNS = {
+    1e-3: lambda: benchmark_theta_max_specs((1, 2, 3)) + edge_specs() + random_specs(200, 1),
+    7.3e-4: lambda: edge_specs() + random_specs(150, 2),
+    1e-5: lambda: edge_specs() + random_specs(20, 3, max_n=300),
+}
+
+
+class TestThetaMaxAgainstFullGrid:
+    """theta_max evaluates only the grid points around the peak; its answer
+    is the full-grid search's, repr for repr."""
+
+    @pytest.mark.parametrize("resolution", sorted(REFERENCE_DESIGNS))
+    def test_same_answer_as_full_grid_search(self, resolution):
+        cases = [(spec, theta_max_full_grid(spec, resolution), theta_max(spec, resolution))
+                 for spec in REFERENCE_DESIGNS[resolution]()]
+        assert [case for case in cases if repr(case[1]) != repr(case[2])] == []
+
+    def test_designs_cover_every_region_kind(self):
+        assert sum(len(specs()) for specs in REFERENCE_DESIGNS.values()) >= 400
+        kinds = {region_kind(spec.n, c, d) for spec in edge_specs()
+                 for c, d in filter(None, _reject_regions(spec))}
+        assert kinds == {"empty", "whole", "monotone", "interior"}
+        for spec in benchmark_theta_max_specs((1, 2, 3)):
+            if spec.n == 10:
+                assert {region_kind(10, c, d) for c, d in filter(None, _reject_regions(spec))} \
+                    == {"empty"}
+
+
+class TestThetaMaxWork:
+    """The kernel work theta_max does, counted through its kernel name."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+
+        def counting(n, lo, hi, theta):
+            calls.append(np.size(theta))
+            return binomial_interval_prob(n, lo, hi, theta)
+
+        monkeypatch.setattr(power, "binomial_interval_prob", counting)
+        return calls
+
+    def test_interior_design_makes_one_small_call(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        spec = spec_binom(50, (0.2, 0.8), BetaPrior(2, 3))
+        assert all(0 < c <= d < 50 for c, d in _reject_regions(spec))
+        theta_max(spec, 1e-5)
+        assert len(calls) == 1 and calls[0] <= 8
+
+    def test_empty_region_makes_no_call(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        spec = spec_binom(10, (0.3, 0.7), BetaPrior(1, 1))
+        assert all(c > d for c, d in _reject_regions(spec))
+        assert theta_max(spec) == (0.5, 0.5)
+        assert calls == []
+
+
+class TestExactSize:
+    """The supremum of the rejection probability over the whole null."""
+
+    @staticmethod
+    def brute_force(spec, step=1e-4):
+        """(max over a null grid of step 1e-4 with theta1, theta2, 0 and 1;
+        whether the region's peak lies in the margin or at a support end, so
+        that the supremum is attained at a grid point)."""
+        theta1, theta2 = spec.margin.theta1, spec.margin.theta2
+        grid = np.concatenate((np.arange(0.0, theta1, step), [theta1, theta2],
+                               np.arange(1.0, theta2, -step)[::-1]))
+        y_f, y_b = _power_arrays(spec, grid)
+        on_grid = [c > d or _maximizer(spec.n, c, d) in (0.0, 1.0)
+                   or theta1 <= _maximizer(spec.n, c, d) <= theta2
+                   for c, d in filter(None, _reject_regions(spec))]
+        return (y_f.max(), y_b.max()), on_grid
+
+    def test_at_least_the_null_grid_maximum(self):
+        for spec in random_specs(80, 4, max_n=400) + edge_specs()[:10]:
+            sizes = [s for s in exact_size(spec) if not math.isnan(s)]
+            maxima, on_grid = self.brute_force(spec)
+            for size, grid_max, attained in zip(sizes, maxima, on_grid):
+                assert size >= grid_max - 1e-15, spec
+                if attained:
+                    assert size == pytest.approx(grid_max, abs=1e-9), spec
+
+    def test_no_prior_gives_nan(self):
+        size_f, size_b = exact_size(spec_binom(50, (0.25, 0.75)))
+        assert 0.0 < size_f <= 0.05 and math.isnan(size_b)
+
+    def test_skewed_prior_has_size_one(self):
+        # Beta(1,15) rejects on counts 14..30: power rises to 1 past theta2
+        spec = spec_binom(30, (0.2, 0.8), BetaPrior(1, 15))
+        assert _reject_regions(spec)[1] == (14, 30)
+        assert exact_size(spec)[1] == 1.0
+
+    def test_benchmark_table_design_is_largest_at_theta2(self):
+        # seed 1's tables-n100-beta: the table's type I rate at theta1 is
+        # 0.038, the rejection probability at theta2 is 0.074
+        study, = [s for s in bench_module("workloads").build("exact-binomial", 1, "unused")
+                  if s["id"] == "tables-n100-beta"]
+        p = study["params"]
+        spec = spec_binom(p["n"], p["margin"], BetaPrior(*p["prior"]),
+                          SignificanceLevels(*p["levels"]))
+        assert round(table_simulation(spec, reps=1, seed=0).exact_type1, 3) == 0.038
+        assert round(exact_size(spec)[1], 3) == 0.074
+
+    def test_empty_region_has_size_zero(self):
+        assert exact_size(spec_binom(10, (0.3, 0.7), BetaPrior(1, 1))) == (0.0, 0.0)
 
 
 class TestNormalCurves:

@@ -9,9 +9,10 @@ Binomial quantities are exact; Monte Carlo appears only where it mirrors a
 simulation protocol (and then against seeded, replayable streams).  The
 evidence vectors and rejection regions are built once per curve over the
 support s = 0..n, the posterior vector by
-:func:`~equilab.beta_binomial.posterior_values`.  Both tests reject on an interval of counts {C..D} (the p-value's
-by its monotone tails, the posterior's by total positivity; see
-:func:`_reject_regions`), so a power curve or an exact table rate is
+:func:`~equilab.beta_binomial.posterior_values`; a study builds only the
+regions it reads.  Both tests reject on an interval of counts {C..D} (the
+p-value's by its monotone tails, the posterior's by total positivity; see
+:func:`_bayes_region`), so a power curve or an exact table rate is
 P_theta(C <= T <= D) over the whole grid, one kernel call for every region
 of a curve (:func:`~equilab.special.binomial_interval_prob`).  The power of
 a count interval is unimodal with a closed-form maximizer
@@ -103,9 +104,9 @@ def bayes_combined_level(levels: SignificanceLevels) -> float:
     return 0.5 * (levels.alpha_upper + levels.alpha_lower)
 
 
-def _reject_regions(spec: CurveSpec):
-    """Rejection regions as count intervals (C, D), empty when C > D:
-    (frequentist, Bayesian or None without a prior).
+def _bayes_region(spec: CurveSpec):
+    """The Bayesian rejection region as a count interval (C, D), empty when
+    C > D; the spec must carry a prior.
 
     The Beta(p+s, q+n-s) posterior density is (theta / (1-theta))^s
     theta^(p-1) (1-theta)^(q+n-1) up to a factor in s, a totally positive
@@ -113,12 +114,16 @@ def _reject_regions(spec: CurveSpec):
     Total Positivity, 1968) P(theta1 < theta < theta2 | s) - (1 - t) changes
     sign at most twice, and then as - + -, so {pb <= t} is one run of counts.
     """
-    region_b = None
-    if spec.prior is not None:
-        pb = posterior_values(spec.n, spec.margin, spec.prior)
-        counts = np.flatnonzero(pb <= bayes_combined_level(spec.levels))
-        region_b = (int(counts[0]), int(counts[-1])) if counts.size else (0, -1)
-    return binom_critical_constants(spec.n, spec.margin, spec.levels), region_b
+    pb = posterior_values(spec.n, spec.margin, spec.prior)
+    counts = np.flatnonzero(pb <= bayes_combined_level(spec.levels))
+    return (int(counts[0]), int(counts[-1])) if counts.size else (0, -1)
+
+
+def _reject_regions(spec: CurveSpec):
+    """Rejection regions as count intervals (C, D), empty when C > D:
+    (frequentist, Bayesian or None without a prior)."""
+    return (binom_critical_constants(spec.n, spec.margin, spec.levels),
+            None if spec.prior is None else _bayes_region(spec))
 
 
 def _power_arrays(spec: CurveSpec, thetas):
@@ -304,8 +309,8 @@ def table_simulation(spec: CurveSpec, reps: int, seed: int,
         raise ValueError(f"reps must be positive, got {reps}")
     if not 0.0 <= theta_alt <= 1.0:
         raise ValueError(f"theta_alt must lie in [0, 1], got {theta_alt}")
-    region_f, region_b = _reject_regions(spec)
-    c, d = region_f if region_b is None else region_b
+    c, d = (binom_critical_constants(spec.n, spec.margin, spec.levels) if spec.prior is None
+            else _bayes_region(spec))
     s_null = spawn_rng(seed, 0).binomial(spec.n, spec.margin.theta1, size=reps)
     s_alt = spawn_rng(seed, 1).binomial(spec.n, theta_alt, size=reps)
     exact_type1, exact_power = binomial_interval_prob(spec.n, c, d,

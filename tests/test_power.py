@@ -473,6 +473,19 @@ class TestTableSimulation:
             s = np.random.Generator(bits).binomial(40, theta, size=3000)
             assert rate == float(np.mean((c <= s) & (s <= d)))
 
+    def test_builds_only_the_region_it_reads(self, monkeypatch):
+        # with a prior only the Bayesian region, without one only the
+        # frequentist region; the rates are those of that region
+        for prior, unread in ((BetaPrior(0.5, 1.2), "binom_critical_constants"),
+                              (None, "posterior_values")):
+            spec = spec_binom(60, (0.3, 0.7), prior)
+            c, d = _reject_regions(spec)[0 if prior is None else 1]
+            want = binomial_interval_prob(60, c, d, (0.3, 0.4))
+            with monkeypatch.context() as patch:
+                patch.setattr(power, unread, lambda *args: pytest.fail(f"{unread} called"))
+                res = table_simulation(spec, reps=500, seed=3)
+            assert (res.exact_type1, res.exact_power) == tuple(want.tolist())
+
     @pytest.mark.parametrize("theta_alt", [1.5, -0.5, math.nan])
     def test_theta_alt_outside_unit_interval_is_refused(self, theta_alt):
         spec = spec_binom(10, (0.25, 0.75))

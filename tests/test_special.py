@@ -14,11 +14,12 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from equilab import EquivalenceMargin, binom_onesided_pvalues, binom_tost_pvalue
+from equilab import special as equilab_special
 from equilab.special import (_ERX, _HIGH_WORD, _ONE_OVER_035, _PA, _PP, _QA, _QQ, _RA, _RB,
-                             _SA, _SB, SLICE_ELEMENTS, _acklam_quantile, _lentz, _lentz_array,
-                             binomial_interval_prob, binomial_pmf_vector, binomial_tail_vectors,
-                             erfc, log_gamma, normal_cdf, normal_quantile, reg_inc_beta,
-                             reg_inc_beta_pair)
+                             _SA, _SB, FLOAT_LOOP_ELEMENTS, LENTZ_BLOCK_STEPS, SLICE_ELEMENTS,
+                             _acklam_quantile, _lentz, _lentz_array, binomial_interval_prob,
+                             binomial_pmf_vector, binomial_tail_vectors, erfc, log_gamma,
+                             normal_cdf, normal_quantile, reg_inc_beta, reg_inc_beta_pair)
 
 mpmath.mp.dps = 40
 
@@ -197,6 +198,112 @@ class TestLentzArrayPath:
             _lentz_array(np.array([5.0]), np.array([50.0]), np.array([0.05]), max_iter=1)
         with pytest.raises(RuntimeError):
             _lentz(5.0, 50.0, 0.05, max_iter=1)
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 33, 100, 257, 400])
+    def test_spread_convergence_equals_float_path_bitwise(self, size):
+        # shapes from 0.5 to 1e4 converge in 2 to about 50 steps, so the
+        # elements leave across many blocks and compactions
+        rng = np.random.default_rng(size)
+        a, b = np.exp(rng.uniform(math.log(0.5), math.log(1e4), (2, size)))
+        x = np.array([_converging_side(*element) for element in
+                      zip(a.tolist(), b.tolist(), rng.uniform(0.0, 1.0, size).tolist())])
+        got = _lentz_array(a, b, x)
+        assert [v.hex() for v in got.tolist()] == [
+            _lentz(*element).hex() for element in zip(a.tolist(), b.tolist(), x.tolist())]
+        if size == 400:
+            assert len({_steps(*element) // LENTZ_BLOCK_STEPS
+                        for element in zip(a.tolist(), b.tolist(), x.tolist())}) >= 5
+
+    @pytest.mark.parametrize("max_iter", [1, LENTZ_BLOCK_STEPS - 1, LENTZ_BLOCK_STEPS,
+                                          LENTZ_BLOCK_STEPS + 1])
+    def test_max_iter_around_a_block(self, max_iter):
+        # elements converging in 1 to about 25 steps: each array raises as
+        # the float loop does on one of its elements, or matches it
+        rng = np.random.default_rng(max_iter)
+        outcomes = set()
+        for _ in range(40):
+            size = int(rng.integers(1, 12))
+            a, b = np.exp(rng.uniform(math.log(0.5), math.log(500.0), (2, size)))
+            x = np.array([_converging_side(*element) for element in
+                          zip(a.tolist(), b.tolist(), 10.0 ** rng.uniform(-8.0, 0.0, size))])
+            try:
+                want = [_lentz(*element, max_iter=max_iter).hex()
+                        for element in zip(a.tolist(), b.tolist(), x.tolist())]
+            except RuntimeError:
+                with pytest.raises(RuntimeError):
+                    _lentz_array(a, b, x, max_iter=max_iter)
+                outcomes.add("raised")
+            else:
+                got = _lentz_array(a, b, x, max_iter=max_iter)
+                assert [v.hex() for v in got.tolist()] == want
+                outcomes.add("matched")
+        assert outcomes == {"raised", "matched"}
+
+
+def _steps(a: float, b: float, x: float) -> int:
+    """The steps the float loop takes to converge, by bisection on max_iter."""
+    lo, hi = 1, 1000
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            _lentz(a, b, x, max_iter=mid)
+            hi = mid
+        except RuntimeError:
+            lo = mid + 1
+    return lo
+
+
+class TestSmallCallRoute:
+    """Calls of at most FLOAT_LOOP_ELEMENTS elements take the float loop
+    element by element, with the array route's bits."""
+
+    @staticmethod
+    def _bits(pair):
+        return [[v.hex() for v in np.ravel(member).tolist()] for member in pair]
+
+    @staticmethod
+    def _shapes(size, seed):
+        rng = np.random.default_rng(seed)
+        s = rng.integers(1, 300, size).astype(float)
+        return s, 301.0 - s, rng.uniform(0.0, 1.0, size)
+
+    def test_zero_d_inputs(self, monkeypatch):
+        pair = reg_inc_beta_pair(3.5, 47.5, 0.25)
+        assert all(np.ndim(member) == 0 for member in pair)
+        monkeypatch.setattr(equilab_special, "FLOAT_LOOP_ELEMENTS", 0)
+        assert self._bits(reg_inc_beta_pair(3.5, 47.5, 0.25)) == self._bits(pair)
+
+    @pytest.mark.parametrize("size", range(1, FLOAT_LOOP_ELEMENTS + 9))
+    def test_sizes_equal_array_route_and_scalar_calls(self, size, monkeypatch):
+        a, b, x = self._shapes(size, size)
+        pair = reg_inc_beta_pair(a, b, x)
+        scalar = [reg_inc_beta_pair(*element) for element in zip(a, b, x)]
+        assert self._bits(pair) == self._bits(zip(*scalar))
+        monkeypatch.setattr(equilab_special, "FLOAT_LOOP_ELEMENTS", 0)
+        assert self._bits(reg_inc_beta_pair(a, b, x)) == self._bits(pair)
+
+    @pytest.mark.parametrize("regions, grid", [(1, 1), (2, 2), (2, 4), (4, 4), (3, 11)])
+    def test_interval_layout(self, regions, grid, monkeypatch):
+        # bounds as a column against a theta grid, as binomial_interval_prob calls
+        s = np.arange(1.0, regions + 1)[:, None] * 7.0
+        theta = np.linspace(0.05, 0.95, grid)
+        pair = reg_inc_beta_pair(s, 41.0 - s, theta)
+        assert pair[0].shape == (regions, grid)
+        scalar = [[reg_inc_beta_pair(si, 41.0 - si, t) for t in theta] for si in s[:, 0]]
+        assert self._bits(pair) == self._bits(np.moveaxis(np.array(scalar), -1, 0))
+        monkeypatch.setattr(equilab_special, "FLOAT_LOOP_ELEMENTS", 0)
+        assert self._bits(reg_inc_beta_pair(s, 41.0 - s, theta)) == self._bits(pair)
+
+    def test_small_calls_never_enter_the_array_loop(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("array loop entered")
+        monkeypatch.setattr(equilab_special, "_lentz_array", refuse)
+        for size in (1, 2, FLOAT_LOOP_ELEMENTS - 1, FLOAT_LOOP_ELEMENTS):
+            reg_inc_beta_pair(*self._shapes(size, size))
+        reg_inc_beta_pair(2.0, 3.0, 0.4)
+        reg_inc_beta_pair(np.array([[5.0], [9.0]]), 12.0, np.linspace(0.1, 0.9, 12))
+        with pytest.raises(AssertionError, match="array loop entered"):
+            reg_inc_beta_pair(*self._shapes(FLOAT_LOOP_ELEMENTS + 1, 0))
 
 
 class TestBinomialIntervalProb:
@@ -692,6 +799,17 @@ class TestTinyShapes:
         lower, upper = reg_inc_beta_pair(a, b, x)
         assert abs(lower - exact) <= 1e-13 * exact
         assert abs(upper - (1 - exact)) <= 1e-13 * (1 - exact)
+
+    @pytest.mark.parametrize("x", [1e-300, 1e-9, 0.25, 0.5, 0.8, 1.0 - 1e-9])
+    def test_members_lie_in_the_unit_interval(self, x):
+        # I close to 1 on the continued fraction's side, as at
+        # reg_inc_beta_pair(1e-15, 1, 0.25), is clamped before its complement.
+        # No b = 0.5: at a <= 1e-15 its continued fraction can settle one ulp
+        # below the convergence test and raise after 1000 steps
+        shapes =np.array([1e-300, 1e-100, 1e-15, 1e-5, 1.0, 2.0, 40.0, 1e3, 1e6])
+        lower, upper = reg_inc_beta_pair(shapes[:, None], shapes, x)
+        assert ((lower >= 0.0) & (lower <= 1.0) & (upper >= 0.0) & (upper <= 1.0)).all()
+        assert reg_inc_beta_pair(1e-15, 1, 0.25)[1] >= 0.0
 
     def test_subnormal_shapes_raise_no_warning(self):
         lower, upper = reg_inc_beta_pair(5e-324, 5e-324, 0.5)

@@ -20,7 +20,7 @@ margin = EquivalenceMargin(0.2, 0.8)
 def peaks(spec):
     """theta* of each measure's rejection region ('-' for an empty one)."""
     return ["-" if c > d else f"{_maximizer(spec.n, c, d):.4f}"
-            for c, d in filter(None, _reject_regions(spec))]
+            for c, d in _reject_regions(spec)]
 
 
 print("p-value maximizer, equal 5% tails:")

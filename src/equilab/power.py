@@ -16,9 +16,9 @@ p-value's by its monotone tails, the posterior's by total positivity; see
 P_theta(C <= T <= D) over the whole grid, one kernel call for every region
 of a curve (:func:`~equilab.special.binomial_interval_prob`).  The power of
 a count interval is unimodal with a closed-form maximizer
-(:func:`_maximizer`), so :func:`theta_max` evaluates it only on the grid
-points around that peak and :func:`exact_size` only at theta1, theta2 and
-the peak.  Decision rules:
+(:func:`_maximizer`), so :func:`theta_max` evaluates it only from the grid
+points around that peak toward 0.5 and :func:`exact_size` only at theta1,
+theta2 and the peak.  Decision rules:
 
 * frequentist evidence rejects when each one-sided p-value is at or below
   its own tail level (for equal tails this is "max p-value <= alpha");
@@ -120,17 +120,16 @@ def _bayes_region(spec: CurveSpec):
 
 
 def _reject_regions(spec: CurveSpec):
-    """Rejection regions as count intervals (C, D), empty when C > D:
-    (frequentist, Bayesian or None without a prior)."""
-    return (binom_critical_constants(spec.n, spec.margin, spec.levels),
-            None if spec.prior is None else _bayes_region(spec))
+    """Rejection regions as count intervals (C, D), empty when C > D: the
+    frequentist one, then the Bayesian one when the spec carries a prior."""
+    regions = [binom_critical_constants(spec.n, spec.margin, spec.levels)]
+    return regions if spec.prior is None else regions + [_bayes_region(spec)]
 
 
 def _power_arrays(spec: CurveSpec, thetas):
     """Exact rejection probability of each measure at each theta (NaN for
     the Bayesian one without a prior)."""
-    regions = [region for region in _reject_regions(spec) if region is not None]
-    y = binomial_interval_prob(spec.n, *np.transpose(regions), thetas)
+    y = binomial_interval_prob(spec.n, *np.transpose(_reject_regions(spec)), thetas)
     return y[0], (y[1] if len(y) > 1 else np.full(np.shape(thetas), math.nan))
 
 
@@ -153,11 +152,9 @@ def binom_power_curve(spec: CurveSpec):
 TIE_TOL = 1e-12  # grid powers this close to the top tie
 
 
-def _argmax_toward_center(thetas: np.ndarray, values: np.ndarray,
-                          tie_tol: float = TIE_TOL) -> float:
-    """Grid argmax; ties (within tie_tol) resolve toward 0.5, then smaller theta."""
-    top = values.max()
-    tied = thetas[values >= top - tie_tol]
+def _argmax_toward_center(thetas: np.ndarray, values: np.ndarray) -> float:
+    """Grid argmax; ties (within TIE_TOL) resolve toward 0.5, then smaller theta."""
+    tied = thetas[values >= values.max() - TIE_TOL]
     order = np.lexsort((tied, np.abs(tied - 0.5)))
     return float(tied[order[0]])
 
@@ -185,6 +182,39 @@ def _maximizer(n: int, c: int, d: int) -> float:
     return 1.0 / (1.0 + math.exp(-log_ratio / (d - c + 1)))
 
 
+def _tied_point(n: int, c: int, d: int, thetas: np.ndarray) -> float:
+    """:func:`_argmax_toward_center` of P_theta(c <= T <= d) on the grid
+    thetas, from a segment of it.
+
+    The power is unimodal (:func:`_maximizer`): its grid maximum is at one of
+    the two points around theta*, the points tied with it form one run, and
+    the answer is that run's end nearest 0.5, or 0.5's own point.  The segment
+    holds those two points (the grid's end for a monotone region) and, unless
+    0.5's point is among them, one more toward 0.5; while its end toward 0.5
+    is tied, that end grows by the segment's width, up to 0.5's point.  An
+    empty region (power 0) or the whole support (power 1) answers 0.5's
+    point with no kernel call.
+    """
+    half = int(np.argmin(np.abs(thetas - 0.5)))  # the first of equidistant points
+    if c > d or (c <= 0 and d >= n):
+        return float(thetas[half])
+    j = int(np.searchsorted(thetas, _maximizer(n, c, d)))
+    lo, hi = max(j - 1, 0), min(j, thetas.size - 1)
+    if hi < half:
+        hi += 1
+    elif lo > half:
+        lo -= 1
+    while True:
+        v = binomial_interval_prob(n, c, d, thetas[lo:hi + 1])
+        floor = v.max() - TIE_TOL
+        if hi < half and v[-1] >= floor:
+            hi = min(hi + (hi - lo + 1), half)
+        elif lo > half and v[0] >= floor:
+            lo = max(lo - (hi - lo + 1), half)
+        else:
+            return _argmax_toward_center(thetas[lo:hi + 1], v)
+
+
 def theta_max(spec: CurveSpec, resolution: float = 1e-3):
     """The power-maximizing parameter of each measure on the grid
     i * resolution, i = 1 .. ceil(1/resolution)-1, resolution in
@@ -193,59 +223,17 @@ def theta_max(spec: CurveSpec, resolution: float = 1e-3):
     theta.
 
     Returns (theta_f, theta_b); theta_b is NaN when the spec carries no
-    prior.  The power of a count region is unimodal (:func:`_maximizer`),
-    so the tied grid points form one run around the peak, and only a
-    segment that holds that run is evaluated: the 4 grid points around an
-    interior maximizer, or for a monotone region the points from the one
-    nearest 0.5 to the grid's end at its peak.  An empty region (power 0)
-    and the whole support (power 1) evaluate nothing and answer the point
-    nearest 0.5.  A segment with an end still tied (a flat top) grows by its
-    own width past each such end until both ends fall below the tie or
-    reach the grid's ends: one kernel call for both measures per round, on
-    the points not evaluated yet.  The grid is built whole and a monotone
-    region or a flat top can still evaluate much of it, so the resolution
-    stays at or above 1e-5 (99 999 points).
+    prior.  Each region is searched on its own, from its peak toward 0.5
+    (:func:`_tied_point`): one kernel call of at most 3 points unless the
+    top is flat or the region monotone.  Such a region can still evaluate
+    much of the grid, so the resolution stays at or above 1e-5.
     """
     if not 1e-5 <= resolution <= 1e-3:
         raise ValueError(f"resolution must lie in [1e-5, 1e-3], got {resolution}")
     steps = int(math.ceil(1.0 / resolution))
     thetas = np.arange(1, steps) * resolution
     thetas = thetas[(thetas > 0.0) & (thetas < 1.0)]
-    last = thetas.size - 1
-    half = int(np.argmin(np.abs(thetas - 0.5)))  # the first of equidistant points
-    regions = [region for region in _reject_regions(spec) if region is not None]
-    answers = [float(thetas[half])] * len(regions)
-    segments = {}
-    for k, (c, d) in enumerate(regions):
-        if c > d or (c <= 0 and d >= spec.n):
-            continue  # the power is exactly 0 or exactly 1 everywhere
-        peak = _maximizer(spec.n, c, d)
-        if peak == 0.0:
-            segments[k] = (0, half)
-        elif peak == 1.0:
-            segments[k] = (half, last)
-        else:
-            j = int(np.searchsorted(thetas, peak))
-            segments[k] = (max(j - 2, 0), min(j + 1, last))
-    power = np.full((len(regions), thetas.size), math.nan)  # each point evaluated once
-    while segments:
-        pending = list(segments)
-        wanted = np.zeros(thetas.size, dtype=bool)
-        for lo, hi in segments.values():
-            wanted[lo:hi + 1] = True
-        points = np.flatnonzero(wanted & np.isnan(power[pending]).any(axis=0))
-        power[np.ix_(pending, points)] = binomial_interval_prob(
-            spec.n, *np.transpose([regions[k] for k in pending]), thetas[points])
-        for k in pending:
-            lo, hi = segments.pop(k)
-            v = power[k, lo:hi + 1]
-            floor = v.max() - TIE_TOL
-            grow_lo, grow_hi = lo > 0 and v[0] >= floor, hi < last and v[-1] >= floor
-            if grow_lo or grow_hi:
-                width = hi - lo + 1
-                segments[k] = (max(lo - grow_lo * width, 0), min(hi + grow_hi * width, last))
-            else:
-                answers[k] = _argmax_toward_center(thetas[lo:hi + 1], v)
+    answers = [_tied_point(spec.n, c, d, thetas) for c, d in _reject_regions(spec)]
     return answers[0], (answers[1] if len(answers) > 1 else math.nan)
 
 
@@ -262,7 +250,7 @@ def exact_size(spec: CurveSpec):
     empty region; one kernel call at {theta1, theta2, theta*}.
     """
     theta1, theta2 = spec.margin.theta1, spec.margin.theta2
-    regions = [region for region in _reject_regions(spec) if region is not None]
+    regions = _reject_regions(spec)
     peaks = [_maximizer(spec.n, c, d) for c, d in regions]
     points = np.array([theta1, theta2] + peaks)
     values = binomial_interval_prob(spec.n, *np.transpose(regions), points)

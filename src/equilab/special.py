@@ -116,6 +116,7 @@ LENTZ_BLOCK_ELEMENTS = 1024
 # numpy 2.4) it is the faster route up to about 24 elements (22: 271 against
 # 382 us a call) and the slower one from 32 (514 against 418 us).
 FLOAT_LOOP_ELEMENTS = 24
+LENTZ_EPS = 2.3e-16  # delta within one ulp of 1 (1 - 2**-53, 1 + 2**-52) counts as converged
 
 
 def _guard(t: float) -> float:
@@ -134,7 +135,7 @@ def _numerators(m, a, b, x, qab, qap, qam):
     return even, odd
 
 
-def _lentz(a: float, b: float, x: float, max_iter: int = 1000, eps: float = 1e-16) -> float:
+def _lentz(a: float, b: float, x: float, max_iter: int = 1000) -> float:
     """Continued fraction for the incomplete beta (modified Lentz method;
     I. J. Thompson and A. R. Barnett, J. Comput. Phys. 64, 1986) on floats.
 
@@ -156,7 +157,7 @@ def _lentz(a: float, b: float, x: float, max_iter: int = 1000, eps: float = 1e-1
         c = _guard(1.0 + odd / c)
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < eps:
+        if abs(delta - 1.0) < LENTZ_EPS:
             return h
     raise RuntimeError(_NO_CONVERGENCE.format(1, a, b, x))
 
@@ -170,7 +171,7 @@ def _guard_in_place(t: np.ndarray) -> None:
         np.add(t, _TINY - t, out=t, where=near_zero)
 
 
-def _lentz_array(a, b, x, max_iter: int = 1000, eps: float = 1e-16) -> np.ndarray:
+def _lentz_array(a, b, x, max_iter: int = 1000) -> np.ndarray:
     """:func:`_lentz`'s steps elementwise on 1-d arrays, bit for bit.
 
     The numerators come in blocks of steps, one row per step
@@ -221,8 +222,8 @@ def _lentz_array(a, b, x, max_iter: int = 1000, eps: float = 1e-16) -> np.ndarra
                     h *= delta
                     now, after = after, now
                 dist = np.abs(np.subtract(delta, 1.0, out=delta), out=delta)
-                if np.fmin.reduce(dist) < eps:
-                    done = dist < eps
+                if np.fmin.reduce(dist) < LENTZ_EPS:
+                    done = dist < LENTZ_EPS
                     np.copyto(final, h, where=done)
                     np.copyto(now[0], np.nan, where=done)
                     going[done] = False

@@ -1,7 +1,8 @@
 """Golden outputs: every CLI subcommand at one small fixed configuration must
 reproduce its stored CSV byte for byte, and every study of the benchmark's
-three workloads at seed 1 must pass the benchmark's own oracles and
-reproduce the SHA-256 of its data file stored in ``bench-seed1.sha256``.
+three workloads at seeds 1, 2 and 3 must pass the benchmark's own oracles
+and reproduce the SHA-256 of its data file stored in
+``bench-seed<seed>.sha256``.
 
 An intended numeric change regenerates the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and explains the diff in
@@ -20,8 +21,7 @@ from equilab.cli import main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 BENCH_DIR = os.path.join(os.path.dirname(GOLDEN_DIR), os.pardir, "bench")
-BENCH_DIGESTS = os.path.join(GOLDEN_DIR, "bench-seed1.sha256")
-BENCH_SEED = 1
+BENCH_SEEDS = (1, 2, 3)
 
 CONFIGS = {
     "conservativity": [
@@ -69,13 +69,17 @@ def bench_module(name):
     return module
 
 
-def bench_outputs(out_dir):
-    """Run every study of the three workloads at ``BENCH_SEED`` into
-    ``out_dir``; return {file name: SHA-256} and {study id: problems}."""
+def bench_digests_path(seed):
+    return os.path.join(GOLDEN_DIR, f"bench-seed{seed}.sha256")
+
+
+def bench_outputs(seed, out_dir):
+    """Run every study of the three workloads at ``seed`` into ``out_dir``;
+    return {file name: SHA-256} and {study id: problems}."""
     workloads, oracles = bench_module("workloads"), bench_module("oracles")
     digests, problems = {}, {}
     for workload in workloads.WORKLOADS:
-        for study in workloads.build(workload, BENCH_SEED, str(out_dir)):
+        for study in workloads.build(workload, seed, str(out_dir)):
             code = main(list(study["argv"]))
             found = oracles.check(study) if code == 0 else [f"exit code {code}"]
             if found:
@@ -86,16 +90,17 @@ def bench_outputs(out_dir):
     return digests, problems
 
 
-def read_bench_digests():
-    with open(BENCH_DIGESTS, encoding="utf-8") as handle:
+def read_bench_digests(seed):
+    with open(bench_digests_path(seed), encoding="utf-8") as handle:
         return dict(reversed(line.split("  ")) for line in handle.read().splitlines())
 
 
-def test_benchmark_studies_pass_oracles_with_golden_digests(tmp_path):
-    digests, problems = bench_outputs(tmp_path)
+@pytest.mark.parametrize("seed", BENCH_SEEDS)
+def test_benchmark_studies_pass_oracles_with_golden_digests(tmp_path, seed):
+    digests, problems = bench_outputs(seed, tmp_path)
     assert problems == {}
     assert len(digests) == 39
-    assert digests == read_bench_digests()
+    assert digests == read_bench_digests(seed)
 
 
 def regenerate():
@@ -105,12 +110,13 @@ def regenerate():
         if main(argv + ["--out", path]) != 0:
             raise SystemExit(f"{name} failed")
         os.remove(path + ".manifest.json")
-    with tempfile.TemporaryDirectory() as scratch:
-        digests, problems = bench_outputs(scratch)
-    if problems:
-        raise SystemExit(f"benchmark oracles failed: {problems}")
-    with open(BENCH_DIGESTS, "w", encoding="utf-8") as handle:
-        handle.writelines(f"{digest}  {name}\n" for name, digest in sorted(digests.items()))
+    for seed in BENCH_SEEDS:
+        with tempfile.TemporaryDirectory() as scratch:
+            digests, problems = bench_outputs(seed, scratch)
+        if problems:
+            raise SystemExit(f"benchmark oracles failed at seed {seed}: {problems}")
+        with open(bench_digests_path(seed), "w", encoding="utf-8") as handle:
+            handle.writelines(f"{digest}  {name}\n" for name, digest in sorted(digests.items()))
 
 
 if __name__ == "__main__":

@@ -333,12 +333,30 @@ class TestThetaMaxWork:
         monkeypatch.setattr(power, "binomial_interval_prob", counting)
         return calls
 
-    def test_interior_design_makes_one_small_call(self, monkeypatch):
+    def test_interior_design_makes_one_small_call_per_region(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
         spec = spec_binom(50, (0.2, 0.8), BetaPrior(2, 3))
         assert all(0 < c <= d < 50 for c, d in _reject_regions(spec))
         theta_max(spec, 1e-5)
-        assert len(calls) == 1 and calls[0] <= 8
+        assert len(calls) == 2 and max(calls) <= 3
+
+    @pytest.mark.parametrize("prior", [None, BetaPrior(0.5, 0.5)])
+    def test_centred_flat_top_makes_one_call_per_region(self, monkeypatch, prior):
+        # the power is 1 to double precision all around 0.5, whose point the
+        # first segment already holds
+        calls = self.count_calls(monkeypatch)
+        spec = spec_binom(10_000, (0.25, 0.75), prior)
+        assert theta_max(spec)[0] == 0.5
+        assert len(calls) == len(_reject_regions(spec))
+
+    def test_monotone_region_evaluates_a_fraction_of_the_grid(self, monkeypatch):
+        # Beta(1, 15) rejects on counts 14..30: the power rises to 1, and the
+        # points tied with the top reach from the grid's end down to about 0.93
+        calls = self.count_calls(monkeypatch)
+        spec = spec_binom(30, (0.2, 0.8), BetaPrior(1, 15))
+        assert _reject_regions(spec)[1] == (14, 30)
+        theta_max(spec, 1e-5)
+        assert sum(calls) < 20_000
 
     def test_empty_region_makes_no_call(self, monkeypatch):
         calls = self.count_calls(monkeypatch)

@@ -803,13 +803,21 @@ class TestTinyShapes:
     @pytest.mark.parametrize("x", [1e-300, 1e-9, 0.25, 0.5, 0.8, 1.0 - 1e-9])
     def test_members_lie_in_the_unit_interval(self, x):
         # I close to 1 on the continued fraction's side, as at
-        # reg_inc_beta_pair(1e-15, 1, 0.25), is clamped before its complement.
-        # No b = 0.5: at a <= 1e-15 its continued fraction can settle one ulp
-        # below the convergence test and raise after 1000 steps
-        shapes =np.array([1e-300, 1e-100, 1e-15, 1e-5, 1.0, 2.0, 40.0, 1e3, 1e6])
+        # reg_inc_beta_pair(1e-15, 1, 0.25), is clamped before its complement
+        shapes = np.array([1e-300, 1e-100, 1e-15, 1e-5, 0.5, 1.0, 2.0, 40.0, 1e3, 1e6])
         lower, upper = reg_inc_beta_pair(shapes[:, None], shapes, x)
         assert ((lower >= 0.0) & (lower <= 1.0) & (upper >= 0.0) & (upper <= 1.0)).all()
         assert reg_inc_beta_pair(1e-15, 1, 0.25)[1] >= 0.0
+
+    @pytest.mark.parametrize("a", [1e-300, 1e-100, 1e-15])
+    def test_delta_one_ulp_below_one_converges(self, a):
+        # the continued fraction's delta settles at 1 - 2**-53 here
+        exact = mpmath.betainc(a, 0.5, 0, mpmath.mpf(0.25), regularized=True)
+        lower, upper = reg_inc_beta_pair(a, 0.5, 0.25)
+        assert abs(lower - exact) <= 1e-13 * exact
+        # I close to 1 on the continued fraction's side: its complement
+        # keeps only absolute accuracy
+        assert abs(upper - (1 - exact)) <= 1e-13
 
     def test_subnormal_shapes_raise_no_warning(self):
         lower, upper = reg_inc_beta_pair(5e-324, 5e-324, 0.5)

@@ -3,10 +3,13 @@
 The posterior of theta given s successes in n trials is Beta(p+s, q+n-s),
 so the two tail probabilities P(theta <= theta1 | data) and
 P(theta >= theta2 | data) are regularized incomplete beta values, valid for
-any positive (p, q); :func:`posterior_values` takes every count at once.
-For integer priors they coincide with finite binomial
-sums (the Beta/binomial duality), which the tests use as an independent
-oracle.
+any positive (p, q); the scalar rules take one incomplete beta per tail.
+:func:`posterior_values` takes every count at once: neighbouring posteriors'
+tails differ by one saddle-point term (DLMF 8.17(iv)), so each tail over
+the support is a cumulative sum from its own small end, as the binomial
+tails are, from one incomplete beta at the end of the support.  For integer
+priors the tails coincide with finite binomial sums (the Beta/binomial
+duality), which the tests use as an independent oracle.
 """
 
 from dataclasses import dataclass
@@ -14,12 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivalence import EquivalenceMargin, EvidenceMeasure, _check_binom_margin
-from .special import reg_inc_beta, reg_inc_beta_pair
+from .special import _beta_front, reg_inc_beta, reg_inc_beta_pair
 
-# The largest prior shape.  Near the posterior mean the incomplete beta's
-# continued fraction takes about the root of the shapes in steps: measured
-# against scipy's betainc, it converges within its 1000 for shapes up to 5e6
-# (to 1e-9 relative) and fails from about 1e7, so n up to 4e6 stays inside.
+# The largest prior shape.  The incomplete beta's continued fraction runs in
+# the scalar rules and, in posterior_values, only at the two anchors, whose
+# first shapes are p + n and q + n.  Near the posterior mean it takes about
+# the root of the shapes in steps: measured against scipy's betainc, it
+# converges within its 1000 for shapes up to 5e6 (to 1e-9 relative) and
+# fails from about 1e7, so n up to 4e6 stays inside.
 MAX_PRIOR_SHAPE = 1e6
 
 
@@ -62,14 +67,25 @@ def posterior_update(prior: BetaPrior, n: int, s: int) -> BetaPosterior:
 
 def posterior_values(n: int, margin: EquivalenceMargin, prior: BetaPrior) -> np.ndarray:
     """:func:`posterior_prob_equiv` of :func:`posterior_update` at every count
-    s = 0..n, bit for bit, as one array: both tails of the n + 1 posteriors
-    in one kernel call."""
+    s = 0..n as one array, each tail a cumulative sum from its own small end.
+
+    With g_j(x) = I_x(p+j, q+n-j) - I_x(p+j+1, q+n-j-1), a saddle-point
+    term x^(p+j) (1-x)^(q+n-j-1) / ((p+q+n) B(p+j+1, q+n-j)) for j < n,
+    the lower tail is I_theta1(p+n, q) + sum_{j >= s} g_j(theta1) and the
+    upper tail I_{1-theta2}(q+n, p) + sum_{j < s} g_j(theta2): one
+    :func:`~equilab.special._beta_front` call, whose shapes are all at
+    least 1, and one two-element kernel call for the anchors.  Against
+    mpmath the worst relative error is 7e-14 up to n = 1000, 4e-13 at 1e4.
+    """
     _check_binom_margin(margin)
-    s = np.arange(n + 1)
-    a, b = prior.p + s, prior.q + (n - s)
-    both = reg_inc_beta_pair(np.concatenate((a, b)), np.concatenate((b, a)),
-                             np.repeat((margin.theta1, 1.0 - margin.theta2), n + 1))[0]
-    return np.clip(both[:n + 1] + both[n + 1:], 0.0, 1.0)
+    p, q = prior.p, prior.q
+    j = np.arange(n)
+    x = np.array([[margin.theta1], [margin.theta2]])
+    g = _beta_front(p + j + 1, q + n - j, x) / (x * (1.0 - x) * (p + q + n))
+    anchors = reg_inc_beta_pair([p + n, q + n], [q, p], [margin.theta1, 1.0 - margin.theta2])[0]
+    lower = np.cumsum(np.append(anchors[0], g[0, ::-1]))[::-1]
+    upper = np.cumsum(np.append(anchors[1], g[1]))
+    return np.clip(lower + upper, 0.0, 1.0)
 
 
 def posterior_prob_upper(post: BetaPosterior, theta1: float) -> EvidenceMeasure:

@@ -12,10 +12,11 @@ environment (Python and numpy versions, operating system, release, machine
 and CPU count).
 
 Determinism contract: identical subcommand, flags and seed produce a
-byte-identical data file.  Floats are quantized to 12 significant digits
-before writing, so the file is the canonical form of the record and
-re-serializing a parsed file reproduces it exactly.  Exit codes: 0 success,
-2 configuration error, 1 runtime error.
+byte-identical data file.  Floats are written to 12 significant digits:
+the CSV formats each value once, and JSON writes the float those digits
+parse to, which formats back to the same digits.  So the file is the
+canonical form of the record, and re-serializing a parsed file reproduces
+it exactly.  Exit codes: 0 success, 2 configuration error, 1 runtime error.
 """
 
 import argparse
@@ -152,6 +153,14 @@ def parse_rows(texts):
     return rows
 
 
+def parse_seed(text) -> int:
+    """A stream seed: a non-negative integer, refused even where nothing is drawn."""
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def parse_draws(text) -> int:
     """A Monte Carlo draw count, at least the pairs a sample correlation needs."""
     return check_draws(int(text))
@@ -215,8 +224,10 @@ def write_output(records, fieldnames, out_path: str, fmt: str, manifest: dict) -
             for record in records:
                 writer.writerow([_fmt(record[name]) for name in fieldnames])
     else:
-        records = [{name: None if isinstance(value, float) and math.isnan(value) else value
-                    for name, value in record.items()} for record in records]  # JSON has no NaN
+        # the float the CSV's 12 digits parse to; JSON has no NaN
+        records = [{name: (None if math.isnan(value) else float(f"{value:.12g}"))
+                    if isinstance(value, float) else value
+                    for name, value in record.items()} for record in records]
         with open(out_path, "w", encoding="utf-8") as handle:
             json.dump(records, handle, indent=2, allow_nan=False)
             handle.write("\n")
@@ -321,7 +332,8 @@ REQUIRED = object()
 
 # converter of each flag's text; a tuple lists the allowed words
 FLAG_TYPES = {
-    **dict.fromkeys(("n", "k", "reps", "seed"), int),
+    **dict.fromkeys(("n", "k", "reps"), int),
+    "seed": parse_seed,
     "draws": parse_draws,
     **dict.fromkeys(("alpha", "alpha_upper", "alpha_lower", "theta", "theta_alt", "resolution",
                      "sigma", "tau", "w", "epsilon_star", "storey_lambda"), parse_float),
@@ -439,9 +451,6 @@ def main(argv=None) -> int:
     try:
         opts = resolve_options(args)
         records, fieldnames = SUBCOMMANDS[args.command][0](opts)
-        # quantize floats to the 12 significant digits the CSV writes
-        records = [{name: float(f"{value:.12g}") if isinstance(value, float) else value
-                    for name, value in record.items()} for record in records]
         # margins and priors go into the manifest as their two numbers
         config = {name: list(astuple(value)) if is_dataclass(value) else value
                   for name, value in opts.items() if name not in OUTPUT}

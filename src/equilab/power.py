@@ -11,11 +11,11 @@ evidence vectors and rejection regions are built once per curve over the
 support s = 0..n, the posterior vector by
 :func:`~equilab.beta_binomial.posterior_values`; a study builds only the
 regions it reads.  Both tests reject on an interval of counts {C..D} (the
-p-value's by its monotone tails, the posterior's by total positivity; see
-:func:`_bayes_region`), so a power curve or an exact table rate is
-P_theta(C <= T <= D) over the whole grid, one kernel call for every region
-of a curve (:func:`~equilab.special.binomial_interval_prob`).  The power of
-a count interval is unimodal with a closed-form maximizer
+p-value's by its monotone tails, the posterior's because it falls and then
+rises in s; see :func:`_bayes_region`), so a power curve or an exact table
+rate is P_theta(C <= T <= D) over the whole grid, one kernel call for every
+region of a curve (:func:`~equilab.special.binomial_interval_prob`).  The
+power of a count interval is unimodal with a closed-form maximizer
 (:func:`_maximizer`), so :func:`theta_max` evaluates it only from the grid
 points around that peak toward 0.5 and :func:`exact_size` only at theta1,
 theta2 and the peak.  Decision rules:
@@ -108,11 +108,11 @@ def _bayes_region(spec: CurveSpec):
     """The Bayesian rejection region as a count interval (C, D), empty when
     C > D; the spec must carry a prior.
 
-    The Beta(p+s, q+n-s) posterior density is (theta / (1-theta))^s
-    theta^(p-1) (1-theta)^(q+n-1) up to a factor in s, a totally positive
-    kernel in (s, theta).  By the variation-diminishing property (S. Karlin,
-    Total Positivity, 1968) P(theta1 < theta < theta2 | s) - (1 - t) changes
-    sign at most twice, and then as - + -, so {pb <= t} is one run of counts.
+    From the chain of :func:`~equilab.beta_binomial.posterior_values`,
+    pb(s+1) - pb(s) = g_s(theta2) - g_s(theta1), and g_s(theta2) / g_s(theta1)
+    = (theta2/theta1)^(p+s) ((1-theta2)/(1-theta1))^(q+n-s-1) rises strictly
+    with s.  So pb falls and then rises, and every {pb <= t} is one run of
+    counts.
     """
     pb = posterior_values(spec.n, spec.margin, spec.prior)
     counts = np.flatnonzero(pb <= bayes_combined_level(spec.levels))

@@ -1,19 +1,24 @@
 """Beta-prior posterior evidence: conjugate updates, tail probabilities
 against quadrature and exact binomial-sum oracles, structural identities."""
 
+import decimal
 import math
 from fractions import Fraction
+from itertools import accumulate
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from equilab import (BetaPrior, EquivalenceMargin, binom_tost_pvalue,
-                     binomial_pmf_vector, posterior_prob_equiv,
-                     posterior_prob_lower, posterior_prob_upper,
-                     posterior_update)
+from equilab import (BetaPrior, EquivalenceMargin, SignificanceLevels, beta_binomial,
+                     binom_tost_pvalue, binomial_pmf_vector, posterior_prob_equiv,
+                     posterior_prob_lower, posterior_prob_upper, posterior_update)
 from equilab.beta_binomial import MAX_PRIOR_SHAPE, posterior_values
-from equilab.special import log_gamma, reg_inc_beta
+from equilab.cli import T_GRID
+from equilab.power import CurveSpec, _bayes_region, bayes_combined_level
+from equilab.special import log_gamma, reg_inc_beta, reg_inc_beta_pair
+from test_golden import bench_module
 
 
 def beta_tail_by_quadrature(a, b, lo, hi):
@@ -165,11 +170,71 @@ class TestConservativityDirection:
             assert float(pmf @ (pb <= t)) >= t
 
 
+def mp_inc_beta(a, b, x):
+    """I_x(a, b) to about 30 digits for exact rationals a, b, x: the positive
+    series x^a (1-x)^b / (a B(a, b)) 2F1(a+b, 1; a+1; x) on the side of the
+    mean where its terms fall from the first, the complement on the other.
+    The series sums in 34-digit decimals, the front factor in mpmath."""
+    with mpmath.workdps(30):
+        if x > (a + 1) / (a + b + 2):
+            return 1 - mp_inc_beta(b, a, 1 - x)
+        with decimal.localcontext(decimal.Context(prec=34)):
+            up, down, ratio = (decimal.Decimal(v.numerator) / v.denominator
+                               for v in (a + b, a + 1, x))
+            term = total = decimal.Decimal(1)
+            while term > total * decimal.Decimal("1e-32"):
+                term = term * ratio * up / down
+                total += term
+                up, down = up + 1, down + 1
+        a, b, x = (mpmath.mpf(v.numerator) / v.denominator for v in (a, b, x))
+        return mpmath.exp(a * mpmath.log(x) + b * mpmath.log1p(-x) - mpmath.log(a)
+                          - mpmath.log(mpmath.beta(a, b))) * mpmath.mpf(str(total))
+
+
+def mp_posterior(n, s, prior, margin):
+    """Posterior probability outside the margin after s of n: the lower tail
+    and the complementary upper tail, each on its own."""
+    a, b = Fraction(prior.p) + s, Fraction(prior.q) + (n - s)
+    with mpmath.workdps(30):
+        return (mp_inc_beta(a, b, Fraction(margin.theta1))
+                + mp_inc_beta(b, a, 1 - Fraction(margin.theta2)))
+
+
+def per_count_kernel(n, margin, prior):
+    """Both tails of every posterior from one incomplete-beta call, count by count."""
+    s = np.arange(n + 1)
+    a, b = prior.p + s, prior.q + (n - s)
+    both = reg_inc_beta_pair(np.concatenate((a, b)), np.concatenate((b, a)),
+                             np.repeat((margin.theta1, 1.0 - margin.theta2), n + 1))[0]
+    return np.clip(both[:n + 1] + both[n + 1:], 0.0, 1.0)
+
+
+def integer_prior_oracle(n, margin, prior):
+    """The posterior vector for integer (p, q) from exact binomial sums, each
+    rounded once: with N = n + p + q - 1, I_x(p+s, q+n-s) = P(Bin(N, x) >= p+s)."""
+    big_n = n + prior.p + prior.q - 1
+
+    def scaled_pmf(x):
+        """The PMF of Bin(N, x) times den^N, x = num / den exactly, and den^N."""
+        num, den = x.as_integer_ratio()
+        return [math.comb(big_n, y) * num ** y * (den - num) ** (big_n - y)
+                for y in range(big_n + 1)], den ** big_n
+
+    (low, low_den), (high, high_den) = scaled_pmf(margin.theta1), scaled_pmf(margin.theta2)
+    at_least = list(accumulate(reversed(low)))[::-1]  # at_least[y] = sum(low[y:])
+    below = [0, *accumulate(high)]  # below[y] = sum(high[:y])
+    return [(at_least[prior.p + s] * high_den + below[prior.p + s] * low_den)
+            / (low_den * high_den) for s in range(n + 1)]
+
+
 class TestPosteriorVector:
-    """:func:`posterior_values` is the scalar rule at every count, bit for bit."""
+    """:func:`posterior_values` against the scalar rule, mpmath, exact
+    rationals and the per-count kernel it replaced."""
 
     def test_equals_the_scalar_update(self):
-        # 300 designs, both ends of the support and 10 random counts of each
+        # 300 designs, both ends of the support and 10 random counts of each;
+        # the vector's tails are cumulative sums, the scalar's one kernel call
+        # per tail, so they agree to rounding, each within 1e-12 of mpmath
         rng = np.random.default_rng(22)
         for _ in range(300):
             n = int(rng.integers(5, 201))
@@ -181,7 +246,86 @@ class TestPosteriorVector:
             for s in {0, n, *rng.integers(0, n + 1, 10).tolist()}:
                 value = float(values[s])
                 scalar = posterior_prob_equiv(posterior_update(prior, n, s), margin).value
-                assert value.hex() == scalar.hex(), (n, prior, margin, s)
+                ref = mp_posterior(n, s, prior, margin)
+                for got in (value, scalar):
+                    assert abs(got - ref) <= 1e-12 * ref, (n, prior, margin, s)
+                assert abs(value - scalar) <= 2e-12 * ref, (n, prior, margin, s)
+
+    MARGINS = (EquivalenceMargin(0.3, 0.7), EquivalenceMargin(0.05, 0.3),
+               EquivalenceMargin(0.48, 0.52))
+
+    @pytest.mark.parametrize("n", [1, 10, 300, 10_000])
+    @pytest.mark.parametrize("p, q", [(5e-324, 1.0), (1e-300, 0.5), (0.5, 0.5), (2.7, 15.0),
+                                      (1e6, 0.3)])
+    def test_relative_accuracy_against_mpmath(self, n, p, q):
+        # every count up to n = 300; at n = 1e4 the ends, a spread and the
+        # counts where each margin's posterior mass turns over
+        prior = BetaPrior(p, q)
+        for margin in self.MARGINS:
+            values = posterior_values(n, margin, prior)
+            counts = range(n + 1)
+            if n > 300:
+                edges = (n * t for t in (margin.theta1, margin.theta2))
+                counts = sorted({*range(0, n + 1, n // 20),
+                                 *(int(e) + d for e in edges for d in (-60, -7, 0, 7, 60))})
+            for s in counts:
+                ref = mp_posterior(n, s, prior, margin)
+                if ref >= 1e-290:
+                    assert abs(values[s] - ref) <= 1e-12 * ref, (n, prior, margin, s)
+
+    @pytest.mark.parametrize("n", [1, 7, 60, 300])
+    @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (3, 1), (1, 12)])
+    def test_integer_priors_match_exact_binomial_sums(self, n, p, q):
+        prior = BetaPrior(p, q)
+        for margin in self.MARGINS:
+            ref = integer_prior_oracle(n, margin, prior)
+            values = posterior_values(n, margin, prior)
+            for got, want in zip(values, ref):
+                assert got == pytest.approx(want, rel=1e-12, abs=0), (n, prior, margin)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 25, 300, 10_000])
+    def test_one_two_element_kernel_call(self, monkeypatch, n):
+        sizes = []
+
+        def counting(a, b, x):
+            sizes.append(np.broadcast(a, b, x).size)
+            return reg_inc_beta_pair(a, b, x)
+
+        monkeypatch.setattr(beta_binomial, "reg_inc_beta_pair", counting)
+        values = posterior_values(n, EquivalenceMargin(0.3, 0.7), BetaPrior(0.5, 2.0))
+        assert values.shape == (n + 1,)
+        assert sizes == [2]
+
+    @staticmethod
+    def benchmark_prior_designs():
+        workloads = bench_module("workloads")
+        for seed in (1, 2, 3):
+            for study in workloads.build("exact-binomial", seed, "."):
+                params = study["params"]
+                if params["prior"]:
+                    yield (params["n"], EquivalenceMargin(*params["margin"]),
+                           BetaPrior(*params["prior"]), SignificanceLevels(*params["levels"]))
+
+    def test_decisions_match_the_per_count_kernel(self):
+        # Bayesian rejection regions and conservativity masks {pb <= t} on the
+        # CLI's default level grid: 2000 random designs and every prior
+        # design of the benchmark's seeds 1-3
+        rng = np.random.default_rng(27)
+        designs = list(self.benchmark_prior_designs())
+        for _ in range(2000):
+            theta1 = float(rng.uniform(0.01, 0.6))
+            designs.append((int(rng.integers(1, 1001)),
+                            EquivalenceMargin(theta1, float(rng.uniform(theta1 + 0.01, 0.99))),
+                            BetaPrior(*(10.0 ** rng.uniform(-2, 2, 2)).tolist()),
+                            SignificanceLevels(*rng.uniform(0.01, 0.2, 2).tolist())))
+        t_grid = np.array(T_GRID)[:, None]
+        for n, margin, prior, levels in designs:
+            pb, ref = posterior_values(n, margin, prior), per_count_kernel(n, margin, prior)
+            assert np.array_equal(pb <= t_grid, ref <= t_grid), (n, margin, prior)
+            counts = np.flatnonzero(ref <= bayes_combined_level(levels))
+            want = (int(counts[0]), int(counts[-1])) if counts.size else (0, -1)
+            spec = CurveSpec(n=n, margin=margin, prior=prior, levels=levels)
+            assert _bayes_region(spec) == want, (n, margin, prior, levels)
 
     def test_tiny_prior_shape_survives_the_update(self):
         # q + (n - s) keeps q = 1e-15 at s = n, where q + n - s rounds it away

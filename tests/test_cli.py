@@ -9,10 +9,13 @@ import math
 import os
 import platform
 import shlex
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from equilab import correlation, fdr, power
 from equilab.cli import (SUBCOMMANDS, ConfigError, build_parser, main, parse_grid,
@@ -250,6 +253,30 @@ class TestDeterminismAndManifest:
         header = out.read_text().splitlines()[0].split(",")
         lines = [",".join(f"{float(row[c]):.12g}" for c in header) for row in rows]
         assert out.read_text().splitlines()[1:] == lines
+
+    @given(st.floats() | st.integers(0, 2**64 - 1).map(
+        lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]))
+    @settings(max_examples=2000)
+    @example(5e-324)
+    @example(-0.0)
+    @example(1.7976931348623157e308)
+    def test_twelve_digits_format_back_to_themselves(self, value):
+        # the CSV formats a float once and JSON writes the float its 12
+        # digits parse to: the identity makes both the same digits
+        digits = f"{value:.12g}"
+        assert f"{float(digits):.12g}" == digits
+
+    def test_json_holds_the_csvs_digits(self, tmp_path):
+        args = ["power-curve", "--n", "40", "--margin", "0.25,0.75", "--prior-beta", "0.5,2"]
+        _, csv_out = run(tmp_path, "q", args)
+        out = tmp_path / "q.json"
+        assert main(args + ["--format", "json", "--out", str(out)]) == 0
+        rows = read_csv(csv_out)
+        records = json.loads(out.read_text())
+        assert len(records) == len(rows) == 99
+        for record, row in zip(records, rows):
+            for name, text in row.items():
+                assert record[name] == float(text) and f"{record[name]:.12g}" == text
 
     def test_manifest_sidecar(self, tmp_path):
         args = ["tables", "--row", "n=20", "--margin", "0.25,0.75", "--reps", "50",
@@ -587,11 +614,20 @@ class TestClosedFlagSets:
                            "--draws", "2000"],
     }
 
-    @pytest.mark.parametrize("command", SEEDED)
+    # closed-form runs that read --seed but draw nothing
+    DRAWLESS = {
+        "correlation-closed": ["correlation", "--two-sided", "--w", "0.5"],
+        "noise-cdf-closed": ["noise-cdf", "--n", "5", "--sigma", "1", "--margin", "0,1",
+                             "--theta", "0.5"],
+    }
+
+    @pytest.mark.parametrize("command", [*SEEDED, *DRAWLESS])
     def test_negative_seed_exits_2(self, tmp_path, capsys, command):
-        code, out = run(tmp_path, "x", self.SEEDED[command] + ["--seed", "-1"])
+        argv = {**self.SEEDED, **self.DRAWLESS}[command] + ["--seed", "-1"]
+        code, out = run(tmp_path, "x", argv)
         assert code == 2
-        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "--seed" in err and "seed must be a non-negative integer, got -1" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command, module, name", [

@@ -63,7 +63,7 @@ def value_of(name, command):
     kind = cli.FLAG_TYPES[name]
     if isinstance(kind, tuple):
         return st.sampled_from(kind + ("bogus",))
-    if kind is int:
+    if kind is int or kind is cli.parse_seed:
         return sizes()
     if kind is cli.parse_draws:
         return st.sampled_from(("0", "3", "4", "5", "10", "40"))

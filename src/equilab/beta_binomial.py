@@ -3,7 +3,8 @@
 The posterior of theta given s successes in n trials is Beta(p+s, q+n-s),
 so the two tail probabilities P(theta <= theta1 | data) and
 P(theta >= theta2 | data) are regularized incomplete beta values, valid for
-any positive (p, q); the scalar rules take one incomplete beta per tail.
+any positive (p, q); the scalar rules take one incomplete beta and one
+saddle-point term per tail.
 :func:`posterior_values` takes every count at once: neighbouring posteriors'
 tails differ by one saddle-point term (DLMF 8.17(iv)), so each tail over
 the support is a cumulative sum from its own small end, as the binomial
@@ -88,11 +89,20 @@ def posterior_values(n: int, margin: EquivalenceMargin, prior: BetaPrior) -> np.
     return np.clip(lower + upper, 0.0, 1.0)
 
 
+def _tail(a: float, b: float, x: float) -> float:
+    """I_x(a, b) one chain step up, the step :func:`posterior_values` takes:
+    I_x(a+1, b) plus x^a (1-x)^b / (a B(a, b)) = _beta_front(a+1, b, x) /
+    (x (a+b)), clamped to 1 against rounding.  The kernel's first shape is
+    then at least 1; at a subnormal one its front factor underflows."""
+    step = float(_beta_front(a + 1.0, b, np.float64(x))) / (x * (a + b))
+    return min(1.0, reg_inc_beta(a + 1.0, b, x) + step)
+
+
 def posterior_prob_upper(post: BetaPosterior, theta1: float) -> EvidenceMeasure:
     """P(theta <= theta1 | data): posterior evidence for the upper-tailed null."""
     if not 0.0 < theta1 < 1.0:
         raise ValueError(f"theta1 must lie in (0, 1), got {theta1}")
-    return EvidenceMeasure(reg_inc_beta(post.a, post.b, theta1), "upper", "bayesian")
+    return EvidenceMeasure(_tail(post.a, post.b, theta1), "upper", "bayesian")
 
 
 def posterior_prob_lower(post: BetaPosterior, theta2: float) -> EvidenceMeasure:
@@ -100,7 +110,7 @@ def posterior_prob_lower(post: BetaPosterior, theta2: float) -> EvidenceMeasure:
     if not 0.0 < theta2 < 1.0:
         raise ValueError(f"theta2 must lie in (0, 1), got {theta2}")
     # I_{1-x}(b, a) rather than 1 - I_x(a, b), which cancels in the far tail
-    return EvidenceMeasure(reg_inc_beta(post.b, post.a, 1.0 - theta2), "lower", "bayesian")
+    return EvidenceMeasure(_tail(post.b, post.a, 1.0 - theta2), "lower", "bayesian")
 
 
 def posterior_prob_equiv(post: BetaPosterior, margin: EquivalenceMargin) -> EvidenceMeasure:

@@ -30,8 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .equivalence import EquivalenceMargin
-from .normal import (NormalPrior, NormalSampling, _boundary_cdfs, _posterior_evidence,
-                     _variance_sum)
+from .normal import NormalPrior, NormalSampling, _boundary_cdfs, _posterior_evidence
 from .rng import spawn_rng
 from .special import SLICE_ELEMENTS, normal_cdf
 
@@ -68,11 +67,10 @@ def _unit_ratio(x: float) -> float:
 
 
 def expected_phi_product(a: float, b: float) -> float:
-    """E[Phi(aZ) Phi(bZ)] for standard normal Z, in closed form."""
-    root = math.sqrt((1.0 + a * a) * (1.0 + b * b))
-    # past the float range the root is taken apart into a's and b's factors
-    arg = a * b / root if root < math.inf else _unit_ratio(a) * _unit_ratio(b)
-    return 0.25 + math.asin(arg) / _TWO_PI
+    """E[Phi(aZ) Phi(bZ)] for standard normal Z, in closed form: the arcsine's
+    argument ab / sqrt((1+a^2)(1+b^2)) is the product of a's and b's
+    :func:`_unit_ratio`, in range for every a and b."""
+    return 0.25 + math.asin(_unit_ratio(a) * _unit_ratio(b)) / _TWO_PI
 
 
 def check_draws(draws: int) -> int:
@@ -176,9 +174,7 @@ def equivalence_covariance_terms(samp: NormalSampling, prior: NormalPrior):
     covariance of the two combined measures is t1 - t2 + t3 - t4 = 0.
     """
     b = samp.root_n * prior.tau / samp.sigma
-    total = _variance_sum(samp, prior)
-    # a^2 = 1 + b^2, the second form where sigma^2 + n tau^2 leaves the range
-    a = math.hypot(1.0, b) if total is None else math.sqrt(total) / samp.sigma
+    a = math.hypot(1.0, b)  # a^2 = 1 + b^2
     term = expected_phi_product(a, b) - 0.25
     return term, term, term, term
 
@@ -189,7 +185,7 @@ def corr_equivalence_closed(samp: NormalSampling, prior: NormalPrior,
     combined p-value at the margin center: zero.
 
     Four equal covariance terms make t1 - t2 + t3 - t4 zero by construction;
-    off the center it is not zero (open item 1 of ROADMAP.md).
+    off the center it is not zero (open item 2 of ROADMAP.md).
     """
     del margin  # the value at the center does not depend on the margin
     t1, t2, t3, t4 = equivalence_covariance_terms(samp, prior)

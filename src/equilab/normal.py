@@ -60,31 +60,17 @@ class NormalPrior:
             raise ValueError(f"tau must be positive, got {self.tau}")
 
 
-def _variance_sum(samp: NormalSampling, prior: NormalPrior):
-    """sigma^2 + n tau^2, or None where that sum overflows or is not a
-    normal float (it underflows below sys.float_info.min)."""
-    try:
-        total = samp.sigma ** 2 + samp.n * prior.tau ** 2
-    except OverflowError:  # a square past the float range
-        return None
-    return total if sys.float_info.min <= total < math.inf else None
-
-
 def posterior_coefficient(samp: NormalSampling, prior: NormalPrior) -> float:
     """Scale n*tau / (sigma * sqrt(sigma^2 + n tau^2)) applied to (xbar - boundary).
 
     Tends to sqrt(n)/sigma as tau grows, where the posterior tails become
-    the one-sided p-values.  Where sigma^2 + n tau^2 or its root times
-    sigma is out of the normal float range (:func:`_variance_sum`), the
-    same scale is taken as n / (sigma hypot(sigma / tau, sqrt n)), which
-    neither over- nor underflows on the way; elsewhere the first form is
-    kept, as the two differ in the last bit on many designs.
+    the one-sided p-values.  Taken as n / hypot(sigma / tau, sqrt n) / sigma:
+    the quotient by the hypot is at most sqrt n and the scale at most
+    sqrt(n) / sigma, which :class:`NormalSampling` keeps finite, so no step
+    overflows.  Within 3 ulp of the exact scale wherever sigma / tau is
+    finite; where a subnormal tau takes it past the range, the scale is 0.
     """
-    total = _variance_sum(samp, prior)
-    denominator = 0.0 if total is None else samp.sigma * math.sqrt(total)
-    if denominator >= sys.float_info.min:
-        return samp.n * prior.tau / denominator
-    return samp.n / (samp.sigma * math.hypot(samp.sigma / prior.tau, samp.root_n))
+    return samp.n / math.hypot(samp.sigma / prior.tau, samp.root_n) / samp.sigma
 
 
 def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
@@ -107,13 +93,9 @@ def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
         raise ValueError(f"mode must be one of {CONSTANT_MODES}, got {mode!r}")
     scale = samp.sigma * samp.root_n
     if mode == "approximate":
-        # q(1 - level) = -q(level), taken so where 1 - level rounds to 1
-        lost = 1.0 - level == 1.0
+        # q(1 - level) = -q(level), also where 1 - level rounds to 1
         q_level = normal_quantile(level)
-        q_upper = np.where(lost, -q_level, normal_quantile(np.where(lost, 0.5, 1.0 - level)))
-        c = samp.n * margin.theta1 + scale * q_upper[()]
-        d = samp.n * margin.theta2 + scale * q_level
-        return c, d
+        return samp.n * margin.theta1 - scale * q_level, samp.n * margin.theta2 + scale * q_level
 
     h = margin.half_width * samp.root_n / samp.sigma
     lo = np.maximum(0.0, h + normal_quantile(level))
@@ -132,9 +114,9 @@ def _boundary_cdfs(xbar: np.ndarray, margin: EquivalenceMargin, scale: float,
     """Phi((xbar - theta_i) scale / divisor) over the 1-d float64 array ``xbar``:
     theta1's in a new array, theta2's in place.  The p-values pass (sqrt n,
     sigma), the posterior tails (:func:`posterior_coefficient`, 1.0)."""
-    first = np.subtract(xbar, margin.theta1)
-    xbar -= margin.theta2
     with np.errstate(over="ignore"):  # a distance past the float range is +-inf
+        first = np.subtract(xbar, margin.theta1)
+        xbar -= margin.theta2
         for z in (first, xbar):
             z *= scale
             z /= divisor
@@ -156,11 +138,15 @@ def normal_onesided_pvalues(samp: NormalSampling, xbar: float,
 
 
 def _combined_pvalue_values(samp: NormalSampling, xbar, margin: EquivalenceMargin):
-    """Vectorized folded equivalence p-value; returns plain floats/arrays."""
-    t_abs = np.abs(samp.root_n * (np.asarray(xbar, dtype=float) - margin.center)
-                   / samp.sigma)
-    c = margin.half_width * samp.root_n / samp.sigma
-    vals = normal_cdf(t_abs + c) + normal_cdf(t_abs - c) - 1.0
+    """Vectorized folded equivalence p-value; returns plain floats/arrays.
+    |xbar - center| -+ eps are taken as the distances to the near and the
+    far boundary, which overflow only to +-inf, never to inf - inf."""
+    xbar = np.asarray(xbar, dtype=float)
+    z_scale = samp.root_n / samp.sigma  # finite: sigma / sqrt(n) is a normal float
+    with np.errstate(over="ignore"):  # a distance past the float range is +-inf
+        near = np.maximum(xbar - margin.theta2, margin.theta1 - xbar) * z_scale
+        far = np.maximum(xbar - margin.theta1, margin.theta2 - xbar) * z_scale
+    vals = normal_cdf(far) + normal_cdf(near) - 1.0
     return np.clip(vals, 0.0, 1.0)
 
 

@@ -7,11 +7,13 @@ stream is a pure function of (seed, *path).  Work items (grid points, replicatio
 get disjoint streams and results are identical however the work is
 scheduled.
 
+:func:`spawn_rng` builds one stream's generator from that SeedSequence.
 A Philox stream's whole state is its 128-bit key and a counter that starts
-at 0, so :func:`stream_keys` derives the keys of many paths at once: it
-takes numpy's own pool after the seed and continues SeedSequence's pool hash
-over arrays of path words.  :func:`rekey` moves one generator to the start
-of another stream; :func:`spawn_rng` is one key of each.
+at 0, so :func:`stream_keys` derives the keys of many paths at once, for
+the FDR simulation's replications: it takes numpy's own pool after the seed
+and continues SeedSequence's pool hash over arrays of path words, which
+for a block of 1000 paths costs about a hundredth of one SeedSequence a
+key.  :func:`rekey` moves one generator to the start of another stream.
 """
 
 import operator
@@ -98,5 +100,8 @@ def rekey(rng: np.random.Generator, key) -> None:
 
 
 def spawn_rng(seed: int, *path: int) -> np.random.Generator:
-    """Generator for the stream identified by ``(seed, *path)``."""
-    return np.random.Generator(np.random.Philox(key=stream_keys(seed, [path])[0]))
+    """Generator for the stream identified by ``(seed, *path)``: numpy's own
+    key derivation, which :func:`stream_keys` reproduces for many paths."""
+    # operator.index: a seed of None would draw fresh entropy from the OS
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(operator.index(seed), spawn_key=path)))

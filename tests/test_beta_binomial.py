@@ -259,7 +259,8 @@ class TestPosteriorVector:
                                       (1e6, 0.3)])
     def test_relative_accuracy_against_mpmath(self, n, p, q):
         # every count up to n = 300; at n = 1e4 the ends, a spread and the
-        # counts where each margin's posterior mass turns over
+        # counts where each margin's posterior mass turns over; the vector
+        # and the scalar rule alike
         prior = BetaPrior(p, q)
         for margin in self.MARGINS:
             values = posterior_values(n, margin, prior)
@@ -271,7 +272,9 @@ class TestPosteriorVector:
             for s in counts:
                 ref = mp_posterior(n, s, prior, margin)
                 if ref >= 1e-290:
-                    assert abs(values[s] - ref) <= 1e-12 * ref, (n, prior, margin, s)
+                    scalar = posterior_prob_equiv(posterior_update(prior, n, s), margin).value
+                    for got in (values[s], scalar):
+                        assert abs(got - ref) <= 1e-12 * ref, (n, prior, margin, s, got)
 
     @pytest.mark.parametrize("n", [1, 7, 60, 300])
     @pytest.mark.parametrize("p, q", [(1, 1), (2, 3), (3, 1), (1, 12)])

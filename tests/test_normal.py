@@ -3,10 +3,14 @@ conjugate posterior tails, evidence CDF.  Oracles: direct quantile algebra,
 Monte Carlo at the boundary parameter, quadrature of the posterior density."""
 
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from equilab import (EquivalenceMargin, NormalPrior, NormalSampling,
@@ -42,6 +46,13 @@ class TestCriticalConstants:
         margin = EquivalenceMargin(-0.7, 0.7)
         c, d = normal_critical_constants(samp, margin, 0.1, mode=mode)
         assert c == pytest.approx(-d, abs=1e-8)
+        if mode == "approximate":
+            # both tails from the one quantile q(level): exact mirror images
+            # at every level, from 1e-300 up to 1 - 2^-53
+            levels = np.concatenate((10.0 ** -np.arange(300, 0, -10), np.arange(1, 64) / 64,
+                                     1.0 - 2.0 ** -np.arange(7, 54, 4), [1.0 - 2.0 ** -53]))
+            c, d = normal_critical_constants(samp, margin, levels, mode=mode)
+            assert np.array_equal(c, -d)
 
     def test_exact_mode_attains_level(self):
         samp = NormalSampling(sigma=2.0, n=30)
@@ -286,6 +297,17 @@ class TestSamplingDomain:
                 NormalSampling(sigma, n)
 
 
+def coefficient_ulps(got, sigma, tau, n):
+    """Distance of ``got`` from the exact posterior coefficient, in ulp of
+    the exact value; None where that is not a normal float."""
+    with mpmath.workdps(50):
+        sigma, tau = mpmath.mpf(sigma), mpmath.mpf(tau)
+        exact = n * tau / (sigma * mpmath.sqrt(sigma ** 2 + n * tau ** 2))
+        if exact < sys.float_info.min:
+            return None
+        return float(abs(got - exact) / math.ulp(float(exact)))
+
+
 class TestPosteriorCoefficient:
     @pytest.mark.parametrize("sigma, tau, n", [(1e-200, 2.5e-200, 1), (1e-200, 1e-200, 7),
                                                (1e-300, 1e-15, 7), (1e-160, 5e-324, 1)])
@@ -298,12 +320,13 @@ class TestPosteriorCoefficient:
         assert got == pytest.approx(float(expected), rel=1e-14)
 
     def test_finite_designs_keep_the_expression(self):
+        # the value of n tau / (sigma sqrt(sigma^2 + n tau^2)) to 3 ulp
         rng = np.random.default_rng(4)
         for sigma, tau, n in zip(10.0 ** rng.uniform(-3, 3, 500), 10.0 ** rng.uniform(-3, 3, 500),
                                  rng.integers(1, 10**4, 500)):
-            samp, prior = NormalSampling(float(sigma), int(n)), NormalPrior(float(tau))
-            expected = n * tau / (sigma * math.sqrt(sigma ** 2 + n * tau ** 2))
-            assert posterior_coefficient(samp, prior).hex() == float(expected).hex()
+            sigma, tau, n = float(sigma), float(tau), int(n)
+            got = posterior_coefficient(NormalSampling(sigma, n), NormalPrior(tau))
+            assert coefficient_ulps(got, sigma, tau, n) <= 3.0, (sigma, tau, n)
 
     @pytest.mark.parametrize("tau", [1e150, 1e154, 1e155, 1e300])
     def test_flat_limit_past_overflow(self, tau):
@@ -315,6 +338,39 @@ class TestPosteriorCoefficient:
     def test_vanishing_prior_past_overflow(self):
         # sigma^2 overflows; the prior dominates and the scale tends to 0
         assert posterior_coefficient(NormalSampling(1e300, 30), NormalPrior(1e-300)) == 0.0
+
+
+class TestEvidenceOverTheFloatRange:
+    """Every normal-model evidence value, and the posterior coefficient, is a
+    value with no floating-point warning for sigma and tau in [1e-300,
+    1e300], n up to 1e6, and xbar and the margin anywhere in +-1e308."""
+
+    @settings(max_examples=3000, deadline=None, derandomize=True)
+    @given(sigma=st.floats(-300, 300).map(lambda e: 10.0 ** e),
+           tau=st.floats(-300, 300).map(lambda e: 10.0 ** e),
+           n=st.integers(1, 10**6), xbar=st.floats(-1e308, 1e308),
+           bounds=st.lists(st.floats(-1e308, 1e308), min_size=2, max_size=2, unique=True))
+    # a folded p-value of inf - inf, a z scale past the float range, and a
+    # boundary difference past it
+    @example(sigma=1e-300, tau=1.0, n=1, xbar=1e308, bounds=[-1e300, 1e300])
+    @example(sigma=1e-300, tau=1.0, n=1, xbar=1e300, bounds=[0.0, 1.0])
+    @example(sigma=1.0, tau=1.0, n=1, xbar=1e308, bounds=[-1e308, 0.0])
+    # sigma times hypot(sigma / tau, sqrt n) overflows; the scale is 5.7e-306
+    @example(sigma=1.0697439634546093e+148, tau=2.1267990189581272e-13, n=3064, xbar=1.0,
+             bounds=[0.0, 1.0])
+    def test_values_without_warnings(self, sigma, tau, n, xbar, bounds):
+        samp, prior = NormalSampling(sigma, n), NormalPrior(tau)
+        margin = EquivalenceMargin(*sorted(bounds))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # EvidenceMeasure holds each value to [0, 1], so a NaN raises
+            normal_onesided_pvalues(samp, xbar, margin)
+            normal_tost_pvalue(samp, xbar, margin)
+            normal_posterior_probs(samp, prior, xbar, margin)
+            coef = posterior_coefficient(samp, prior)
+        assert 0.0 <= coef < math.inf
+        ulps = coefficient_ulps(coef, sigma, tau, n)
+        assert ulps is None or ulps <= 3.0
 
 
 class TestPvalueCdf:

@@ -114,8 +114,9 @@ class TestIntervalEngine:
                 assert abs(getattr(point, column) - ref) <= 1e-12 * ref, (column, point.x)
 
     def test_posterior_sublevel_sets_are_one_run_of_counts(self):
-        # the total-positivity argument behind _reject_regions, over a sweep of
-        # n, priors, margins and thresholds t in (0, 0.99]
+        # the chain argument behind _reject_regions (pb(s+1) - pb(s) =
+        # g_s(theta2) - g_s(theta1), a ratio rising in s), over a sweep of n,
+        # priors, margins and thresholds t in (0, 0.99]
         ts = np.concatenate([[1e-12, 1e-6, 1e-3], np.linspace(0.01, 0.99, 99)])
         for n in (1, 2, 5, 10, 30, 100, 300, 1000):
             for p, q in ((0.01, 0.01), (0.5, 0.5), (1, 1), (3, 3), (2, 5), (1, 15),

@@ -67,6 +67,13 @@ class TestGenerators:
         assert np.array_equal(got.standard_normal(9), want.standard_normal(9))
         assert np.array_equal(got.random(5), want.random(5))
 
+    @pytest.mark.parametrize("seed, error", [(None, TypeError), (2.0, TypeError),
+                                             (-1, ValueError)])
+    def test_spawn_rng_needs_a_non_negative_integer_seed(self, seed, error):
+        # a seed of None would otherwise be fresh entropy, not a stream
+        with pytest.raises(error):
+            spawn_rng(seed, 0)
+
     @pytest.mark.parametrize("leftover", ["none", "uint32", "buffer"])
     def test_rekeyed_draws_equal_a_fresh_generator(self, leftover):
         rng = spawn_rng(9, 0)

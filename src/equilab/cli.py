@@ -4,7 +4,8 @@
 reads; it accepts exactly those.  Precedence: flags > ``--config`` file
 (``key = value`` lines, keys the long flag names with underscores; a key
 not read is an error) > defaults, both sources through the flag's converter
-in ``FLAG_TYPES``.  Records go to CSV (default) or JSON, plus a
+in ``FLAG_TYPES``.  Records go to CSV (default) or JSON, in
+``<subcommand>.<format>`` unless ``--out`` names the file, plus a
 ``<output>.manifest.json`` sidecar with the command, the effective value of
 every flag read but ``--out``/``--format`` and a digest of them, the seed
 (null where nothing is drawn), the tool version, timestamps and the
@@ -465,7 +466,7 @@ def main(argv=None) -> int:
             "started": started,
             "finished": datetime.now(timezone.utc).isoformat(),
         }
-        write_output(records, fieldnames, opts["out"] or f"{args.command}.csv",
+        write_output(records, fieldnames, opts["out"] or f"{args.command}.{opts['format']}",
                      opts["format"], manifest)
     except (ConfigError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -213,12 +213,12 @@ def corr_equivalence_mc(samp: NormalSampling, prior: NormalPrior,
     xbar = _standard_normal_draws(draws, seed)
     xbar *= samp.sigma / samp.root_n
     xbar += center
-    # Phi(z_1) + Phi(z_2) with z_i = sqrt(n) (xbar - theta_i) / sigma, one
+    # Phi(z_1) + Phi(z_2) with z_i = (xbar - theta_i) sqrt(n) / sigma, one
     # slice at a time over a copy of the means
     p_signed = xbar.copy()
+    z_scale = samp.root_n / samp.sigma
     for start in range(0, xbar.size, SLICE_ELEMENTS):
-        first, second = _boundary_cdfs(p_signed[start:start + SLICE_ELEMENTS], margin,
-                                       samp.root_n, samp.sigma)
+        first, second = _boundary_cdfs(p_signed[start:start + SLICE_ELEMENTS], margin, z_scale)
         second += first
     p_signed -= 1.0
     return _correlation_in_place(_posterior_evidence(samp, prior, xbar, margin), p_signed)

@@ -1,6 +1,7 @@
 """Multiple testing: step-up false-discovery-rate procedures over vectors of
 evidence values, decision-table bookkeeping, and the FDR power simulation
-for both evidence measures.
+for both evidence measures, which draws the replications of each k1 grid
+point in order from one numpy stream.
 """
 
 import math
@@ -11,7 +12,7 @@ import numpy as np
 
 from .equivalence import EquivalenceMargin
 from .normal import NormalPrior, NormalSampling, posterior_coefficient
-from .rng import rekey, stream_keys
+from .rng import spawn_rng
 from .special import SLICE_ELEMENTS, _acklam_quantile, normal_cdf
 
 EVIDENCE_KINDS = ("frequentist", "bayesian")
@@ -227,46 +228,37 @@ class FdrPoint:
 
 
 @np.errstate(over="ignore")  # a z past the float range is +-inf
-def _tail_z_stats(exp: FdrExperiment, truth: np.ndarray, rng, keys) -> tuple:
-    """Standardized per-tail statistics, one row per replication stream:
-    ``rng``, re-keyed to each of ``keys`` in turn, fills the rows.
+def _tail_z_stats(exp: FdrExperiment, truth: np.ndarray, rng, rows: int) -> tuple:
+    """Standardized per-tail statistics of the next ``rows`` replications
+    drawn from ``rng``, one row each: a replication takes 2k standard
+    normals, the first tail's k, then the second's.
 
-    The draws turn into z in place (x *= sd; x += mu; x -= t; x *= scale
-    for scale (mu + sd x - t)); each step only swaps the operands of a
-    commutative operation, so the bits are those of the expression.
+    Each z is (mu + sd x - t) scale, taken in place as x sd; += mu; -= t;
+    *= scale, so the bits are those of the expression.
     """
     t1, t2 = exp.margin.theta1, exp.margin.theta2
-    first = np.empty((len(keys), exp.k))
-    second = np.empty_like(first)
-    shared = exp.sampling == "shared"
-    for key, row_1, row_2 in zip(keys, first, second):
-        rekey(rng, key)
-        (rng.random if shared else rng.standard_normal)(out=row_1)
-        rng.standard_normal(out=row_2)
-    if shared:
-        # one latent mean per hypothesis; nulls sit on a randomly chosen boundary
-        theta = np.where(truth, t1 + exp.epsilon_star, np.where(first < 0.5, t1, t2))
-        second *= exp.sigma / math.sqrt(exp.n)
-        second += theta  # the sample mean
-        np.subtract(second, t1, out=first)
-        second -= t2
-        for z in (first, second):
-            z *= math.sqrt(exp.n)
-            z /= exp.sigma
-        return first, second
-    if exp.sampling == "per_tail":
-        sd = exp.sigma / math.sqrt(exp.n)
-        scale = math.sqrt(exp.n) / exp.sigma
-    else:  # per_tail_literal
-        sd = exp.sigma
-        scale = 1.0 / exp.sigma
-    for z, mu, t in ((first, np.where(truth, t1 + exp.epsilon_star, t1), t1),
-                     (second, np.where(truth, t2 - exp.epsilon_star, t2), t2)):
-        z *= sd
+    draws = rng.standard_normal((rows, 2, exp.k))
+    if exp.sampling == "shared":
+        # one sample mean drives both tails; a null sits on theta1 where its
+        # first draw is negative, on theta2 elsewhere
+        mu = np.where(truth, t1 + exp.epsilon_star, np.where(draws[:, 0] < 0.0, t1, t2))
+        tails = ((draws[:, 1], mu, t1), (draws[:, 1], mu, t2))
+    else:
+        tails = ((draws[:, 0], np.where(truth, t1 + exp.epsilon_star, t1), t1),
+                 (draws[:, 1], np.where(truth, t2 - exp.epsilon_star, t2), t2))
+    root_n = math.sqrt(exp.n)
+    if exp.sampling == "per_tail_literal":
+        sd, scale = exp.sigma, 1.0 / exp.sigma
+    else:
+        sd, scale = exp.sigma / root_n, root_n / exp.sigma
+    stats = []
+    for x, mu, t in tails:
+        z = x * sd  # a new C-contiguous (rows, k) array
         z += mu
         z -= t
         z *= scale
-    return first, second
+        stats.append(z)
+    return stats[0], stats[1]
 
 
 def _combine_evidence(exp: FdrExperiment, p_r: np.ndarray, p_l: np.ndarray) -> np.ndarray:
@@ -361,14 +353,14 @@ def _screened_step_up(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray,
 def fdr_power_simulation(exp: FdrExperiment):
     """Average step-up power and FDR across the k1 grid.
 
-    Streams derive from (seed, k1-index, replication-index), so results are
-    reproducible and identical under any work scheduling; running the same
-    seed with the other evidence kind reuses the very same draws, giving
-    paired comparisons.  The keys of a k1 point's streams come from one
-    :func:`~equilab.rng.stream_keys` pass, and one generator, re-keyed per
-    replication, draws them all.  Replications run in blocks of up to
-    ``SLICE_ELEMENTS // k`` rows, each row filled from its own stream, so
-    a block is one row-wise step-up.
+    The k1 point of grid index i draws from the stream
+    ``spawn_rng(seed, i)``, one replication after another, each taking the
+    next 2k standard normals (see :func:`_tail_z_stats`), so results are
+    reproducible; running the same seed with the other evidence kind, or
+    adaptively, reuses the very same draws, giving paired comparisons.
+    Replications run in blocks of up to ``SLICE_ELEMENTS // k`` rows, one
+    draw call and one row-wise step-up a block; the draws, and so the
+    results, do not depend on the block size.
 
     A rank depends on p only through p <= alpha j / k0, so a value above
     the largest threshold never ranks and one at or below the smallest has
@@ -388,18 +380,16 @@ def fdr_power_simulation(exp: FdrExperiment):
     if exp.evidence == "bayesian":
         samp = NormalSampling(sigma=exp.sigma, n=exp.n)
         shrink = posterior_coefficient(samp, NormalPrior(exp.tau)) * exp.sigma / math.sqrt(exp.n)
-    rng = np.random.Generator(np.random.Philox(key=0))  # re-keyed for every replication
     results = []
     for k1_idx, k1 in enumerate(exp.k1_grid):
         truth = np.zeros(exp.k, dtype=bool)
         truth[:k1] = True
-        keys = stream_keys(exp.seed, np.column_stack((np.full(exp.reps, k1_idx),
-                                                      np.arange(exp.reps))))
+        rng = spawn_rng(exp.seed, k1_idx)
         powers = np.empty(exp.reps)
         fdps = np.empty(exp.reps)
         for start in range(0, exp.reps, block):
             reps = range(start, min(start + block, exp.reps))
-            z_r, z_l = _tail_z_stats(exp, truth, rng, keys[reps.start:reps.stop])
+            z_r, z_l = _tail_z_stats(exp, truth, rng, len(reps))
             rank, d = _screened_step_up(exp, z_r, z_l, shrink, cutoffs)
             # S: rejected false nulls, the first k1 hypotheses
             s = np.sum(rank[:, :k1] <= d[:, np.newaxis], axis=1)

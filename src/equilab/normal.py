@@ -109,17 +109,16 @@ def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
     return c, samp.n * (margin.theta1 + margin.theta2) - c
 
 
-def _boundary_cdfs(xbar: np.ndarray, margin: EquivalenceMargin, scale: float,
-                   divisor: float):
-    """Phi((xbar - theta_i) scale / divisor) over the 1-d float64 array ``xbar``:
-    theta1's in a new array, theta2's in place.  The p-values pass (sqrt n,
-    sigma), the posterior tails (:func:`posterior_coefficient`, 1.0)."""
+def _boundary_cdfs(xbar: np.ndarray, margin: EquivalenceMargin, scale: float):
+    """Phi((xbar - theta_i) scale) over the 1-d float64 array ``xbar``:
+    theta1's in a new array, theta2's in place.  The p-values pass the z
+    scale sqrt(n) / sigma, the posterior tails :func:`posterior_coefficient`;
+    both are finite, so a distance overflows only where its z does."""
     with np.errstate(over="ignore"):  # a distance past the float range is +-inf
         first = np.subtract(xbar, margin.theta1)
         xbar -= margin.theta2
         for z in (first, xbar):
             z *= scale
-            z /= divisor
             normal_cdf(z, out=z)
     return first, xbar
 
@@ -128,11 +127,11 @@ def normal_onesided_pvalues(samp: NormalSampling, xbar: float,
                             margin: EquivalenceMargin):
     """One-sided LFC p-values at the observed mean.
 
-    Upper-tailed test of theta <= theta1: 1 - Phi(sqrt(n)(xbar - theta1)/sigma);
-    lower-tailed test of theta >= theta2: Phi(sqrt(n)(xbar - theta2)/sigma).
+    Upper-tailed test of theta <= theta1: 1 - Phi((xbar - theta1) sqrt(n)/sigma);
+    lower-tailed test of theta >= theta2: Phi((xbar - theta2) sqrt(n)/sigma).
     """
-    first, second = _boundary_cdfs(np.array([xbar], dtype=float), margin, samp.root_n,
-                                   samp.sigma)
+    first, second = _boundary_cdfs(np.array([xbar], dtype=float), margin,
+                                   samp.root_n / samp.sigma)
     return (EvidenceMeasure(1.0 - float(first[0]), "upper", "frequentist"),
             EvidenceMeasure(float(second[0]), "lower", "frequentist"))
 
@@ -165,7 +164,7 @@ def _posterior_evidence(samp: NormalSampling, prior: NormalPrior, xbar: np.ndarr
     time, so the upper tail never takes an array of the sample's size."""
     coef = posterior_coefficient(samp, prior)
     for start in range(0, xbar.size, SLICE_ELEMENTS):
-        upper, lower = _boundary_cdfs(xbar[start:start + SLICE_ELEMENTS], margin, coef, 1.0)
+        upper, lower = _boundary_cdfs(xbar[start:start + SLICE_ELEMENTS], margin, coef)
         lower += np.subtract(1.0, upper, out=upper)
     return np.clip(xbar, 0.0, 1.0, out=xbar)
 
@@ -182,7 +181,7 @@ def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float
         centered at theta2, ``combined`` their (clamped) sum.
     """
     first, second = _boundary_cdfs(np.array([xbar], dtype=float), margin,
-                                   posterior_coefficient(samp, prior), 1.0)
+                                   posterior_coefficient(samp, prior))
     up, lo = 1.0 - float(first[0]), float(second[0])
     return (EvidenceMeasure(up, "upper", "bayesian"),
             EvidenceMeasure(lo, "lower", "bayesian"),

@@ -239,8 +239,10 @@ class TestDeterminismAndManifest:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_seed_changes_bytes(self, tmp_path):
+        # at 8 reps, 14 to 18 of the 39 adjacent seed pairs in 1..40 write the
+        # same CSV (power near 1, FDR near 0); at 128 none does
         base = ["fdr-power", "--k", "40", "--k1-grid", "20", "--n", "100",
-                "--margin", "0,2", "--reps", "8"]
+                "--margin", "0,2", "--reps", "128"]
         _, out1 = run(tmp_path, "a", base + ["--seed", "7"])
         _, out2 = run(tmp_path, "b", base + ["--seed", "8"])
         assert out1.read_bytes() != out2.read_bytes()
@@ -337,6 +339,15 @@ class TestDeterminismAndManifest:
         assert code == 0
         records = json.loads(out.read_text())
         assert records[0]["rho"] == pytest.approx(0.995712651646, rel=1e-9)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_default_output_is_named_for_the_format(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.chdir(tmp_path)
+        assert main(["theta-max", "--n", "10", "--margin", "0.2,0.8", "--format", fmt]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"theta-max.{fmt}", f"theta-max.{fmt}.manifest.json"]
+        if fmt == "json":
+            assert "theta_f" in json.loads((tmp_path / "theta-max.json").read_text())[0]
 
     @pytest.mark.parametrize("args, bayes, frequentist", [
         (["conservativity", "--n", "10", "--margin", "0.2,0.8"], "y_bayes", "y_frequentist"),
@@ -631,7 +642,7 @@ class TestClosedFlagSets:
         assert not out.exists()
 
     @pytest.mark.parametrize("command, module, name", [
-        ("fdr-power", fdr, "stream_keys"),
+        ("fdr-power", fdr, "spawn_rng"),
         ("tables", power, "spawn_rng"),
         ("correlation-mc", correlation, "spawn_rng"),
     ])
@@ -642,15 +653,11 @@ class TestClosedFlagSets:
         assert code == 0
         assert read_manifest(out)["seed"] == 2**64 + 5
 
-        def numpy_keys(seed, paths):
-            return np.array([np.random.SeedSequence(seed, spawn_key=tuple(map(int, path)))
-                             .generate_state(2, np.uint64) for path in paths])
-
         def numpy_spawn(seed, *path):
             return np.random.Generator(np.random.Philox(
                 np.random.SeedSequence(seed, spawn_key=path)))
 
-        monkeypatch.setattr(module, name, numpy_keys if name == "stream_keys" else numpy_spawn)
+        monkeypatch.setattr(module, name, numpy_spawn)
         code, reference = run(tmp_path, "numpy", argv)
         assert code == 0
         assert out.read_bytes() == reference.read_bytes()

@@ -286,29 +286,31 @@ class TestPowerSimulation:
 
 
 def reference_simulation(exp):
-    """One replication at a time: the stream of (seed, k1 index, rep), built
-    by numpy's own SeedSequence, the public step-up procedures and
-    score_decisions."""
+    """One replication at a time: grid point i draws from numpy's own
+    stream of SeedSequence(seed, spawn_key=(i,)), each replication taking
+    the next k normals for the first tail and the next k for the second,
+    then the public step-up procedures and score_decisions."""
     t1, t2, root_n = exp.margin.theta1, exp.margin.theta2, math.sqrt(exp.n)
     results = []
     for k1_idx, k1 in enumerate(exp.k1_grid):
         truth = np.arange(exp.k) < k1
         powers, fdps = np.empty(exp.reps), np.empty(exp.reps)
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence(exp.seed, spawn_key=(k1_idx,))))
         for rep in range(exp.reps):
-            rng = np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(exp.seed, spawn_key=(k1_idx, rep))))
+            first, second = rng.standard_normal(exp.k), rng.standard_normal(exp.k)
             if exp.sampling == "shared":
-                boundary = np.where(rng.random(exp.k) < 0.5, t1, t2)
+                boundary = np.where(first < 0.0, t1, t2)
                 theta = np.where(truth, t1 + exp.epsilon_star, boundary)
-                xbar = theta + exp.sigma / root_n * rng.standard_normal(exp.k)
-                z_r = root_n * (xbar - t1) / exp.sigma
-                z_l = root_n * (xbar - t2) / exp.sigma
+                xbar = theta + exp.sigma / root_n * second
+                z_r = root_n / exp.sigma * (xbar - t1)
+                z_l = root_n / exp.sigma * (xbar - t2)
             else:
                 literal = exp.sampling == "per_tail_literal"
                 sd = exp.sigma if literal else exp.sigma / root_n
                 scale = 1.0 / exp.sigma if literal else root_n / exp.sigma
-                x_r = np.where(truth, t1 + exp.epsilon_star, t1) + sd * rng.standard_normal(exp.k)
-                x_l = np.where(truth, t2 - exp.epsilon_star, t2) + sd * rng.standard_normal(exp.k)
+                x_r = np.where(truth, t1 + exp.epsilon_star, t1) + sd * first
+                x_l = np.where(truth, t2 - exp.epsilon_star, t2) + sd * second
                 z_r, z_l = scale * (x_r - t1), scale * (x_l - t2)
             if exp.evidence == "bayesian":
                 shrink = posterior_coefficient(NormalSampling(exp.sigma, exp.n),
@@ -371,6 +373,22 @@ class TestBlockBatching:
         got = [(p.k1, p.mean_power, p.mean_fdr, p.se_power, p.se_fdr)
                for p in fdr_power_simulation(exp)]
         assert got == reference_simulation(exp)
+
+    @pytest.mark.parametrize("evidence, sampling, combination, adaptive",
+                             list(itertools.product(EVIDENCE_KINDS, SAMPLING_MODES,
+                                                    COMBINATIONS, (False, True))))
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, evidence, sampling,
+                                                     combination, adaptive):
+        exp = FdrExperiment(k=300, k1_grid=(0, 111, 300), n=40,
+                            margin=EquivalenceMargin(0.0, 1.5), sigma=1.0, tau=0.25,
+                            epsilon_star=0.5, alpha=0.1, reps=13, seed=77,
+                            evidence=evidence, sampling=sampling,
+                            combination=combination, adaptive=adaptive)
+        want = fdr_power_simulation(exp)
+        # blocks of 1, 4, 10 and all 13 rows
+        for elements in (1, 4 * exp.k + 1, 3000, 10**6):
+            monkeypatch.setattr(fdr, "SLICE_ELEMENTS", elements)
+            assert fdr_power_simulation(exp) == want
 
 
 class TestScreen:

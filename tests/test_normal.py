@@ -252,21 +252,22 @@ class TestBoundaryKernel:
 
     def test_onesided_pvalues_are_the_kernel_elements(self):
         for samp, _, margin, xbar in self.designs():
-            first, second = _boundary_cdfs(xbar.copy(), margin, samp.root_n, samp.sigma)
+            z_scale = samp.root_n / samp.sigma
+            first, second = _boundary_cdfs(xbar.copy(), margin, z_scale)
             for x, phi1, phi2 in zip(xbar.tolist(), first.tolist(), second.tolist()):
                 upper, lower = normal_onesided_pvalues(samp, x, margin)
                 assert upper.value.hex() == (1.0 - phi1).hex()
                 assert lower.value.hex() == phi2.hex()
                 # the bits of the plain expressions
-                z1 = samp.root_n * (x - margin.theta1) / samp.sigma
-                z2 = samp.root_n * (x - margin.theta2) / samp.sigma
+                z1 = (x - margin.theta1) * z_scale
+                z2 = (x - margin.theta2) * z_scale
                 assert upper.value.hex() == (1.0 - normal_cdf(z1)).hex()
                 assert lower.value.hex() == normal_cdf(z2).hex()
 
     def test_posterior_probs_are_the_kernel_elements(self):
         for samp, prior, margin, xbar in self.designs():
             coef = posterior_coefficient(samp, prior)
-            first, second = _boundary_cdfs(xbar.copy(), margin, coef, 1.0)
+            first, second = _boundary_cdfs(xbar.copy(), margin, coef)
             evidence = _posterior_evidence(samp, prior, xbar.copy(), margin)
             for x, phi1, phi2, pb in zip(xbar.tolist(), first.tolist(), second.tolist(),
                                          evidence.tolist()):
@@ -279,7 +280,7 @@ class TestBoundaryKernel:
 
     def test_second_term_in_place(self):
         xbar = np.linspace(-1.0, 2.0, 7)
-        first, second = _boundary_cdfs(xbar, EquivalenceMargin(0.0, 1.0), 2.0, 1.0)
+        first, second = _boundary_cdfs(xbar, EquivalenceMargin(0.0, 1.0), 2.0)
         assert second is xbar and not np.shares_memory(first, xbar)
 
     def test_distance_past_the_float_range(self):
@@ -287,6 +288,13 @@ class TestBoundaryKernel:
         samp = NormalSampling(1e-200, 30)
         upper, lower = normal_onesided_pvalues(samp, 1e200, EquivalenceMargin(-1.0, 1.0))
         assert (upper.value, lower.value) == (0.0, 1.0)
+
+    def test_distance_past_the_float_range_with_a_moderate_z(self):
+        # (xbar - theta1) sqrt(n) overflows, its z = 2 does not: 1 - Phi(2)
+        samp = NormalSampling(1e308, 4)
+        upper, lower = normal_onesided_pvalues(samp, 1e308, EquivalenceMargin(-1.0, 0.0))
+        assert upper.value == pytest.approx(1.0 - normal_cdf(2.0), rel=1e-15)
+        assert lower.value == pytest.approx(normal_cdf(2.0), rel=1e-15)
 
 
 class TestSamplingDomain:

@@ -106,7 +106,10 @@ def parse_grid(text: str):
             if not values:
                 raise ValueError("no values from start to stop")
             return values
-        return [parse_float(part) for part in text.split(",")]
+        parts = text.split(",")
+        if len(parts) > MAX_GRID_POINTS:
+            raise ValueError(f"more than {MAX_GRID_POINTS} values")
+        return [parse_float(part) for part in parts]
     except ValueError as exc:
         raise ConfigError(f"invalid grid {text!r}: {exc}") from None
 

@@ -18,7 +18,7 @@ influence-function estimate is used instead.
 Memory: each Monte Carlo path turns its draws into its two evidence arrays
 in place, building any further term one slice at a time, and the estimator
 centres and scales those in their own buffers and takes every mean of a
-product slice by slice (:func:`_pairwise_sum`), so a path holds two
+product slice by slice (:func:`_slice_sum`), so a path holds two
 draw-sized float arrays, the two evidence arrays (16 MB at 1e6 draws).
 """
 
@@ -101,45 +101,30 @@ def sample_correlation(x, y) -> CorrelationResult:
     return _correlation_in_place(x, y)
 
 
-def _pairwise_sum(term, n: int) -> float:
-    """``np.sum`` of the n-element float64 array whose slice [lo, hi)
-    ``term(lo, hi, out)`` writes into ``out``, bit for bit, without that
-    array: numpy sums a contiguous array by pairwise recursion, splitting
-    n at n2 = n//2 - (n//2) % 8 (N. J. Higham, SIAM J. Sci. Comput. 14,
-    1993).  The same split, down to leaves of at most ``SLICE_ELEMENTS``,
-    makes every leaf a node of numpy's tree; each leaf is written into one
-    slice-sized scratch and summed, and the leaf sums are added in tree
-    order."""
-    return float(_pairwise_node(term, np.empty(min(n, SLICE_ELEMENTS)), 0, n))
-
-
-def _pairwise_node(term, scratch: np.ndarray, lo: int, hi: int):
-    """The sum of the node [lo, hi) of :func:`_pairwise_sum`'s tree.  A
-    module-level function: a recursive closure would form a reference
-    cycle that keeps ``term``'s arrays alive until the garbage collector
-    runs."""
-    if hi - lo <= SLICE_ELEMENTS:
-        out = scratch[:hi - lo]
-        term(lo, hi, out)
-        return out.sum()
-    half = (hi - lo) // 2
-    half -= half % 8
-    return (_pairwise_node(term, scratch, lo, lo + half)
-            + _pairwise_node(term, scratch, lo + half, hi))
+def _slice_sum(term, n: int) -> float:
+    """The sum of the n-element float64 array whose slice [lo, hi)
+    ``term(lo, hi, out)`` writes into ``out``, without that array: each
+    slice of at most ``SLICE_ELEMENTS`` is written into one slice-sized
+    scratch and summed by numpy, and ``math.fsum`` adds the slice sums."""
+    scratch = np.empty(min(n, SLICE_ELEMENTS))
+    sums = []
+    for lo in range(0, n, SLICE_ELEMENTS):
+        out = scratch[:min(n - lo, SLICE_ELEMENTS)]
+        term(lo, lo + out.size, out)
+        sums.append(out.sum())
+    return math.fsum(sums)
 
 
 def _correlation_in_place(x: np.ndarray, y: np.ndarray) -> CorrelationResult:
     """:func:`sample_correlation` of two distinct equal-length 1-d float
     arrays that it overwrites: each is centred and scaled in its own buffer,
-    and every mean of a product is a :func:`_pairwise_sum` over slices, so
-    no further array of the sample's size is allocated.  The bits are
-    those of (x - x.mean()) / x.std() and the plain expressions: x.std() is
-    the root of the mean of the centred squares."""
+    and every mean of a product is a :func:`_slice_sum` over slices, so no
+    further array of the sample's size is allocated.  Each sd is the root
+    of the mean of the centred squares."""
     n = x.size
 
     def mean_product(u, v):
-        return _pairwise_sum(lambda lo, hi, out: np.multiply(u[lo:hi], v[lo:hi], out=out),
-                             n) / n
+        return _slice_sum(lambda lo, hi, out: np.multiply(u[lo:hi], v[lo:hi], out=out), n) / n
 
     x -= x.mean()
     sx = math.sqrt(mean_product(x, x))
@@ -162,7 +147,7 @@ def _correlation_in_place(x: np.ndarray, y: np.ndarray) -> CorrelationResult:
         out -= zx
         out *= out
 
-    se = math.sqrt(_pairwise_sum(psi_squared, n) / n / n)
+    se = math.sqrt(_slice_sum(psi_squared, n) / n / n)
     return CorrelationResult(r, "monte_carlo", se)
 
 
@@ -198,29 +183,28 @@ def corr_equivalence_mc(samp: NormalSampling, prior: NormalPrior,
                         seed: int = 0, theta: Optional[float] = None) -> CorrelationResult:
     """Monte Carlo correlation of (posterior evidence, signed p-value).
 
-    The signed p-value is Phi(z1) + Phi(z2) - 1 with z_i the per-boundary
-    standardized means: negative on the lower half, positive on the upper,
-    it is the quantity whose covariance with the posterior evidence cancels
-    (the reported equivalence p-value is its absolute value).  The sample
-    mean is drawn from N(theta, sigma^2/n) with theta defaulting to the
-    margin center, where the exact value is the 0 of
-    :func:`corr_equivalence_closed` and this estimate is noise with an SE
-    that understates it (the signed p-value is within 1e-8 of 0 on nearly
-    every draw): n = 30, sigma = 1, tau = 0.25, margin (1, 4) and 1e6 draws
-    give 0.357 +- 0.302, -0.764 +- 0.181 and -0.018 +- 0.333 at seeds 0-2.
+    The signed p-value is p_lower - p_upper, the difference of the two
+    one-sided p-values of :func:`_boundary_cdfs`: negative on the lower
+    half, positive on the upper, it is the quantity whose covariance with
+    the posterior evidence cancels (the reported equivalence p-value is its
+    absolute value).  The sample mean is drawn from N(theta, sigma^2/n)
+    with theta defaulting to the margin center, where the exact value is
+    the 0 of :func:`corr_equivalence_closed` and this estimate is noise
+    with an SE that understates it (the signed p-value is within 1e-8 of 0
+    on nearly every draw): n = 30, sigma = 1, tau = 0.25, margin (1, 4) and
+    1e6 draws give 0.357 +- 0.302, -0.764 +- 0.181 and -0.018 +- 0.333 at
+    seeds 0-2.
     """
     center = margin.center if theta is None else float(theta)
     xbar = _standard_normal_draws(draws, seed)
     xbar *= samp.sigma / samp.root_n
     xbar += center
-    # Phi(z_1) + Phi(z_2) with z_i = (xbar - theta_i) sqrt(n) / sigma, one
-    # slice at a time over a copy of the means
+    # p_lower - p_upper, one slice at a time over a copy of the means
     p_signed = xbar.copy()
     z_scale = samp.root_n / samp.sigma
     for start in range(0, xbar.size, SLICE_ELEMENTS):
-        first, second = _boundary_cdfs(p_signed[start:start + SLICE_ELEMENTS], margin, z_scale)
-        second += first
-    p_signed -= 1.0
+        upper, lower = _boundary_cdfs(p_signed[start:start + SLICE_ELEMENTS], margin, z_scale)
+        lower -= upper
     return _correlation_in_place(_posterior_evidence(samp, prior, xbar, margin), p_signed)
 
 
@@ -291,9 +275,8 @@ def corr_partial_pvalues(samp: NormalSampling, margin: Optional[EquivalenceMargi
     if c == 0.0:
         return CorrelationResult(-1.0, "closed_form")
     z = _standard_normal_draws(draws, seed)
-    p_r = np.add(z, c)
+    p_r = np.subtract(-c, z)  # Phi(-z - c)
     normal_cdf(p_r, out=p_r)
-    np.subtract(1.0, p_r, out=p_r)
     z -= c
     return _correlation_in_place(p_r, normal_cdf(z, out=z))
 
@@ -316,25 +299,23 @@ def corr_two_sided_mc(w: float, draws: int = 1_000_000, seed: int = 0) -> Correl
 
     Draws the sample mean from its marginal (prior-predictive) law under
     the centered prior, which is the standardization the closed form
-    integrates over; both measures are the signed two-sided forms
-    2 (1 - Phi(.)).
+    integrates over.  Both measures are taken as the tails Phi(-a z) and
+    Phi(-b z): the signed two-sided forms 2 Phi(-.) are the same positive
+    multiple of them, which changes neither the correlation nor its SE.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError(f"w must lie in (0, 1], got {w}")
     z = _standard_normal_draws(draws, seed)
     if w == 1.0:
-        # both measures are one array, 2 (z < 0) in the draws; the core
-        # needs it in two buffers
+        # both measures are one array, (z < 0) in the draws; the core needs
+        # it in two buffers
         p_f = np.less(z, 0.0, out=z)
-        p_f *= 2.0
         p_b = p_f.copy()
     else:
-        # p_f = 2 (1 - Phi(a z)) and p_b the same at b z, the latter in the draws
-        p_f = np.multiply(z, 1.0 / math.sqrt(1.0 - w))
+        # p_f = Phi(-a z) and p_b = Phi(-b z), the latter in the draws
+        p_f = np.multiply(z, -1.0 / math.sqrt(1.0 - w))
         p_b = z
-        p_b *= math.sqrt(w / (1.0 - w))
+        p_b *= -math.sqrt(w / (1.0 - w))
         for p in (p_f, p_b):
             normal_cdf(p, out=p)
-            np.subtract(1.0, p, out=p)
-            p *= 2.0
     return _correlation_in_place(p_b, p_f)

@@ -5,6 +5,7 @@ point in order from one numpy stream.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -272,12 +273,12 @@ def _combine_evidence(exp: FdrExperiment, p_r: np.ndarray, p_l: np.ndarray) -> n
 
 # z margin of the screen: a tail whose z lies within it of a cutoff is
 # evaluated, so neither the rounding of normal_cdf nor the error of the
-# quantile approximation (below 1e-8 in z) ever decides.  It moves a tail
-# value by a relative 1e-3 or more, but the right tail 1 - normal_cdf(z)
-# carries an absolute rounding error near 1e-15, so thresholds below
-# _SCREEN_FLOOR (a move of 1e-11 or less) are not screened.
+# quantile approximation (at most 3.8e-8 in z on [1e-300, 0.1]) ever
+# decides.  It moves a tail value by a relative 1e-3 or more, and both tails
+# are normal_cdf of their own signed z, accurate in relative terms, so every
+# threshold from the smallest normal float on is screened.
 _Z_SLACK = 1e-3
-_SCREEN_FLOOR = 1e-9
+_SCREEN_FLOOR = sys.float_info.min
 
 
 def _z_cutoff(t, side):
@@ -316,11 +317,11 @@ def _screened_step_up(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray,
     evidence evaluated only where a z cutoff cannot settle it.
 
     With u_r = -shrink z_r and u_l = shrink z_l the tail values are
-    Phi(u_r) and Phi(u_l) up to rounding.  The evidence is at least its
-    larger tail, at u = max(u_r, u_l), and at most ``factor`` times it (1
-    for the max, 2 for the clipped sum), so it is certainly above t for
-    u > q(t) + slack and at or below t for u < q(t / factor) - slack.  The
-    |p_l - p_r| of ``difference`` has no lower bound: its band is everything.
+    Phi(u_r) and Phi(u_l).  The evidence is at least its larger tail, at
+    u = max(u_r, u_l), and at most ``factor`` times it (1 for the max, 2 for
+    the clipped sum), so it is certainly above t for u > q(t) + slack and at
+    or below t for u < q(t / factor) - slack.  The |p_l - p_r| of
+    ``difference`` has no lower bound: its band is everything.
     """
     rows, k = z_r.shape
     u = np.maximum(-z_r, z_l)
@@ -335,8 +336,8 @@ def _screened_step_up(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray,
     def exact(band):
         """The evidence at the flat indices ``band``; a value in both bands
         is evaluated twice, to the same bits."""
-        cdf = normal_cdf(shrink * np.concatenate((z_r.take(band), z_l.take(band))))
-        return _combine_evidence(exp, 1.0 - cdf[:band.size], cdf[band.size:])
+        cdf = normal_cdf(shrink * np.concatenate((-z_r.take(band), z_l.take(band))))
+        return _combine_evidence(exp, cdf[:band.size], cdf[band.size:])
 
     at_lam, k0, table = cutoffs
     count = np.zeros(rows, dtype=np.intp)  # each row's index into k0 and table

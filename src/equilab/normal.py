@@ -4,15 +4,15 @@ The sufficient statistic is the sum T = n * xbar.  Per-tail normal
 quantiles (``approximate``) give the exact level-t region of the TOST
 p-value, the larger one-sided one; a bisection for exact size under the
 symmetric constants C + D = n (theta1 + theta2) (``exact_symmetric``)
-gives that of the folded p-value
-
-    Phi(|t| + eps sqrt(n)/sigma) + Phi(|t| - eps sqrt(n)/sigma) - 1,
-
-with t the standardized distance of xbar from the margin center; it is 0 at
-the center and increases to 1, and :func:`normal_tost_pvalue` reports it.
+gives that of the folded p-value, the distance |p_upper - p_lower| of the two
+one-sided p-values; with t the standardized distance of xbar from the margin
+center and h = eps sqrt(n)/sigma it is Phi(|t| + h) + Phi(|t| - h) - 1, 0 at
+the center and increasing to 1, and :func:`normal_tost_pvalue` reports it.
 Conjugate normal priors are centered at the tested boundary for each tail,
-which makes every posterior tail probability a single Phi evaluation: one
-kernel, :func:`_boundary_cdfs`, serves the one-sided p-values and the tails.
+which makes every posterior tail probability a single Phi evaluation.  One
+kernel, :func:`_boundary_cdfs`, gives every tail as Phi of its own signed
+distance, so none is taken as 1 - Phi and each keeps its relative accuracy
+down to the underflow.
 """
 
 import math
@@ -81,7 +81,7 @@ def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
     empty, when the margin is narrow relative to sigma * sqrt(n));
     ``exact_symmetric``, the folded p-value's region, has exact size under
     C + D = n(theta1+theta2): C = n center - sigma sqrt(n) x, where the size
-    at theta1, F(x) = Phi(x + h) + Phi(x - h) - 1 with h = eps sqrt(n)/sigma,
+    at theta1, F(x) = Phi(x - h) - Phi(-x - h) with h = eps sqrt(n)/sigma,
     increases from F(0) = 0 to the level.  Phi(x - h) >= F(x) >=
     2 Phi(x - h) - 1 brackets x in [max(0, h + q(level)), h + q((1+level)/2)],
     bisected until it stops shrinking; the end where F >= level is kept.
@@ -102,7 +102,7 @@ def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
     hi = h + normal_quantile(0.5 * (1.0 + level))
     mid = 0.5 * (lo + hi)
     while (inside := (lo < mid) & (mid < hi)).any():
-        attained = normal_cdf(mid + h) + normal_cdf(mid - h) - 1.0 >= level
+        attained = normal_cdf(mid - h) - normal_cdf(-mid - h) >= level
         lo, hi = np.where(inside & ~attained, mid, lo), np.where(inside & attained, mid, hi)
         mid = 0.5 * (lo + hi)
     c = samp.n * margin.center - scale * hi
@@ -110,43 +110,40 @@ def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
 
 
 def _boundary_cdfs(xbar: np.ndarray, margin: EquivalenceMargin, scale: float):
-    """Phi((xbar - theta_i) scale) over the 1-d float64 array ``xbar``:
-    theta1's in a new array, theta2's in place.  The p-values pass the z
+    """The upper tail Phi((theta1 - xbar) scale) and the lower tail
+    Phi((xbar - theta2) scale) over the 1-d float64 array ``xbar``: the
+    upper in a new array, the lower in place.  The p-values pass the z
     scale sqrt(n) / sigma, the posterior tails :func:`posterior_coefficient`;
     both are finite, so a distance overflows only where its z does."""
     with np.errstate(over="ignore"):  # a distance past the float range is +-inf
-        first = np.subtract(xbar, margin.theta1)
+        upper = np.subtract(margin.theta1, xbar)
         xbar -= margin.theta2
-        for z in (first, xbar):
+        for z in (upper, xbar):
             z *= scale
             normal_cdf(z, out=z)
-    return first, xbar
+    return upper, xbar
 
 
 def normal_onesided_pvalues(samp: NormalSampling, xbar: float,
                             margin: EquivalenceMargin):
     """One-sided LFC p-values at the observed mean.
 
-    Upper-tailed test of theta <= theta1: 1 - Phi((xbar - theta1) sqrt(n)/sigma);
+    Upper-tailed test of theta <= theta1: Phi((theta1 - xbar) sqrt(n)/sigma);
     lower-tailed test of theta >= theta2: Phi((xbar - theta2) sqrt(n)/sigma).
     """
-    first, second = _boundary_cdfs(np.array([xbar], dtype=float), margin,
-                                   samp.root_n / samp.sigma)
-    return (EvidenceMeasure(1.0 - float(first[0]), "upper", "frequentist"),
-            EvidenceMeasure(float(second[0]), "lower", "frequentist"))
+    upper, lower = _boundary_cdfs(np.array([xbar], dtype=float), margin,
+                                  samp.root_n / samp.sigma)
+    return (EvidenceMeasure(float(upper[0]), "upper", "frequentist"),
+            EvidenceMeasure(float(lower[0]), "lower", "frequentist"))
 
 
 def _combined_pvalue_values(samp: NormalSampling, xbar, margin: EquivalenceMargin):
-    """Vectorized folded equivalence p-value; returns plain floats/arrays.
-    |xbar - center| -+ eps are taken as the distances to the near and the
-    far boundary, which overflow only to +-inf, never to inf - inf."""
-    xbar = np.asarray(xbar, dtype=float)
-    z_scale = samp.root_n / samp.sigma  # finite: sigma / sqrt(n) is a normal float
-    with np.errstate(over="ignore"):  # a distance past the float range is +-inf
-        near = np.maximum(xbar - margin.theta2, margin.theta1 - xbar) * z_scale
-        far = np.maximum(xbar - margin.theta1, margin.theta2 - xbar) * z_scale
-    vals = normal_cdf(far) + normal_cdf(near) - 1.0
-    return np.clip(vals, 0.0, 1.0)
+    """Vectorized folded equivalence p-value |p_lower - p_upper| of the
+    :func:`_boundary_cdfs` tails at the z scale; a float for a scalar
+    ``xbar``, an array of its shape otherwise."""
+    xbar = np.array(xbar, dtype=float)
+    upper, lower = _boundary_cdfs(xbar.ravel(), margin, samp.root_n / samp.sigma)
+    return np.abs(lower - upper).reshape(xbar.shape)[()]
 
 
 def normal_tost_pvalue(samp: NormalSampling, xbar: float,
@@ -165,7 +162,7 @@ def _posterior_evidence(samp: NormalSampling, prior: NormalPrior, xbar: np.ndarr
     coef = posterior_coefficient(samp, prior)
     for start in range(0, xbar.size, SLICE_ELEMENTS):
         upper, lower = _boundary_cdfs(xbar[start:start + SLICE_ELEMENTS], margin, coef)
-        lower += np.subtract(1.0, upper, out=upper)
+        lower += upper
     return np.clip(xbar, 0.0, 1.0, out=xbar)
 
 
@@ -180,9 +177,9 @@ def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float
         theta1, ``lower`` = P(theta >= theta2 | xbar) under the prior
         centered at theta2, ``combined`` their (clamped) sum.
     """
-    first, second = _boundary_cdfs(np.array([xbar], dtype=float), margin,
-                                   posterior_coefficient(samp, prior))
-    up, lo = 1.0 - float(first[0]), float(second[0])
+    upper, lower = _boundary_cdfs(np.array([xbar], dtype=float), margin,
+                                  posterior_coefficient(samp, prior))
+    up, lo = float(upper[0]), float(lower[0])
     return (EvidenceMeasure(up, "upper", "bayesian"),
             EvidenceMeasure(lo, "lower", "bayesian"),
             EvidenceMeasure(min(1.0, max(0.0, up + lo)), "combined", "bayesian"))

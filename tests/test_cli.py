@@ -477,6 +477,9 @@ class TestConfigAndErrors:
         # a step lost in rounding never reaches the stop
         (["conservativity", "--n", "10", "--margin", "0.2,0.8", "--t-grid", "1e300:1e300:1"],
          "--t-grid: invalid grid '1e300:1e300:1': more than 100000 values"),
+        # the same bound for a comma list
+        (["power-curve", "--n", "10", "--margin", "0.2,0.8", "--theta-grid",
+          ",".join(str(i / 200_000) for i in range(200_000))], "more than 100000 values"),
         (["theta-max", "--n", "10", "--margin", "0.2,0.8", "--resolution", "1e-6"],
          "resolution must lie in [1e-5, 1e-3], got 1e-06"),
         (["noise-cdf", "--n", "30", "--sigma", "1e-310", "--margin", "1,4", "--theta", "1.5"],

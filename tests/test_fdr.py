@@ -315,12 +315,12 @@ def reference_simulation(exp):
             if exp.evidence == "bayesian":
                 shrink = posterior_coefficient(NormalSampling(exp.sigma, exp.n),
                                                NormalPrior(exp.tau)) * exp.sigma / root_n
-                evidence = np.clip((1.0 - normal_cdf(shrink * z_r)) + normal_cdf(shrink * z_l),
+                evidence = np.clip(normal_cdf(shrink * -z_r) + normal_cdf(shrink * z_l),
                                    0.0, 1.0)
             elif exp.combination == "max":
-                evidence = np.maximum(1.0 - normal_cdf(z_r), normal_cdf(z_l))
+                evidence = np.maximum(normal_cdf(-z_r), normal_cdf(z_l))
             else:
-                evidence = np.abs(normal_cdf(z_l) - (1.0 - normal_cdf(z_r)))
+                evidence = np.abs(normal_cdf(z_l) - normal_cdf(-z_r))
             if exp.adaptive:
                 _, rejected, _ = adaptive_bh(evidence, exp.alpha, exp.storey_lambda)
             else:
@@ -400,7 +400,7 @@ class TestScreen:
 
     @staticmethod
     def evidence(kind, z_r, z_l):
-        p_r, p_l = 1.0 - normal_cdf(z_r), normal_cdf(z_l)
+        p_r, p_l = normal_cdf(-z_r), normal_cdf(z_l)
         if kind == "bayesian":
             return np.clip(p_r + p_l, 0.0, 1.0)
         return np.maximum(p_r, p_l)
@@ -439,7 +439,7 @@ class TestScreen:
             assert table[0, count] == fdr._z_cutoff(exp.alpha / row_k0 / factor, -1.0)
             assert table[1, count] == fdr._z_cutoff(exp.alpha * exp.k / row_k0, 1.0)
 
-    @pytest.mark.parametrize("alpha", [0.05, 1e-15])
+    @pytest.mark.parametrize("alpha", [0.05, 1e-15, 1e-100, 1e-300, 1e-320])
     @pytest.mark.parametrize("evidence, adaptive", [("frequentist", False),
                                                     ("bayesian", False),
                                                     ("frequentist", True),

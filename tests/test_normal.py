@@ -256,12 +256,12 @@ class TestBoundaryKernel:
             first, second = _boundary_cdfs(xbar.copy(), margin, z_scale)
             for x, phi1, phi2 in zip(xbar.tolist(), first.tolist(), second.tolist()):
                 upper, lower = normal_onesided_pvalues(samp, x, margin)
-                assert upper.value.hex() == (1.0 - phi1).hex()
+                assert upper.value.hex() == phi1.hex()
                 assert lower.value.hex() == phi2.hex()
-                # the bits of the plain expressions
-                z1 = (x - margin.theta1) * z_scale
+                # the bits of the plain expressions, each tail Phi of its own signed z
+                z1 = (margin.theta1 - x) * z_scale
                 z2 = (x - margin.theta2) * z_scale
-                assert upper.value.hex() == (1.0 - normal_cdf(z1)).hex()
+                assert upper.value.hex() == normal_cdf(z1).hex()
                 assert lower.value.hex() == normal_cdf(z2).hex()
 
     def test_posterior_probs_are_the_kernel_elements(self):
@@ -272,9 +272,9 @@ class TestBoundaryKernel:
             for x, phi1, phi2, pb in zip(xbar.tolist(), first.tolist(), second.tolist(),
                                          evidence.tolist()):
                 upper, lower, combined = normal_posterior_probs(samp, prior, x, margin)
-                assert upper.value.hex() == (1.0 - phi1).hex()
+                assert upper.value.hex() == phi1.hex()
                 assert lower.value.hex() == phi2.hex()
-                assert upper.value.hex() == (1.0 - normal_cdf(coef * (x - margin.theta1))).hex()
+                assert upper.value.hex() == normal_cdf(coef * (margin.theta1 - x)).hex()
                 assert lower.value.hex() == normal_cdf(coef * (x - margin.theta2)).hex()
                 assert combined.value.hex() == pb.hex()
 
@@ -290,10 +290,10 @@ class TestBoundaryKernel:
         assert (upper.value, lower.value) == (0.0, 1.0)
 
     def test_distance_past_the_float_range_with_a_moderate_z(self):
-        # (xbar - theta1) sqrt(n) overflows, its z = 2 does not: 1 - Phi(2)
+        # (theta1 - xbar) sqrt(n) overflows, its z = -2 does not: Phi(-2)
         samp = NormalSampling(1e308, 4)
         upper, lower = normal_onesided_pvalues(samp, 1e308, EquivalenceMargin(-1.0, 0.0))
-        assert upper.value == pytest.approx(1.0 - normal_cdf(2.0), rel=1e-15)
+        assert upper.value == pytest.approx(normal_cdf(-2.0), rel=1e-15)
         assert lower.value == pytest.approx(normal_cdf(2.0), rel=1e-15)
 
 
@@ -379,6 +379,62 @@ class TestEvidenceOverTheFloatRange:
         assert 0.0 <= coef < math.inf
         ulps = coefficient_ulps(coef, sigma, tau, n)
         assert ulps is None or ulps <= 3.0
+
+
+class TestRelativeAccuracy:
+    """Every normal-model evidence value is within 1e-12 relative of its
+    40-digit value, tails down to 1e-300 included: each tail is Phi of its
+    own signed distance, never 1 - Phi."""
+
+    @staticmethod
+    def cases():
+        """Random designs, each with sample means that put the upper, the
+        lower and neither tail anywhere from Phi(-37.5) ~ 5e-308 up to Phi(3)."""
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            samp = NormalSampling(float(10.0 ** rng.uniform(-2, 2)), int(rng.integers(1, 10**4)))
+            prior = NormalPrior(float(10.0 ** rng.uniform(-2, 2)))
+            theta1 = float(rng.uniform(-3, 3))
+            margin = EquivalenceMargin(theta1, theta1 + float(10.0 ** rng.uniform(-3, 1)))
+            sd = samp.sigma / samp.root_n
+            z = rng.uniform(-37.5, 3.0, 4)
+            xbar = np.concatenate((margin.theta1 - z * sd, margin.theta2 + z * sd,
+                                   margin.center + rng.normal(0.0, 3.0, 2) * sd))
+            yield samp, prior, margin, xbar.tolist()
+
+    @staticmethod
+    def exact(samp, prior, margin, xbar):
+        """(p upper, p lower, folded p, posterior upper, lower, combined) in 40 digits."""
+        with mpmath.workdps(40):
+            n, sigma, tau = mpmath.mpf(samp.n), mpmath.mpf(samp.sigma), mpmath.mpf(prior.tau)
+            x, t1, t2 = (mpmath.mpf(v) for v in (xbar, margin.theta1, margin.theta2))
+            values = []
+            for scale in (mpmath.sqrt(n) / sigma,
+                          n * tau / (sigma * mpmath.sqrt(sigma ** 2 + n * tau ** 2))):
+                upper, lower = mpmath.ncdf((t1 - x) * scale), mpmath.ncdf((x - t2) * scale)
+                values.append((upper, lower))
+            (p_up, p_lo), (b_up, b_lo) = values
+            return p_up, p_lo, abs(p_lo - p_up), b_up, b_lo, min(1, b_up + b_lo)
+
+    def test_against_mpmath(self):
+        smallest, folded_checked = 1.0, 0
+        for samp, prior, margin, xbars in self.cases():
+            for x in xbars:
+                p_up, p_lo = normal_onesided_pvalues(samp, x, margin)
+                b_up, b_lo, b_comb = normal_posterior_probs(samp, prior, x, margin)
+                folded = normal_tost_pvalue(samp, x, margin)
+                got = (p_up, p_lo, folded, b_up, b_lo, b_comb)
+                want = self.exact(samp, prior, margin, x)
+                for index, (g, w) in enumerate(zip(got, want)):
+                    if index == 2 and w < 1e-3 * max(want[0], want[1]):
+                        continue  # the folded p-value cancels there
+                    folded_checked += index == 2
+                    if w < 1e-300:
+                        assert g.value <= 1e-300
+                        continue
+                    smallest = min(smallest, float(w))
+                    assert abs(g.value - w) <= 1e-12 * w, (samp, prior, margin, x, index)
+        assert smallest < 1e-290 and folded_checked > 1000
 
 
 class TestPvalueCdf:

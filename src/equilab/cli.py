@@ -8,7 +8,7 @@ in ``FLAG_TYPES``.  Records go to CSV (default) or JSON, in
 ``<subcommand>.<format>`` unless ``--out`` names the file, plus a
 ``<output>.manifest.json`` sidecar with the command, the effective value of
 every flag read but ``--out``/``--format`` and a digest of them, the seed
-(null where nothing is drawn), the tool version, timestamps and the
+(null where no ``--seed`` is taken), the tool version, timestamps and the
 environment (Python and numpy versions, operating system, release, machine
 and CPU count).
 
@@ -268,10 +268,11 @@ def run_theta_max(opts):
 
 
 def run_noise_cdf(opts):
+    if opts["reps"] < 1:  # accepted although the exact curves do not read it
+        raise ConfigError(f"--reps must be positive, got {opts['reps']}")
     prior = None if opts["tau"] is None else NormalPrior(opts["tau"])
     return _curve_records(normal_curves(NormalSampling(opts["sigma"], opts["n"]), prior,
-                                        opts["margin"], opts["theta"], opts["t_grid"],
-                                        mc_reps=opts["reps"], seed=opts["seed"]))
+                                        opts["margin"], opts["theta"], opts["t_grid"]))
 
 
 # correlation mode -> (the design flags it reads, all required; closed form;

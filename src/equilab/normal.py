@@ -1,18 +1,16 @@
 """Equivalence evidence for the one-sample normal model with known variance.
 
-The sufficient statistic is the sum T = n * xbar.  Per-tail normal
-quantiles (``approximate``) give the exact level-t region of the TOST
-p-value, the larger one-sided one; a bisection for exact size under the
-symmetric constants C + D = n (theta1 + theta2) (``exact_symmetric``)
-gives that of the folded p-value, the distance |p_upper - p_lower| of the two
-one-sided p-values; with t the standardized distance of xbar from the margin
-center and h = eps sqrt(n)/sigma it is Phi(|t| + h) + Phi(|t| - h) - 1, 0 at
-the center and increasing to 1, and :func:`normal_tost_pvalue` reports it.
 Conjugate normal priors are centered at the tested boundary for each tail,
-which makes every posterior tail probability a single Phi evaluation.  One
-kernel, :func:`_boundary_cdfs`, gives every tail as Phi of its own signed
-distance, so none is taken as 1 - Phi and each keeps its relative accuracy
-down to the underflow.
+so every posterior tail probability is one Phi.  One kernel,
+:func:`_boundary_cdfs`, gives every tail as Phi of its own signed distance,
+never 1 - Phi, so each keeps its relative accuracy down to the underflow.
+The folded p-value |p_upper - p_lower| = Phi(|t| + h) + Phi(|t| - h) - 1
+(t the standardized distance of xbar from the margin center, h = eps
+sqrt(n)/sigma) rises from 0 there to 1.  Each measure's level-t region of
+xbar is an interval: per-tail quantiles give the TOST (larger one-sided)
+p-value's, a bisection for exact size under C + D = n (theta1 + theta2)
+(``exact_symmetric``) the folded one's, and a bisection around the center
+the posterior evidence's; one kernel, :func:`_interval_prob`, gives each CDF.
 """
 
 import math
@@ -98,15 +96,24 @@ def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
         return samp.n * margin.theta1 - scale * q_level, samp.n * margin.theta2 + scale * q_level
 
     h = margin.half_width * samp.root_n / samp.sigma
-    lo = np.maximum(0.0, h + normal_quantile(level))
-    hi = h + normal_quantile(0.5 * (1.0 + level))
+    _, x = _bisect(lambda x: normal_cdf(x - h) - normal_cdf(-x - h) >= level,
+                   np.maximum(0.0, h + normal_quantile(level)),
+                   h + normal_quantile(0.5 * (1.0 + level)))
+    c = samp.n * margin.center - scale * x
+    return c, samp.n * (margin.theta1 + margin.theta2) - c
+
+
+def _bisect(past, lo, hi):
+    """Elementwise bisection of ``past``, false below a root and true above
+    it, until [lo, hi] stops shrinking; an element whose root lies outside
+    its bracket takes no step and ends at the nearer end, lo = hi."""
+    lo, hi = np.where(past(hi), lo, hi), np.where(past(lo), lo, hi)
     mid = 0.5 * (lo + hi)
     while (inside := (lo < mid) & (mid < hi)).any():
-        attained = normal_cdf(mid - h) - normal_cdf(-mid - h) >= level
-        lo, hi = np.where(inside & ~attained, mid, lo), np.where(inside & attained, mid, hi)
+        crossed = past(mid)
+        lo, hi = np.where(inside & ~crossed, mid, lo), np.where(inside & crossed, mid, hi)
         mid = 0.5 * (lo + hi)
-    c = samp.n * margin.center - scale * hi
-    return c, samp.n * (margin.theta1 + margin.theta2) - c
+    return lo, hi
 
 
 def _boundary_cdfs(xbar: np.ndarray, margin: EquivalenceMargin, scale: float):
@@ -185,20 +192,41 @@ def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float
             EvidenceMeasure(min(1.0, max(0.0, up + lo)), "combined", "bayesian"))
 
 
+def _interval_prob(samp: NormalSampling, theta: float, lo, hi):
+    """P_theta(lo <= xbar <= hi) elementwise, 0 where lo > hi, from the small
+    tails: the interval is first reflected about theta to lie mostly below it."""
+    with np.errstate(over="ignore", invalid="ignore"):  # +-inf distances and bounds
+        a, b = (np.array((lo, hi)) - theta) * (samp.root_n / samp.sigma)
+        a, b = np.where(a + b > 0.0, (-b, -a), (a, b))
+    return np.where(lo > hi, 0.0, np.maximum(normal_cdf(b) - normal_cdf(a), 0.0))[()]
+
+
 def normal_pvalue_cdf(samp: NormalSampling, theta: float, margin: EquivalenceMargin,
                       t, mode: str = "approximate"):
     """P_theta(p-value <= t) at a level t or an array of them: the TOST (larger
-    one-sided) p-value's CDF, or the folded p-value's under ``exact_symmetric``.
-
-    Equals the probability that the sum statistic lands between the
-    level-t critical constants; 0 wherever that region is empty.
-    """
+    one-sided) p-value's CDF, or the folded p-value's under ``exact_symmetric``:
+    the probability of the interval between the level-t critical constants."""
     t = np.asarray(t, dtype=float)
     if not ((t > 0.0) & (t < 1.0)).all():
         raise ValueError(f"t must lie in (0, 1), got {t}")
     c, d = normal_critical_constants(samp, margin, t, mode=mode)
-    scale = samp.sigma * samp.root_n
-    with np.errstate(over="ignore"):  # a distance past the float range is +-inf
-        value = (normal_cdf((d - samp.n * theta) / scale)
-                 - normal_cdf((c - samp.n * theta) / scale))
-    return np.where(c > d, 0.0, np.maximum(value, 0.0))[()]
+    return _interval_prob(samp, theta, c / samp.n, d / samp.n)
+
+
+def _posterior_cdf(samp: NormalSampling, prior: NormalPrior, margin: EquivalenceMargin,
+                   theta: float, t: np.ndarray) -> np.ndarray:
+    """P_theta(combined posterior evidence <= t) at each level of the array t.
+
+    At xbar = theta2 + e or theta1 - e the evidence is Phi(u) + Phi(-u - 2k),
+    u = c e, k = c eps, c = :func:`posterior_coefficient`, rising from 2 Phi(-k)
+    at the center: the region [theta1 - e_t, theta2 + e_t] has u_t in
+    [max(-k, q(t/2)), q(t)] and is empty where 2 Phi(-k) > t: at every t
+    where c is 0 (sigma / tau past the range), which leaves u / c unread."""
+    coef = posterior_coefficient(samp, prior)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # k, e may be inf
+        k = coef * margin.half_width
+        half = np.maximum(0.5 * t, np.finfo(float).smallest_subnormal)  # 0.5 * 5e-324 is 0
+        u, _ = _bisect(lambda u: normal_cdf(u) + normal_cdf(-u - 2.0 * k) > t,
+                       np.maximum(-k, normal_quantile(half)), normal_quantile(t))
+        e = np.where(2.0 * normal_cdf(-k) > t, -np.inf, u / coef)
+    return _interval_prob(samp, theta, margin.theta1 - e, margin.theta2 + e)

@@ -5,7 +5,7 @@ one-point grid of the curve functions.
 The binomial studies take a :class:`CurveSpec`; :func:`normal_curves` takes
 the normal model's ``NormalSampling`` and ``NormalPrior``.
 
-Binomial quantities are exact; Monte Carlo appears only where it mirrors a
+Every curve is exact; Monte Carlo appears only where it mirrors a
 simulation protocol (and then against seeded, replayable streams).  The
 evidence vectors and rejection regions are built once per curve over the
 support s = 0..n, the posterior vector by
@@ -36,7 +36,7 @@ import numpy as np
 from .beta_binomial import BetaPrior, posterior_values
 from .equivalence import (EquivalenceMargin, SignificanceLevels, _pvalue_tails,
                           binom_critical_constants)
-from .normal import NormalPrior, NormalSampling, normal_pvalue_cdf, _posterior_evidence
+from .normal import NormalPrior, NormalSampling, _posterior_cdf, normal_pvalue_cdf
 from .rng import spawn_rng
 from .special import binomial_interval_prob, binomial_pmf_vector
 
@@ -261,27 +261,15 @@ def exact_size(spec: CurveSpec):
 
 
 def normal_curves(samp: NormalSampling, prior: Optional[NormalPrior],
-                  margin: EquivalenceMargin, theta: float, grid: Sequence[float],
-                  mc_reps: int = 100_000, seed: int = 0):
-    """Evidence-CDF curve of the normal model at the true mean theta across
-    the t-grid.
-
-    The p-value CDF is analytic; the posterior-measure CDF is a seeded
-    Monte Carlo estimate (mc_reps draws of the sample mean at theta), and
-    NaN at every t when prior is None.
+                  margin: EquivalenceMargin, theta: float, grid: Sequence[float]):
+    """Exact evidence-CDF curves of the normal model at the true mean theta
+    across the t-grid: each measure's probability of its level-t interval of
+    the sample mean; the posterior one is NaN at every t when prior is None.
     """
-    if mc_reps < 1:
-        raise ValueError(f"mc_reps must be positive, got {mc_reps}")
     grid = _check_grid(grid)
-    y_b = np.full(grid.shape, math.nan)
-    if prior is not None:
-        xbar = spawn_rng(seed, 0).standard_normal(mc_reps)
-        xbar *= samp.sigma / math.sqrt(samp.n)
-        xbar += theta
-        pb = _posterior_evidence(samp, prior, xbar, margin)
-        pb.sort()
-        y_b = np.searchsorted(pb, grid, side="right") / mc_reps  # the share at or below t
     y_f = normal_pvalue_cdf(samp, theta, margin, grid)
+    y_b = (np.full(grid.shape, math.nan) if prior is None
+           else _posterior_cdf(samp, prior, margin, theta, grid))
     return [CurvePoint(float(t), float(f), float(b)) for t, f, b in zip(grid, y_f, y_b)]
 
 

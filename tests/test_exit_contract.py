@@ -118,10 +118,16 @@ def out_dir(tmp_path_factory):
 
 @settings(max_examples=600, deadline=None, derandomize=True)
 @given(argv=argvs())
-# a subnormal theta in the PMF's deviance and a prior shape of 1e-300 in the
-# incomplete beta's front factor
+# a subnormal theta in the PMF's deviance, a prior shape of 1e-300 in the
+# incomplete beta's front factor, a sigma / tau past the float range, which
+# makes the normal posterior coefficient 0, and the smallest subnormal level,
+# whose half rounds to 0 in the posterior region's bracket
 @example(argv=["conservativity", "--margin=5e-324,1e-300", "--n=2"])
 @example(argv=["power-curve", "--n", "30", "--margin", "0.2,0.8", "--prior-beta", "1e-300,1"])
+@example(argv=["noise-cdf", "--n", "30", "--sigma", "1e-15", "--margin", "1,4", "--theta", "1.5",
+               "--tau", "5e-324"])
+@example(argv=["noise-cdf", "--n", "30", "--sigma", "2", "--margin", "1,4", "--theta", "1.5",
+               "--tau", "0.5", "--t-grid", "5e-324,0.5"])
 def test_every_run_exits_0_or_2_naming_a_flag(out_dir, argv):
     out = str(out_dir / "out.csv")
     err = io.StringIO()

@@ -17,7 +17,8 @@ from equilab import (EquivalenceMargin, NormalPrior, NormalSampling,
                      normal_critical_constants, normal_onesided_pvalues,
                      normal_posterior_probs, normal_pvalue_cdf,
                      normal_tost_pvalue, posterior_coefficient)
-from equilab.normal import _boundary_cdfs, _combined_pvalue_values, _posterior_evidence
+from equilab.normal import (CONSTANT_MODES, _boundary_cdfs, _combined_pvalue_values,
+                            _posterior_cdf, _posterior_evidence)
 from equilab.special import normal_cdf, normal_quantile
 
 
@@ -486,3 +487,89 @@ class TestPvalueCdf:
             values = pvalues(bound / samp.n)
             assert values[thresholded] == pytest.approx(t, abs=1e-9)
             assert values[other] == pytest.approx(other_value, abs=1e-4)
+
+
+class TestCdfAccuracy:
+    """Both evidence CDFs against 40-digit mpmath: each is an interval
+    probability, within 1e-10 of the larger of its value and the normal tail
+    beyond the interval end nearest theta (0.5 where the interval straddles
+    theta)."""
+
+    @staticmethod
+    def cases():
+        """Random designs with theta within 5 half-widths of the centre and
+        levels from 1e-12 up."""
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            samp = NormalSampling(float(10.0 ** rng.uniform(-2, 2)), int(rng.integers(1, 10**4)))
+            prior = NormalPrior(float(10.0 ** rng.uniform(-2, 2)))
+            theta1 = float(rng.uniform(-3, 3))
+            margin = EquivalenceMargin(theta1, theta1 + float(10.0 ** rng.uniform(-3, 1)))
+            theta = margin.center + float(rng.uniform(-5, 5)) * margin.half_width
+            levels = np.sort(np.concatenate(([1e-12], 10.0 ** rng.uniform(-12, 0, 3))))
+            yield samp, prior, margin, theta, levels
+
+    @staticmethod
+    def interval_prob(samp, theta, lo, hi):
+        """(P_theta(lo <= xbar <= hi), the tail T of the tolerance), each
+        Phi taken on the small-tail side: a 40-digit Phi(b) - Phi(a) near 1
+        would itself be wrong."""
+        if lo > hi:
+            return mpmath.mpf(0), mpmath.mpf(0)
+        scale = mpmath.sqrt(samp.n) / mpmath.mpf(samp.sigma)
+        a, b = (lo - mpmath.mpf(theta)) * scale, (hi - mpmath.mpf(theta)) * scale
+        if a + b > 0:
+            a, b = -b, -a
+        return mpmath.ncdf(b) - mpmath.ncdf(a), (mpmath.ncdf(b) if b < 0 else mpmath.mpf(0.5))
+
+    @staticmethod
+    def posterior_region(samp, prior, margin, t):
+        """The level-t region (theta1 - e, theta2 + e) of the combined
+        posterior evidence, e from a 40-digit root of Phi(c e) +
+        Phi(-c e - 2 c eps) = t; None where it is empty."""
+        n, sigma, tau = mpmath.mpf(samp.n), mpmath.mpf(samp.sigma), mpmath.mpf(prior.tau)
+        theta1, theta2 = mpmath.mpf(margin.theta1), mpmath.mpf(margin.theta2)
+        coef = n * tau / (sigma * mpmath.sqrt(sigma ** 2 + n * tau ** 2))
+        k, t = coef * (theta2 - theta1) / 2, mpmath.mpf(t)
+        if 2 * mpmath.ncdf(-k) > t:
+            return None
+
+        def quantile(p):
+            return -mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * p)
+
+        u = mpmath.findroot(lambda u: mpmath.ncdf(u) + mpmath.ncdf(-u - 2 * k) - t,
+                            (max(-k, quantile(t / 2)), quantile(t)), solver="anderson")
+        return theta1 - u / coef, theta2 + u / coef
+
+    def test_against_mpmath(self):
+        tiny = straddling = 0
+        with mpmath.workdps(40):
+            for samp, prior, margin, theta, levels in self.cases():
+                got = {"posterior": _posterior_cdf(samp, prior, margin, theta, levels)}
+                for mode in CONSTANT_MODES:
+                    got["pvalue"] = normal_pvalue_cdf(samp, theta, margin, levels, mode=mode)
+                    c, d = normal_critical_constants(samp, margin, levels, mode=mode)
+                    for index, t in enumerate(levels):
+                        bounds = {"pvalue": (mpmath.mpf(c[index]) / samp.n,
+                                             mpmath.mpf(d[index]) / samp.n)}
+                        if mode == "approximate":
+                            bounds["posterior"] = (self.posterior_region(samp, prior, margin, t)
+                                                   or (mpmath.inf, -mpmath.inf))
+                        for name, (lo, hi) in bounds.items():
+                            want, tail = self.interval_prob(samp, theta, lo, hi)
+                            error = abs(got[name][index] - want)
+                            assert error <= max(1e-10 * max(want, tail), 1e-300), \
+                                (name, mode, samp, prior, margin, theta, t)
+                            tiny += 1e-300 < want < 1e-100
+                            straddling += tail == 0.5
+        assert tiny >= 50 and straddling >= 200, (tiny, straddling)
+
+    def test_folded_pvalue_cdf_at_a_tiny_level(self):
+        # the region is narrow and 4 sds from theta: at the parent the two
+        # Phi near 1 left 2.2e-5 relative error here
+        samp, margin = NormalSampling(2.0, 30), EquivalenceMargin(1.0, 4.0)
+        c, d = normal_critical_constants(samp, margin, 1e-12, mode="exact_symmetric")
+        with mpmath.workdps(40):
+            want, _ = self.interval_prob(samp, 1.0, mpmath.mpf(c) / 30, mpmath.mpf(d) / 30)
+        got = normal_pvalue_cdf(samp, 1.0, margin, 1e-12, mode="exact_symmetric")
+        assert abs(got - want) <= 1e-7 * want

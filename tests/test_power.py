@@ -2,7 +2,6 @@
 
 import math
 import random
-import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -17,8 +16,9 @@ from equilab import (BetaPrior, CurveSpec, EquivalenceMargin, NormalPrior,
                      normal_curves, table_simulation, theta_max)
 from equilab import power
 from equilab.beta_binomial import posterior_values
+from equilab.normal import _posterior_evidence
 from equilab.power import _argmax_toward_center, _maximizer, _power_arrays, _reject_regions
-from equilab.special import SLICE_ELEMENTS
+from equilab.rng import spawn_rng
 from test_golden import bench_module
 
 mpmath.mp.dps = 40
@@ -421,46 +421,51 @@ class TestExactSize:
 class TestNormalCurves:
     def test_cdf_curve_nondecreasing(self):
         points = normal_curves(NormalSampling(2.0, 30), NormalPrior(0.5),
-                               EquivalenceMargin(1.0, 4.0), 2.0, np.linspace(0.05, 0.95, 19),
-                               mc_reps=20_000, seed=5)
+                               EquivalenceMargin(1.0, 4.0), 2.0, np.linspace(0.05, 0.95, 19))
         yf = [p.y_frequentist for p in points]
         yb = [p.y_bayes for p in points]
         assert all(b >= a - 1e-12 for a, b in zip(yf, yf[1:]))
-        assert all(b >= a - 0.02 for a, b in zip(yb, yb[1:]))
+        assert all(b >= a for a, b in zip(yb, yb[1:]))
 
     def test_flat_prior_posterior_curve_is_uniform_at_boundary(self):
         # with tau huge and a wide margin, the combined posterior measure at
         # the lower boundary reduces to the (uniform) one-sided p-value
         margin = EquivalenceMargin(0.0, 10.0)
         grid = np.arange(0.1, 0.95, 0.1)
-        reps = 100_000
-        points = normal_curves(NormalSampling(1.0, 25), NormalPrior(1e6), margin, 0.0, grid,
-                               mc_reps=reps, seed=11)
+        points = normal_curves(NormalSampling(1.0, 25), NormalPrior(1e6), margin, 0.0, grid)
         for point in points:
-            se = math.sqrt(point.x * (1 - point.x) / reps)
-            assert abs(point.y_bayes - point.x) <= 3 * se
+            assert abs(point.y_bayes - point.x) <= 1e-12
 
-    def test_posterior_column_in_place_same_values(self):
-        # the draws become the posterior evidence in place: with the upper
-        # tail that is two reps-sized arrays, plus the normal CDF's fixed
-        # scratch of 9 slice rows (1.2 MB, 1.5 such arrays at 1e5 reps)
-        design = (NormalSampling(2.0, 30), NormalPrior(0.5), EquivalenceMargin(1.0, 4.0),
-                  1.0, [0.05, 0.2, 0.5, 0.8])
-        reps = 100_000
-        normal_curves(*design, mc_reps=16, seed=5)
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            points = normal_curves(*design, mc_reps=reps, seed=5)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.25 * 8 * reps + 9 * 8 * SLICE_ELEMENTS
-        assert [p.y_bayes for p in points] == [0.02133, 0.14988, 0.50296, 0.85251]
+    @pytest.mark.parametrize("design", [
+        # the noise-cdf golden config
+        (NormalSampling(2.0, 30), NormalPrior(0.5), EquivalenceMargin(1.0, 4.0), 1.5),
+        (NormalSampling(1.0, 10), NormalPrior(0.2), EquivalenceMargin(0.0, 0.8), 0.9),
+        (NormalSampling(2.4, 45), NormalPrior(2.0), EquivalenceMargin(1.5, 2.2), 1.85),
+        # 2 Phi(-k) = 0.96: every region of the grid is empty
+        (NormalSampling(1.0, 10), NormalPrior(0.1), EquivalenceMargin(0.0, 0.1), 0.0),
+    ])
+    def test_posterior_column_matches_monte_carlo(self, design):
+        # the share of seeded sample means whose posterior evidence is at
+        # or below t lies within 5 binomial SEs of the exact column
+        samp, prior, margin, theta = design
+        grid = np.linspace(0.05, 0.95, 19)
+        reps = 40_000
+        xbar = spawn_rng(2024, 0).standard_normal(reps) * (samp.sigma / samp.root_n) + theta
+        evidence = np.sort(_posterior_evidence(samp, prior, xbar, margin))
+        share = np.searchsorted(evidence, grid, side="right") / reps
+        exact = np.array([p.y_bayes for p in normal_curves(samp, prior, margin, theta, grid)])
+        se = np.sqrt(exact * (1.0 - exact) / reps)
+        assert np.all(np.abs(share - exact) <= 5.0 * se)
+
+    def test_subnormal_prior_sd_gives_zero_cdf(self):
+        # sigma / tau overflows, so the coefficient is 0 and the evidence 1
+        points = normal_curves(NormalSampling(1e-15, 30), NormalPrior(5e-324),
+                               EquivalenceMargin(1.0, 4.0), 1.5, [0.05, 0.5, 0.95])
+        assert [p.y_bayes for p in points] == [0.0, 0.0, 0.0]
 
     def test_no_prior_gives_nan_bayes_column(self):
         points = normal_curves(NormalSampling(1.0, 10), None, EquivalenceMargin(0.0, 2.0), 1.0,
-                               [0.2, 0.5], mc_reps=10, seed=0)
+                               [0.2, 0.5])
         assert math.isnan(points[0].y_bayes)
         assert 0.0 <= points[0].y_frequentist <= 1.0
 

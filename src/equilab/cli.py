@@ -313,7 +313,10 @@ def run_correlation(opts):
 
 
 def run_fdr_power(opts):
-    exp = FdrExperiment(**{field.name: opts[field.name] for field in fields(FdrExperiment)})
+    if opts["evidence"] == "bayesian" and opts["combination"] is not None:
+        raise ConfigError("--evidence bayesian does not read --combination")
+    exp = FdrExperiment(**{field.name: opts[field.name] for field in fields(FdrExperiment)
+                           if opts[field.name] is not None})
     records = [dict(vars(point)) for point in fdr_power_simulation(exp)]
     return records, ["k1", "mean_power", "mean_fdr", "se_power", "se_fdr"]
 
@@ -322,9 +325,9 @@ def run_tables(opts):
     prior = opts["prior_beta"]
     measure = "p_value" if prior is None else f"beta_{prior.p:g}_{prior.q:g}"
     records = []
-    for row_idx, n in enumerate(opts["row"]):
+    for row, n in enumerate(opts["row"]):
         result = table_simulation(_binomial_spec(dict(opts, n=n)), reps=opts["reps"],
-                                  seed=opts["seed"] + row_idx, theta_alt=opts["theta_alt"])
+                                  seed=opts["seed"], theta_alt=opts["theta_alt"], row=row)
         records.append({
             "n": n, "measure": measure,
             "type1_mc": result.mc_type1, "power_mc": result.mc_power,
@@ -383,7 +386,8 @@ SUBCOMMANDS = {
     "fdr-power": (run_fdr_power, "step-up FDR power simulation", {
         "margin": REQUIRED, "n": REQUIRED, "k": 1000, "k1_grid": parse_count_grid("10:990:50"),
         "sigma": 1.0, "tau": 0.25, "epsilon_star": 0.5, "alpha": 0.05,
-        "evidence": "frequentist", "sampling": "per_tail", "combination": "max",
+        "evidence": "frequentist", "sampling": "per_tail",
+        "combination": lambda opts: "max" if opts["evidence"] == "frequentist" else None,
         "adaptive": False, "storey_lambda": 0.5, "reps": 1000, "seed": 0, **OUTPUT}),
     "tables": (run_tables, "type I / power simulation rows", {
         "margin": REQUIRED, "row": REQUIRED, "prior_beta": None, "theta_alt": 0.4,

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .equivalence import EquivalenceMargin
-from .normal import NormalPrior, NormalSampling, _boundary_cdfs, _posterior_evidence
+from .normal import NormalPrior, NormalSampling, _combined_tails, posterior_coefficient
 from .rng import spawn_rng
 from .special import SLICE_ELEMENTS, normal_cdf
 
@@ -184,7 +184,7 @@ def corr_equivalence_mc(samp: NormalSampling, prior: NormalPrior,
     """Monte Carlo correlation of (posterior evidence, signed p-value).
 
     The signed p-value is p_lower - p_upper, the difference of the two
-    one-sided p-values of :func:`_boundary_cdfs`: negative on the lower
+    one-sided p-values of :func:`_combined_tails`: negative on the lower
     half, positive on the upper, it is the quantity whose covariance with
     the posterior evidence cancels (the reported equivalence p-value is its
     absolute value).  The sample mean is drawn from N(theta, sigma^2/n)
@@ -199,13 +199,11 @@ def corr_equivalence_mc(samp: NormalSampling, prior: NormalPrior,
     xbar = _standard_normal_draws(draws, seed)
     xbar *= samp.sigma / samp.root_n
     xbar += center
-    # p_lower - p_upper, one slice at a time over a copy of the means
-    p_signed = xbar.copy()
-    z_scale = samp.root_n / samp.sigma
-    for start in range(0, xbar.size, SLICE_ELEMENTS):
-        upper, lower = _boundary_cdfs(p_signed[start:start + SLICE_ELEMENTS], margin, z_scale)
-        lower -= upper
-    return _correlation_in_place(_posterior_evidence(samp, prior, xbar, margin), p_signed)
+    p_signed = _combined_tails(xbar.copy(), margin.theta1, margin.theta2,
+                               samp.root_n / samp.sigma, np.subtract)
+    p_b = _combined_tails(xbar, margin.theta1, margin.theta2,
+                          posterior_coefficient(samp, prior), np.add)
+    return _correlation_in_place(np.clip(p_b, 0.0, 1.0, out=p_b), p_signed)
 
 
 def _partial_c(samp: NormalSampling, margin: Optional[EquivalenceMargin],

@@ -2,8 +2,8 @@
 
 Conjugate normal priors are centered at the tested boundary for each tail,
 so every posterior tail probability is one Phi.  One kernel,
-:func:`_boundary_cdfs`, gives every tail as Phi of its own signed distance,
-never 1 - Phi, so each keeps its relative accuracy down to the underflow.
+:func:`_boundary_tails`, gives every pair of tails, each Phi of its own
+signed distance, never 1 - Phi, so accurate down to the underflow.
 The folded p-value |p_upper - p_lower| = Phi(|t| + h) + Phi(|t| - h) - 1
 (t the standardized distance of xbar from the margin center, h = eps
 sqrt(n)/sigma) rises from 0 there to 1.  Each measure's level-t region of
@@ -96,7 +96,8 @@ def normal_critical_constants(samp: NormalSampling, margin: EquivalenceMargin,
         return samp.n * margin.theta1 - scale * q_level, samp.n * margin.theta2 + scale * q_level
 
     h = margin.half_width * samp.root_n / samp.sigma
-    _, x = _bisect(lambda x: normal_cdf(x - h) - normal_cdf(-x - h) >= level,
+    # F is the lower tail less the upper, both at theta1 = -h, theta2 = h
+    _, x = _bisect(lambda x: np.subtract(*_boundary_tails(x, -h, h, 1.0)[::-1]) >= level,
                    np.maximum(0.0, h + normal_quantile(level)),
                    h + normal_quantile(0.5 * (1.0 + level)))
     c = samp.n * margin.center - scale * x
@@ -116,19 +117,26 @@ def _bisect(past, lo, hi):
     return lo, hi
 
 
-def _boundary_cdfs(xbar: np.ndarray, margin: EquivalenceMargin, scale: float):
-    """The upper tail Phi((theta1 - xbar) scale) and the lower tail
-    Phi((xbar - theta2) scale) over the 1-d float64 array ``xbar``: the
-    upper in a new array, the lower in place.  The p-values pass the z
-    scale sqrt(n) / sigma, the posterior tails :func:`posterior_coefficient`;
-    both are finite, so a distance overflows only where its z does."""
-    with np.errstate(over="ignore"):  # a distance past the float range is +-inf
-        upper = np.subtract(margin.theta1, xbar)
-        xbar -= margin.theta2
-        for z in (upper, xbar):
-            z *= scale
-            normal_cdf(z, out=z)
-    return upper, xbar
+def _boundary_tails(x, theta1: float, theta2: float, scale: float) -> np.ndarray:
+    """Upper tail Phi((theta1 - x) scale) and lower tail Phi((x - theta2) scale),
+    the rows of one new array; a distance past the float range is +-inf."""
+    z = np.empty((2,) + np.shape(x))
+    with np.errstate(over="ignore"):
+        np.subtract(theta1, x, out=z[0, ...])
+        np.subtract(x, theta2, out=z[1, ...])
+        z *= scale
+    return normal_cdf(z, out=z)
+
+
+def _combined_tails(x: np.ndarray, theta1: float, theta2: float, scale: float, combine):
+    """``combine(lower, upper)`` of the :func:`_boundary_tails` pair, in
+    place over the 1-d float64 array ``x``, one slice at a time: ``np.add``
+    gives the posterior evidence, ``np.subtract`` p_lower - p_upper."""
+    for start in range(0, x.size, SLICE_ELEMENTS):
+        part = x[start:start + SLICE_ELEMENTS]
+        upper, lower = _boundary_tails(part, theta1, theta2, scale)
+        combine(lower, upper, out=part)
+    return x
 
 
 def normal_onesided_pvalues(samp: NormalSampling, xbar: float,
@@ -138,19 +146,19 @@ def normal_onesided_pvalues(samp: NormalSampling, xbar: float,
     Upper-tailed test of theta <= theta1: Phi((theta1 - xbar) sqrt(n)/sigma);
     lower-tailed test of theta >= theta2: Phi((xbar - theta2) sqrt(n)/sigma).
     """
-    upper, lower = _boundary_cdfs(np.array([xbar], dtype=float), margin,
-                                  samp.root_n / samp.sigma)
-    return (EvidenceMeasure(float(upper[0]), "upper", "frequentist"),
-            EvidenceMeasure(float(lower[0]), "lower", "frequentist"))
+    upper, lower = _boundary_tails(xbar, margin.theta1, margin.theta2,
+                                   samp.root_n / samp.sigma)
+    return (EvidenceMeasure(float(upper), "upper", "frequentist"),
+            EvidenceMeasure(float(lower), "lower", "frequentist"))
 
 
 def _combined_pvalue_values(samp: NormalSampling, xbar, margin: EquivalenceMargin):
-    """Vectorized folded equivalence p-value |p_lower - p_upper| of the
-    :func:`_boundary_cdfs` tails at the z scale; a float for a scalar
-    ``xbar``, an array of its shape otherwise."""
+    """Vectorized folded equivalence p-value |p_lower - p_upper| at the z
+    scale; a float for a scalar ``xbar``, an array of its shape otherwise."""
     xbar = np.array(xbar, dtype=float)
-    upper, lower = _boundary_cdfs(xbar.ravel(), margin, samp.root_n / samp.sigma)
-    return np.abs(lower - upper).reshape(xbar.shape)[()]
+    _combined_tails(xbar.reshape(-1), margin.theta1, margin.theta2,
+                    samp.root_n / samp.sigma, np.subtract)
+    return np.abs(xbar, out=xbar)[()]
 
 
 def normal_tost_pvalue(samp: NormalSampling, xbar: float,
@@ -158,19 +166,6 @@ def normal_tost_pvalue(samp: NormalSampling, xbar: float,
     """Combined equivalence p-value for the observed mean (folded form)."""
     value = float(_combined_pvalue_values(samp, xbar, margin))
     return EvidenceMeasure(value, "combined", "frequentist")
-
-
-def _posterior_evidence(samp: NormalSampling, prior: NormalPrior, xbar: np.ndarray,
-                        margin: EquivalenceMargin) -> np.ndarray:
-    """Combined posterior probability of non-equivalence, lower + upper tail
-    clamped to [0, 1], at the sample means in the 1-d float64 array
-    ``xbar``, in place over ``xbar``: the tails are taken one slice at a
-    time, so the upper tail never takes an array of the sample's size."""
-    coef = posterior_coefficient(samp, prior)
-    for start in range(0, xbar.size, SLICE_ELEMENTS):
-        upper, lower = _boundary_cdfs(xbar[start:start + SLICE_ELEMENTS], margin, coef)
-        lower += upper
-    return np.clip(xbar, 0.0, 1.0, out=xbar)
 
 
 def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float,
@@ -184,9 +179,9 @@ def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float
         theta1, ``lower`` = P(theta >= theta2 | xbar) under the prior
         centered at theta2, ``combined`` their (clamped) sum.
     """
-    upper, lower = _boundary_cdfs(np.array([xbar], dtype=float), margin,
-                                  posterior_coefficient(samp, prior))
-    up, lo = float(upper[0]), float(lower[0])
+    upper, lower = _boundary_tails(xbar, margin.theta1, margin.theta2,
+                                   posterior_coefficient(samp, prior))
+    up, lo = float(upper), float(lower)
     return (EvidenceMeasure(up, "upper", "bayesian"),
             EvidenceMeasure(lo, "lower", "bayesian"),
             EvidenceMeasure(min(1.0, max(0.0, up + lo)), "combined", "bayesian"))
@@ -197,8 +192,8 @@ def _interval_prob(samp: NormalSampling, theta: float, lo, hi):
     tails: the interval is first reflected about theta to lie mostly below it."""
     with np.errstate(over="ignore", invalid="ignore"):  # +-inf distances and bounds
         a, b = (np.array((lo, hi)) - theta) * (samp.root_n / samp.sigma)
-        a, b = np.where(a + b > 0.0, (-b, -a), (a, b))
-    return np.where(lo > hi, 0.0, np.maximum(normal_cdf(b) - normal_cdf(a), 0.0))[()]
+        phi_a, phi_b = normal_cdf(np.where(a + b > 0.0, (-b, -a), (a, b)))
+    return np.where(lo > hi, 0.0, np.maximum(phi_b - phi_a, 0.0))[()]
 
 
 def normal_pvalue_cdf(samp: NormalSampling, theta: float, margin: EquivalenceMargin,
@@ -226,7 +221,8 @@ def _posterior_cdf(samp: NormalSampling, prior: NormalPrior, margin: Equivalence
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # k, e may be inf
         k = coef * margin.half_width
         half = np.maximum(0.5 * t, np.finfo(float).smallest_subnormal)  # 0.5 * 5e-324 is 0
-        u, _ = _bisect(lambda u: normal_cdf(u) + normal_cdf(-u - 2.0 * k) > t,
+        # the evidence Phi(-2k - u) + Phi(u) is the tails at theta1 = -2k, theta2 = 0
+        u, _ = _bisect(lambda u: np.add(*_boundary_tails(u, -2.0 * k, 0.0, 1.0)) > t,
                        np.maximum(-k, normal_quantile(half)), normal_quantile(t))
         e = np.where(2.0 * normal_cdf(-k) > t, -np.inf, u / coef)
     return _interval_prob(samp, theta, margin.theta1 - e, margin.theta2 + e)

@@ -274,12 +274,13 @@ def normal_curves(samp: NormalSampling, prior: Optional[NormalPrior],
 
 
 def table_simulation(spec: CurveSpec, reps: int, seed: int,
-                     theta_alt: float = 0.4) -> TableResult:
+                     theta_alt: float = 0.4, row: int = 0) -> TableResult:
     """Monte Carlo type I error (at the lower LFC) and power (at theta_alt).
 
     Follows the seeded-replication protocol with the deterministic
     decision rule at the spec's levels; the exact enumeration values are
-    returned alongside so simulation noise can be checked directly.
+    returned alongside so simulation noise can be checked directly.  Table
+    row ``row`` draws from the streams (seed, 2 row) and (seed, 2 row + 1).
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
@@ -287,8 +288,8 @@ def table_simulation(spec: CurveSpec, reps: int, seed: int,
         raise ValueError(f"theta_alt must lie in [0, 1], got {theta_alt}")
     c, d = (binom_critical_constants(spec.n, spec.margin, spec.levels) if spec.prior is None
             else _bayes_region(spec))
-    s_null = spawn_rng(seed, 0).binomial(spec.n, spec.margin.theta1, size=reps)
-    s_alt = spawn_rng(seed, 1).binomial(spec.n, theta_alt, size=reps)
+    s_null = spawn_rng(seed, 2 * row).binomial(spec.n, spec.margin.theta1, size=reps)
+    s_alt = spawn_rng(seed, 2 * row + 1).binomial(spec.n, theta_alt, size=reps)
     exact_type1, exact_power = binomial_interval_prob(spec.n, c, d,
                                                       (spec.margin.theta1, theta_alt))
     return TableResult(

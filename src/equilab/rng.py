@@ -4,7 +4,7 @@ Every Monte Carlo path draws from a counter-based Philox generator (Salmon
 et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11) seeded by
 ``numpy.random.SeedSequence(seed, spawn_key=path)``, so a stream is a pure
 function of (seed, *path).  Each work item (a grid point, a table row) gets
-its own stream and draws from it in order.
+its own streams and draws from them in order.
 """
 
 import operator

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from equilab import correlation, fdr, power
 from equilab.cli import (SUBCOMMANDS, ConfigError, build_parser, main, parse_grid,
                          resolve_options)
+from equilab.rng import spawn_rng
 from equilab.special import reg_inc_beta_pair
 
 
@@ -105,6 +106,29 @@ class TestSubcommands:
         mc_t1 = float(rows[0]["type1_mc"])
         assert abs(mc_t1 - exact_t1) < 0.02
         assert 0.0 < float(rows[0]["power_exact"]) <= 1.0
+
+    def test_table_rows_draw_their_own_streams(self, tmp_path, monkeypatch):
+        # row 1 of seed 1 once drew the streams of row 0 of seed 2
+        base = ["tables", "--margin", "0.25,0.75", "--reps", "2000"]
+        code, two_rows = run(tmp_path, "two", base + ["--row", "n=20", "--row", "n=50",
+                                                      "--seed", "1"])
+        assert code == 0
+        code, one_row = run(tmp_path, "one", base + ["--row", "n=50", "--seed", "2"])
+        assert code == 0
+        second, only = read_csv(two_rows)[1], read_csv(one_row)[0]
+        assert second["n"] == only["n"] == "50"
+        assert (second["type1_mc"], second["power_mc"]) != (only["type1_mc"], only["power_mc"])
+        # row r draws streams 2r and 2r + 1 of the one seed
+        keys = []
+
+        def recording_spawn(seed, *path):
+            keys.append((seed, *path))
+            return spawn_rng(seed, *path)
+
+        monkeypatch.setattr(power, "spawn_rng", recording_spawn)
+        assert run(tmp_path, "three", base + ["--row", "n=20", "--row", "n=30", "--row", "n=40",
+                                              "--seed", "1"])[0] == 0
+        assert keys == [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5)]
 
     def test_conservativity_defaults_to_lower_boundary(self, tmp_path):
         code, out = run(tmp_path, "cons", [
@@ -292,6 +316,16 @@ class TestDeterminismAndManifest:
         assert manifest["started"] <= manifest["finished"]
         _, out = run(tmp_path, "tm", ["theta-max", "--n", "10", "--margin", "0.2,0.8"])
         assert read_manifest(out)["seed"] is None
+
+    @pytest.mark.parametrize("evidence, combination", [("frequentist", "max"),
+                                                       ("bayesian", None)])
+    def test_manifest_records_combination_only_where_read(self, tmp_path, evidence,
+                                                          combination):
+        code, out = run(tmp_path, "fdr", ["fdr-power", "--n", "20", "--margin", "0,2",
+                                          "--k", "20", "--k1-grid", "5", "--reps", "2",
+                                          "--evidence", evidence])
+        assert code == 0
+        assert read_manifest(out)["config"]["combination"] == combination
 
     def test_manifest_environment_outside_the_digest(self, tmp_path):
         args = ["theta-max", "--n", "10", "--margin", "0.2,0.8"]

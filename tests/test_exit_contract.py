@@ -137,3 +137,15 @@ def test_every_run_exits_0_or_2_naming_a_flag(out_dir, argv):
     assert code in (0, 2), (code, message)
     if code == 2:
         assert names_a_flag(argv[0], message), message
+
+
+@pytest.mark.parametrize("combination", ["max", "difference"])
+def test_bayesian_fdr_power_refuses_combination(out_dir, combination):
+    # Bayesian evidence sums its two tails: --combination is not read there
+    argv = ["fdr-power", "--n", "20", "--margin", "0,2", "--k", "20", "--k1-grid", "5",
+            "--reps", "2", "--evidence", "bayesian", "--combination", combination,
+            "--out", str(out_dir / "combination.csv")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli.main(argv) == 2
+    assert "--evidence bayesian does not read --combination" in err.getvalue()

@@ -5,8 +5,8 @@ and reproduce the SHA-256 of its data file stored in
 ``bench-seed<seed>.sha256``.
 
 An intended numeric change regenerates the files with
-``PYTHONPATH=src python tests/test_golden.py`` and explains the diff in
-CHANGES.md.
+``PYTHONPATH=src python tests/test_golden.py``, which prints each golden
+CSV and each digest line that moved, and explains the diff in CHANGES.md.
 """
 
 import hashlib
@@ -103,19 +103,40 @@ def test_benchmark_studies_pass_oracles_with_golden_digests(tmp_path, seed):
     assert digests == read_bench_digests(seed)
 
 
+def _read_bytes(path):
+    """The bytes of ``path``, or None where it does not exist yet."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except FileNotFoundError:
+        return None
+
+
 def regenerate():
+    """Rewrite every golden CSV and digest file, and print each golden CSV
+    whose bytes changed and each digest line that changed, was added or
+    went."""
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for name, argv in CONFIGS.items():
         path = golden_path(name)
+        old = _read_bytes(path)
         if main(argv + ["--out", path]) != 0:
             raise SystemExit(f"{name} failed")
         os.remove(path + ".manifest.json")
+        if _read_bytes(path) != old:
+            print(f"changed: {os.path.relpath(path)}")
     for seed in BENCH_SEEDS:
         with tempfile.TemporaryDirectory() as scratch:
             digests, problems = bench_outputs(seed, scratch)
         if problems:
             raise SystemExit(f"benchmark oracles failed at seed {seed}: {problems}")
-        with open(bench_digests_path(seed), "w", encoding="utf-8") as handle:
+        path = bench_digests_path(seed)
+        old = read_bench_digests(seed) if os.path.exists(path) else {}
+        for name in sorted(set(old) | set(digests)):
+            if old.get(name) != digests.get(name):
+                print(f"changed: {os.path.relpath(path)} {name}: "
+                      f"{old.get(name, '(none)')} -> {digests.get(name, '(none)')}")
+        with open(path, "w", encoding="utf-8") as handle:
             handle.writelines(f"{digest}  {name}\n" for name, digest in sorted(digests.items()))
 
 

@@ -17,9 +17,9 @@ from equilab import (EquivalenceMargin, NormalPrior, NormalSampling,
                      normal_critical_constants, normal_onesided_pvalues,
                      normal_posterior_probs, normal_pvalue_cdf,
                      normal_tost_pvalue, posterior_coefficient)
-from equilab.normal import (CONSTANT_MODES, _boundary_cdfs, _combined_pvalue_values,
-                            _posterior_cdf, _posterior_evidence)
-from equilab.special import normal_cdf, normal_quantile
+from equilab.normal import (CONSTANT_MODES, _bisect, _boundary_tails, _combined_pvalue_values,
+                            _combined_tails, _posterior_cdf)
+from equilab.special import SLICE_ELEMENTS, normal_cdf, normal_quantile
 
 
 class TestCriticalConstants:
@@ -238,8 +238,13 @@ class TestPosteriorProbs:
         assert gaps[-1] < 1e-5
 
 
+def bits(values):
+    """The float64 bit patterns of ``values``, so that equality is bit for bit."""
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
 class TestBoundaryKernel:
-    """Both evidence rules of the normal model are :func:`_boundary_cdfs`."""
+    """Every normal-model tail pair is a :func:`_boundary_tails` pair."""
 
     @staticmethod
     def designs():
@@ -254,7 +259,7 @@ class TestBoundaryKernel:
     def test_onesided_pvalues_are_the_kernel_elements(self):
         for samp, _, margin, xbar in self.designs():
             z_scale = samp.root_n / samp.sigma
-            first, second = _boundary_cdfs(xbar.copy(), margin, z_scale)
+            first, second = _boundary_tails(xbar, margin.theta1, margin.theta2, z_scale)
             for x, phi1, phi2 in zip(xbar.tolist(), first.tolist(), second.tolist()):
                 upper, lower = normal_onesided_pvalues(samp, x, margin)
                 assert upper.value.hex() == phi1.hex()
@@ -268,8 +273,9 @@ class TestBoundaryKernel:
     def test_posterior_probs_are_the_kernel_elements(self):
         for samp, prior, margin, xbar in self.designs():
             coef = posterior_coefficient(samp, prior)
-            first, second = _boundary_cdfs(xbar.copy(), margin, coef)
-            evidence = _posterior_evidence(samp, prior, xbar.copy(), margin)
+            first, second = _boundary_tails(xbar, margin.theta1, margin.theta2, coef)
+            evidence = np.clip(_combined_tails(xbar.copy(), margin.theta1, margin.theta2,
+                                               coef, np.add), 0.0, 1.0)
             for x, phi1, phi2, pb in zip(xbar.tolist(), first.tolist(), second.tolist(),
                                          evidence.tolist()):
                 upper, lower, combined = normal_posterior_probs(samp, prior, x, margin)
@@ -279,10 +285,96 @@ class TestBoundaryKernel:
                 assert lower.value.hex() == normal_cdf(coef * (x - margin.theta2)).hex()
                 assert combined.value.hex() == pb.hex()
 
-    def test_second_term_in_place(self):
+    def test_kernel_rows_are_new_and_the_combination_in_place(self):
         xbar = np.linspace(-1.0, 2.0, 7)
-        first, second = _boundary_cdfs(xbar, EquivalenceMargin(0.0, 1.0), 2.0)
-        assert second is xbar and not np.shares_memory(first, xbar)
+        before = xbar.copy()
+        tails = _boundary_tails(xbar, 0.0, 1.0, 2.0)
+        assert tails.shape == (2, 7) and not np.shares_memory(tails, xbar)
+        assert np.array_equal(xbar, before)
+        assert _combined_tails(xbar, 0.0, 1.0, 2.0, np.add) is xbar
+
+    def test_zero_dimensional_input(self):
+        # a 0-d level makes 0-d brackets: the rows are two 0-d values
+        tails = _boundary_tails(np.asarray(0.25), -1.0, 0.5, 1.5)
+        assert tails.shape == (2,)
+        assert bits(tails).tolist() == bits([normal_cdf(-1.875), normal_cdf(-0.375)]).tolist()
+
+    @pytest.mark.parametrize("combine", [np.add, np.subtract])
+    @pytest.mark.parametrize("size", [1, SLICE_ELEMENTS - 1, SLICE_ELEMENTS, SLICE_ELEMENTS + 1,
+                                      2 * SLICE_ELEMENTS + 3])
+    def test_slice_loop_is_the_elementwise_kernel_combined(self, combine, size):
+        rng = np.random.default_rng(size)
+        x = rng.normal(0.5, 2.0, size)
+        theta1, theta2, scale = -0.25, 1.5, 3.0
+        got = _combined_tails(x.copy(), theta1, theta2, scale, combine)
+        upper, lower = _boundary_tails(x, theta1, theta2, scale)
+        assert np.array_equal(bits(got), bits(combine(lower, upper)))
+        # the one-element kernel at every slice edge and at random elements
+        edges = [i for start in range(0, size, SLICE_ELEMENTS) for i in (start - 1, start)]
+        for i in sorted({i for i in edges if 0 <= i < size} | {size - 1}
+                        | set(rng.integers(0, size, 50).tolist())):
+            one_upper, one_lower = _boundary_tails(x[i], theta1, theta2, scale)
+            assert bits(got[i]) == bits(combine(one_lower, one_upper))
+
+    @staticmethod
+    def brackets(rng, lo, hi, size=200):
+        """Points spread over each bracket [lo, hi], the ends among them."""
+        share = rng.uniform(0.0, 1.0, (size,) + np.shape(lo))
+        share[0], share[1] = 0.0, 1.0
+        return lo + share * (hi - lo)
+
+    def test_folded_predicate_is_the_plain_phi_pair(self):
+        # exact_symmetric bisects F(x) = Phi(x - h) - Phi(-x - h) >= level
+        rng = np.random.default_rng(11)
+        for h in (0.0, 1e-12, 0.3, 2.5, 40.0):
+            level = rng.uniform(1e-9, 0.99, 8)
+            x = self.brackets(rng, np.maximum(0.0, h + normal_quantile(level)),
+                              h + normal_quantile(0.5 * (1.0 + level)))
+            for point in (x, x[0, 0]):
+                upper, lower = _boundary_tails(point, -h, h, 1.0)
+                plain = normal_cdf(point - h) - normal_cdf(-point - h)
+                assert np.array_equal(bits(lower - upper), bits(plain))
+
+    def test_posterior_predicate_is_the_plain_phi_pair(self):
+        # the posterior region bisects Phi(u) + Phi(-u - 2k) > t
+        rng = np.random.default_rng(12)
+        for k in (0.0, 1e-9, 0.4, 3.0, 1e10, math.inf):
+            t = rng.uniform(1e-12, 0.99, 8)
+            u = self.brackets(rng, np.maximum(-k, normal_quantile(0.5 * t)), normal_quantile(t))
+            for point in (u, u[1, 0]):
+                pair = np.add(*_boundary_tails(point, -2.0 * k, 0.0, 1.0))
+                plain = normal_cdf(point) + normal_cdf(-point - 2.0 * k)
+                assert np.array_equal(bits(pair), bits(plain))
+
+    def test_bisections_match_the_plain_phi_pairs(self):
+        # each region end is bit for bit the bisection of the plain expression
+        samp, margin = NormalSampling(2.0, 30), EquivalenceMargin(1.0, 4.0)
+        level = np.array([1e-12, 1e-6, 0.05, 0.5, 0.9])
+        h = margin.half_width * samp.root_n / samp.sigma
+        _, x = _bisect(lambda x: normal_cdf(x - h) - normal_cdf(-x - h) >= level,
+                       np.maximum(0.0, h + normal_quantile(level)),
+                       h + normal_quantile(0.5 * (1.0 + level)))
+        c = samp.n * margin.center - samp.sigma * samp.root_n * x
+        got_c, _ = normal_critical_constants(samp, margin, level, mode="exact_symmetric")
+        assert np.array_equal(bits(got_c), bits(c))
+        for tau in (0.5, 5e-324):
+            prior = NormalPrior(tau)
+            coef = posterior_coefficient(samp, prior)
+            with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+                k = coef * margin.half_width
+                u, _ = _bisect(lambda u: normal_cdf(u) + normal_cdf(-u - 2.0 * k) > level,
+                               np.maximum(-k, normal_quantile(0.5 * level)),
+                               normal_quantile(level))
+                e = np.where(2.0 * normal_cdf(-k) > level, -np.inf, u / coef)
+            theta = 1.5
+            lo, hi = margin.theta1 - e, margin.theta2 + e
+            a = (lo - theta) * (samp.root_n / samp.sigma)
+            b = (hi - theta) * (samp.root_n / samp.sigma)
+            with np.errstate(over="ignore", invalid="ignore"):
+                a, b = np.where(a + b > 0.0, (-b, -a), (a, b))
+            plain = np.where(lo > hi, 0.0, np.maximum(normal_cdf(b) - normal_cdf(a), 0.0))
+            got = _posterior_cdf(samp, prior, margin, theta, level)
+            assert np.array_equal(bits(got), bits(plain))
 
     def test_distance_past_the_float_range(self):
         # (xbar - theta) sqrt(n) / sigma overflows: Phi of +-inf, no warning

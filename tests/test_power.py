@@ -13,10 +13,9 @@ from equilab import (BetaPrior, CurveSpec, EquivalenceMargin, NormalPrior,
                      NormalSampling, SignificanceLevels, binom_evidence_values,
                      binom_cdf_curve, binom_power_curve,
                      binomial_interval_prob, binomial_pmf_vector, exact_size,
-                     normal_curves, table_simulation, theta_max)
+                     normal_curves, posterior_coefficient, table_simulation, theta_max)
 from equilab import power
 from equilab.beta_binomial import posterior_values
-from equilab.normal import _posterior_evidence
 from equilab.power import _argmax_toward_center, _maximizer, _power_arrays, _reject_regions
 from equilab.rng import spawn_rng
 from test_golden import bench_module
@@ -451,7 +450,9 @@ class TestNormalCurves:
         grid = np.linspace(0.05, 0.95, 19)
         reps = 40_000
         xbar = spawn_rng(2024, 0).standard_normal(reps) * (samp.sigma / samp.root_n) + theta
-        evidence = np.sort(_posterior_evidence(samp, prior, xbar, margin))
+        coef = posterior_coefficient(samp, prior)
+        evidence = np.sort(np.clip(stats.norm.cdf(coef * (margin.theta1 - xbar))
+                                   + stats.norm.cdf(coef * (xbar - margin.theta2)), 0.0, 1.0))
         share = np.searchsorted(evidence, grid, side="right") / reps
         exact = np.array([p.y_bayes for p in normal_curves(samp, prior, margin, theta, grid)])
         se = np.sqrt(exact * (1.0 - exact) / reps)
@@ -486,13 +487,16 @@ class TestTableSimulation:
         b = table_simulation(spec, reps=2000, seed=7)
         assert a == b
 
-    def test_streams_are_numpys_seed_sequence_streams(self):
-        # the null and alternative draws are the streams (seed, 0) and
-        # (seed, 1), built here straight from numpy's SeedSequence
+    @pytest.mark.parametrize("row", [0, 3])
+    def test_streams_are_numpys_seed_sequence_streams(self, row):
+        # the null and alternative draws of table row r are the streams
+        # (seed, 2r) and (seed, 2r + 1), built here straight from numpy's
+        # SeedSequence
         spec = spec_binom(40, (0.25, 0.75))
-        res = table_simulation(spec, reps=3000, seed=11, theta_alt=0.45)
+        res = table_simulation(spec, reps=3000, seed=11, theta_alt=0.45, row=row)
         c, d = _reject_regions(spec)[0]
-        for rate, path, theta in ((res.mc_type1, 0, 0.25), (res.mc_power, 1, 0.45)):
+        for rate, path, theta in ((res.mc_type1, 2 * row, 0.25),
+                                  (res.mc_power, 2 * row + 1, 0.45)):
             bits = np.random.Philox(np.random.SeedSequence(11, spawn_key=(path,)))
             s = np.random.Generator(bits).binomial(40, theta, size=3000)
             assert rate == float(np.mean((c <= s) & (s <= d)))

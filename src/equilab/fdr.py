@@ -1,7 +1,9 @@
 """Multiple testing: step-up false-discovery-rate procedures over vectors of
-evidence values, decision-table bookkeeping, and the FDR power simulation
-for both evidence measures, which draws the replications of each k1 grid
-point in order from one numpy stream.
+evidence values, with D from each row's sorted first passing ranks,
+decision-table bookkeeping, and the FDR power simulation for both evidence
+measures, which draws the replications of each k1 grid point in order from
+one numpy stream and decides each from the values its z cutoffs cannot
+settle.
 """
 
 import math
@@ -79,21 +81,26 @@ def _first_ranks(p, alpha: float, k0, k: int) -> np.ndarray:
     return j
 
 
-def _deciding_counts(rank: np.ndarray) -> np.ndarray:
-    """D per row of a (rows x k) matrix of first passing ranks.
+def _deciding_counts(n1: np.ndarray, row: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
+    """D per row from the count ``n1`` of its values of first passing rank 1
+    and the first passing ranks ``rank`` of its other values, ``row`` their
+    rows; values that never pass may be left out.
 
-    A value passes at every rank from its first on, D is the largest j at
-    which at least j values pass (0 if none), and exactly D values pass
-    there, so a row rejects ``rank <= D`` without sorting.
+    A value passes at every rank from its first on, and D is the largest j
+    at which at least j values pass (0 if none).  Exactly D values pass at
+    D (else D + 1 would qualify), so D = n1 + i with i the other values
+    passing there: D = max(n1, max{n1 + i : s_i <= n1 + i}), s_1 <= s_2 <=
+    ... a row's other ranks sorted.  A row rejects its values of rank <= D.
     """
-    rows, k = rank.shape
-    # passing[r, j - 1]: values of row r that pass at rank j (a bincount per row)
-    offsets = (k + 2) * np.arange(rows)[:, np.newaxis]
-    counts = np.bincount((rank + offsets).ravel(), minlength=rows * (k + 2))
-    passing = np.cumsum(counts.reshape(rows, k + 2), axis=1)[:, 1:k + 1]
-    qualifies = passing >= np.arange(1, k + 1)
-    # the last qualifying rank, 0 where none qualifies
-    return np.where(qualifies.any(axis=1), k - np.argmax(qualifies[:, ::-1], axis=1), 0)
+    key = np.sort(row * (k + 2) + rank)
+    row, s = np.divmod(key, k + 2)
+    # n1 plus each sorted rank's place within its row, counted from 1
+    per_row = np.bincount(row, minlength=n1.size)
+    size = np.arange(1, key.size + 1) + (n1 + per_row - np.cumsum(per_row))[row]
+    hit = s <= size
+    d = n1.copy()
+    np.maximum.at(d, row[hit], size[hit])
+    return d
 
 
 def _plug_in_k0(k: int, above_lam: np.ndarray, lam: float) -> np.ndarray:
@@ -110,8 +117,8 @@ def _step_up(p: np.ndarray, alpha: float, lam=None):
     (rank, d, k0) per row: each value's first passing rank (k + 1 for none,
     see :func:`_first_ranks`), so a row rejects ``rank <= d``
     (:func:`_deciding_counts`), and the k0 used.  NaN is rejected with the
-    values outside [0, 1].  The FDR simulation reaches the same ranks and D
-    from partly evaluated evidence (:func:`_screened_step_up`).
+    values outside [0, 1].  The FDR simulation reaches the same D from
+    partly evaluated evidence (:func:`_screen_block`, :func:`_decide`).
     """
     if p.ndim != 2 or p.shape[1] == 0:
         raise ValueError("need a non-empty 1-d vector of evidence values")
@@ -123,7 +130,9 @@ def _step_up(p: np.ndarray, alpha: float, lam=None):
     else:
         k0 = _plug_in_k0(k, np.sum(p > lam, axis=1), lam)
     rank = _first_ranks(p, alpha, k0[:, np.newaxis], k)
-    return rank, _deciding_counts(rank), k0
+    d = _deciding_counts(np.zeros(rows, dtype=np.intp), np.repeat(np.arange(rows), k),
+                         rank.ravel(), k)
+    return rank, d, k0
 
 
 def bh_procedure(pvals: Sequence[float], alpha: float):
@@ -262,13 +271,32 @@ def _tail_z_stats(exp: FdrExperiment, truth: np.ndarray, rng, rows: int) -> tupl
     return stats[0], stats[1]
 
 
-def _combine_evidence(exp: FdrExperiment, p_r: np.ndarray, p_l: np.ndarray) -> np.ndarray:
-    """The evidence value from its two one-sided tail values."""
-    if exp.evidence == "bayesian":
-        return np.clip(p_r + p_l, 0.0, 1.0)
-    if exp.combination == "max":
-        return np.maximum(p_r, p_l)
-    return np.abs(p_l - p_r)
+# a frequentist max evaluates only its larger argument's tail, the larger
+# value wherever normal_cdf is nondecreasing; where the arguments lie within
+# this relative distance of a tie it evaluates both, so that no rounding
+# step of the kernel can decide
+_TIE = 1e-9
+
+
+def _evidence(exp: FdrExperiment, tails: np.ndarray) -> np.ndarray:
+    """The evidence value from its tails Phi(a) and Phi(b), given the
+    C-contiguous (2, m) array of the arguments (a, b), which it may
+    overwrite: one normal_cdf call, and for the frequentist max of
+    Phi(max(a, b)) alone, with a second call on the other tail of any
+    near-ties (see ``_TIE``).
+    """
+    a, b = tails
+    if exp.evidence == "bayesian" or exp.combination != "max":
+        p_r, p_l = normal_cdf(tails, out=tails)
+        if exp.evidence == "bayesian":
+            return np.clip(p_r + p_l, 0.0, 1.0)
+        return np.abs(p_l - p_r)
+    tie = np.flatnonzero(np.abs(a - b) <= _TIE * np.abs(np.maximum(a, b)))
+    low = np.minimum(a[tie], b[tie])
+    p = normal_cdf(np.maximum(a, b, out=a), out=a)
+    if tie.size:
+        p[tie] = np.maximum(p[tie], normal_cdf(low))
+    return p
 
 
 # z margin of the screen: a tail whose z lies within it of a cutoff is
@@ -311,44 +339,66 @@ def _screen_cutoffs(exp: FdrExperiment):
     return (pairs[:, 0] if exp.adaptive else None), k0, pairs[:, 1:]
 
 
-def _screened_step_up(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray,
-                      shrink: float, cutoffs):
-    """(rank, d) of :func:`_step_up` on one block's evidence matrix, with the
-    evidence evaluated only where a z cutoff cannot settle it.
+def _screen_block(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray, shrink: float,
+                  cutoffs, k1: int):
+    """The step-up inputs of one block of replications, with the evidence
+    evaluated only where a z cutoff cannot settle it (adaptively, only at
+    lam): per row the count n1 of values of rank 1 and n1_alt of those
+    among the first k1, then the band's flat indices, its (2, m) tail
+    arguments (:func:`_evidence`) and each row's k0.
 
     With u_r = -shrink z_r and u_l = shrink z_l the tail values are
     Phi(u_r) and Phi(u_l).  The evidence is at least its larger tail, at
     u = max(u_r, u_l), and at most ``factor`` times it (1 for the max, 2 for
     the clipped sum), so it is certainly above t for u > q(t) + slack and at
-    or below t for u < q(t / factor) - slack.  The |p_l - p_r| of
-    ``difference`` has no lower bound: its band is everything.
+    or below t for u < q(t / factor) - slack.  A value above its row's
+    highest threshold never passes and one at or below the lowest (or NaN)
+    has rank 1; the band between is ranked by :func:`_decide`.  The
+    |p_l - p_r| of ``difference`` has no lower bound: its band is everything.
     """
     rows, k = z_r.shape
     u = np.maximum(-z_r, z_l)
     u *= shrink  # shrink > 0: the max of the scaled values, bit for bit
 
-    def screen(lo, hi):
-        """The mask of values certainly above their row's high threshold and
-        the flat indices of the band: neither that nor certainly at or below the low one."""
-        above = u > hi
-        return above, np.flatnonzero((u >= lo) & ~above)
-
-    def exact(band):
-        """The evidence at the flat indices ``band``; a value in both bands
-        is evaluated twice, to the same bits."""
-        cdf = normal_cdf(shrink * np.concatenate((-z_r.take(band), z_l.take(band))))
-        return _combine_evidence(exp, cdf[:band.size], cdf[band.size:])
+    def tails(band):
+        return shrink * np.stack((-z_r.take(band), z_l.take(band)))
 
     at_lam, k0, table = cutoffs
     count = np.zeros(rows, dtype=np.intp)  # each row's index into k0 and table
     if at_lam is not None:
-        above, band = screen(*at_lam)
-        np.put(above, band, exact(band) > exp.storey_lambda)
-        count = np.sum(above, axis=1)
-    above, band = screen(*table[:, count, np.newaxis])
-    rank = np.where(above, k + 1, 1)
-    np.put(rank, band, _first_ranks(exact(band), exp.alpha, k0[count][band // k], k))
-    return rank, _deciding_counts(rank)
+        lo, hi = at_lam
+        above = u > hi
+        band = np.flatnonzero((u >= lo) & ~above)
+        np.put(above, band, _evidence(exp, tails(band)) > exp.storey_lambda)
+        count = np.count_nonzero(above, axis=1)
+    lo, hi = table[:, count, np.newaxis]
+    ranked = u >= lo
+    n1 = k - np.count_nonzero(ranked, axis=1)
+    n1_alt = k1 - np.count_nonzero(ranked[:, :k1], axis=1)
+    band = np.flatnonzero(ranked & (u <= hi))
+    return n1, n1_alt, band, tails(band), k0[count]
+
+
+def _decide(exp: FdrExperiment, k1: int, blocks: list):
+    """(d, s) per row of ``blocks``, the :func:`_screen_block` outputs of
+    consecutive blocks, which it empties so that their arrays are freed
+    once joined: the step-up's D and its rejections S among the first k1
+    hypotheses, from one evidence call over the joined band.
+
+    D >= n1, so a row rejects all its values of rank 1 and its band values
+    of rank <= D, and never the values above the band.
+    """
+    offsets = exp.k * np.cumsum([0] + [blk[0].size for blk in blocks[:-1]])
+    band_sizes = [blk[2].size for blk in blocks]
+    n1, n1_alt, band, tails, k0 = (np.concatenate(part, axis=-1) for part in zip(*blocks))
+    blocks.clear()
+    band += np.repeat(offsets, band_sizes)  # flat indices into the joined rows
+    p = _evidence(exp, tails)
+    row = band // exp.k
+    rank = _first_ranks(p, exp.alpha, k0[row], exp.k)
+    d = _deciding_counts(n1, row, rank, exp.k)
+    alt = (band % exp.k < k1) & (rank <= d[row])
+    return d, n1_alt + np.bincount(row[alt], minlength=n1.size)
 
 
 def fdr_power_simulation(exp: FdrExperiment):
@@ -360,8 +410,8 @@ def fdr_power_simulation(exp: FdrExperiment):
     reproducible; running the same seed with the other evidence kind, or
     adaptively, reuses the very same draws, giving paired comparisons.
     Replications run in blocks of up to ``SLICE_ELEMENTS // k`` rows, one
-    draw call and one row-wise step-up a block; the draws, and so the
-    results, do not depend on the block size.
+    draw call a block; the draws, and so the results, do not depend on the
+    block size.
 
     A rank depends on p only through p <= alpha j / k0, so a value above
     the largest threshold never ranks and one at or below the smallest has
@@ -369,11 +419,16 @@ def fdr_power_simulation(exp: FdrExperiment):
     near lam).  Each tail value is monotone in its z, so z cutoffs at the
     normal quantiles of those thresholds, widened by a z slack far beyond
     any rounding and computed once per experiment (:func:`_screen_cutoffs`),
-    settle every value outside the band (:func:`_screened_step_up`).  The
-    values inside are evaluated with the expressions of the full evaluation,
-    in one gathered normal_cdf call per stage
-    (erfc works elementwise, so they are bit-identical), and ranked exactly:
-    every result equals that of the full evaluation.
+    settle every value outside the band (:func:`_screen_block`): a row
+    keeps only its count of rank-1 values and its band.  The bands of
+    consecutive blocks are held until they and their rows reach
+    ``SLICE_ELEMENTS // 2`` elements, or the point's last block, then
+    evaluated with the expressions of the full evaluation in one
+    normal_cdf call (erfc works elementwise, so they are bit-identical),
+    ranked exactly, and decided from the rows' sorted band ranks
+    (:func:`_decide`): every result equals that of the full evaluation.
+    Adaptively, the values near lam are evaluated a block at a time, since
+    a row's cutoffs need its count above lam first.
     """
     block = max(1, SLICE_ELEMENTS // exp.k)
     cutoffs = _screen_cutoffs(exp)
@@ -386,16 +441,19 @@ def fdr_power_simulation(exp: FdrExperiment):
         truth = np.zeros(exp.k, dtype=bool)
         truth[:k1] = True
         rng = spawn_rng(exp.seed, k1_idx)
-        powers = np.empty(exp.reps)
-        fdps = np.empty(exp.reps)
+        d = np.empty(exp.reps, dtype=np.intp)
+        s = np.empty(exp.reps, dtype=np.intp)
+        held = []  # blocks whose band awaits evaluation
         for start in range(0, exp.reps, block):
-            reps = range(start, min(start + block, exp.reps))
-            z_r, z_l = _tail_z_stats(exp, truth, rng, len(reps))
-            rank, d = _screened_step_up(exp, z_r, z_l, shrink, cutoffs)
-            # S: rejected false nulls, the first k1 hypotheses
-            s = np.sum(rank[:, :k1] <= d[:, np.newaxis], axis=1)
-            powers[reps.start:reps.stop] = s / max(k1, 1)
-            fdps[reps.start:reps.stop] = (d - s) / np.maximum(d, 1)
+            stop = min(start + block, exp.reps)
+            held.append(_screen_block(exp, *_tail_z_stats(exp, truth, rng, stop - start),
+                                      shrink, cutoffs, k1))
+            # bounding the held rows and band values keeps memory independent of reps
+            rows = sum(blk[0].size for blk in held)
+            if rows + sum(blk[2].size for blk in held) >= SLICE_ELEMENTS // 2 or stop == exp.reps:
+                d[stop - rows:stop], s[stop - rows:stop] = _decide(exp, k1, held)
+        powers = s / max(k1, 1)
+        fdps = (d - s) / np.maximum(d, 1)
         results.append(FdrPoint(
             k1=int(k1),
             mean_power=float(powers.mean()),

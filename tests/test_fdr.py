@@ -3,6 +3,7 @@
 import itertools
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -476,7 +477,138 @@ class TestScreen:
         z_r, z_l = np.array(rows_r), np.array(rows_l)
         rank, d, _ = fdr._step_up(self.evidence(evidence, z_r, z_l), alpha, lam)
         exp = replace(exp, k=k)
-        got_rank, got_d = fdr._screened_step_up(exp, z_r, z_l, 1.0, fdr._screen_cutoffs(exp))
-        assert np.array_equal(got_rank, rank)
-        assert np.array_equal(got_d, d)
+        cutoffs = fdr._screen_cutoffs(exp)
+        for k1 in (0, 1, k // 2, k):
+            got_d, got_s = fdr._decide(exp, k1, [fdr._screen_block(exp, z_r, z_l, 1.0,
+                                                                    cutoffs, k1)])
+            assert np.array_equal(got_d, d)
+            assert np.array_equal(got_s, np.sum(rank[:, :k1] <= d[:, np.newaxis], axis=1))
         assert d.min() > 0 and np.any((rank > 1) & (rank <= k))
+
+
+@st.composite
+def evidence_rows(draw):
+    """(p, alpha, lam): a (rows x k) evidence matrix with ties, values at
+    their row's thresholds alpha j / k0 and one ulp either side, zeros and
+    ones; lam is None or a Storey lambda."""
+    rows, k = draw(st.integers(1, 4)), draw(st.integers(1, 25))
+    alpha = draw(st.floats(0.01, 0.9))
+    lam = draw(st.none() | st.floats(0.05, 0.95))
+    pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))  # repeats tie
+    p = np.array(draw(st.lists(st.sampled_from(pool + [0.0, 1.0]) | st.floats(0.0, 1.0),
+                               min_size=rows * k, max_size=rows * k))).reshape(rows, k)
+    # values at or below lam keep the count above lam, and so k0, when they
+    # move to a threshold at or below lam
+    k0 = (np.full(rows, float(k)) if lam is None
+          else fdr._plug_in_k0(k, np.sum(p > lam, axis=1), lam))
+    for _ in range(draw(st.integers(0, 2 * k))):
+        r, c, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, k - 1)), draw(
+            st.integers(1, k))
+        t = alpha * j / k0[r]
+        t = np.nextafter(t, t + draw(st.sampled_from((-1.0, 0.0, 1.0))))
+        if t <= 1.0 and (lam is None or (p[r, c] <= lam and t <= lam)):
+            p[r, c] = t
+    return p, alpha, lam
+
+
+class TestBandDecisions:
+    """D and S from rank-1 counts and a band equal the step-up's over the
+    whole matrix, with the evidence of :func:`fdr._decide` taken as given."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(evidence_rows(), st.data())
+    def test_equals_step_up(self, case, data):
+        p, alpha, lam = case
+        rows, k = p.shape
+        rank, d, k0 = fdr._step_up(p, alpha, lam)
+        # the band holds every value that can pass after rank 1, and any
+        # others; a rank-1 value outside it counts in n1, a never-passing one
+        # is left out
+        in_band = np.array(data.draw(st.lists(st.booleans(), min_size=p.size,
+                                              max_size=p.size))).reshape(p.shape)
+        in_band |= (rank > 1) & (rank <= k)
+        exp = FdrExperiment(k=k, k1_grid=(), n=10, margin=EquivalenceMargin(0.0, 2.0),
+                            sigma=1.0, tau=0.25, epsilon_star=0.5, alpha=alpha, reps=1,
+                            seed=1)
+        band = np.flatnonzero(in_band)
+        first = (rank == 1) & ~in_band
+        with mock.patch.object(fdr, "_evidence", lambda exp, tails: tails[0]):
+            for k1 in sorted({0, data.draw(st.integers(0, k)), k}):
+                block = (first.sum(axis=1), first[:, :k1].sum(axis=1), band,
+                         np.stack((p.ravel()[band],) * 2), k0)
+                got_d, got_s = fdr._decide(exp, k1, [block])
+                assert np.array_equal(got_d, d)
+                assert np.array_equal(got_s, np.sum(rank[:, :k1] <= d[:, np.newaxis], axis=1))
+
+
+def freq_max_experiment():
+    return desk_experiment(evidence="frequentist", combination="max")
+
+
+class TestOneTailMax:
+    """The frequentist max from its larger argument's tail alone equals the
+    max of both tails bit for bit."""
+
+    @staticmethod
+    def both_tails(a, b):
+        return np.maximum(normal_cdf(a), normal_cdf(b))
+
+    def test_across_erfc_branch_edges(self):
+        # erfc switches branch at |x| = 0.84375, 1.25, 1/0.35 and 28, x = -z / sqrt 2
+        steps = np.concatenate((np.arange(-40, 41), [-1e6, -1e3, 1e3, 1e6]))
+        z = []
+        for edge in (0.84375, 1.25, 1 / 0.35, 28.0):
+            for sign in (-1.0, 1.0):
+                centre = sign * edge * math.sqrt(2.0)
+                z.append(centre + steps * math.ulp(centre))
+        z = np.concatenate(z)
+        a, b = np.meshgrid(z, z)  # every pair of neighbours, on both sides of each edge
+        a, b = a.ravel(), b.ravel()
+        got = fdr._evidence(freq_max_experiment(), np.stack((a, b)))
+        assert np.array_equal(got, self.both_tails(a, b))
+
+    def test_near_ties(self):
+        a = np.concatenate((-np.geomspace(1e-300, 40.0, 2000), [0.0],
+                            np.geomspace(1e-300, 40.0, 2000)))
+        for b in (a, np.nextafter(a, np.inf), np.nextafter(a, -np.inf),
+                  a * (1.0 + 0.999e-9), a * (1.0 - 0.999e-9),
+                  a * (1.0 + 1.001e-9), a * (1.0 - 1.001e-9), a * (1.0 + 1e-6)):
+            for pair in ((a, b), (b, a)):
+                got = fdr._evidence(freq_max_experiment(), np.stack(pair))
+                assert np.array_equal(got, self.both_tails(*pair))
+
+
+class TestEvidenceBatches:
+    """Consecutive blocks of a k1 point share one evidence call, and the
+    calls do not grow with the replications: the blocks held before a call
+    stay under ``SLICE_ELEMENTS // 2`` rows and band values, and the last
+    adds at most one block's band, two tail arguments a value."""
+
+    @staticmethod
+    def sweep(monkeypatch, reps, k1_grid, evidence="frequentist"):
+        sizes = []
+
+        def counted(z, out=None):
+            sizes.append(z.size)
+            return normal_cdf(z, out=out)
+
+        monkeypatch.setattr(fdr, "normal_cdf", counted)
+        exp = FdrExperiment(k=1000, k1_grid=k1_grid, n=100, margin=EquivalenceMargin(0.0, 1.5),
+                            sigma=1.0, tau=0.25, epsilon_star=0.5, alpha=0.05, reps=reps,
+                            seed=2024, evidence=evidence)
+        fdr_power_simulation(exp)
+        return sizes
+
+    def test_fdr_sweep_shape_calls_per_point(self, monkeypatch):
+        # five blocks of 16 replications at each of the 20 points
+        grid = tuple(range(10, 991, 50))
+        assert len(self.sweep(monkeypatch, 80, grid)) <= 2 * len(grid)
+
+    @pytest.mark.parametrize("evidence", EVIDENCE_KINDS)
+    def test_largest_call_does_not_grow_with_reps(self, monkeypatch, evidence):
+        grid = (10, 510, 960)
+        bound = 2 * (SLICE_ELEMENTS // 2 + SLICE_ELEMENTS // 1000 * 1000)
+        few = self.sweep(monkeypatch, 80, grid, evidence)
+        many = self.sweep(monkeypatch, 1000, grid, evidence)
+        assert len(many) > len(few)
+        assert max(few) <= bound and max(many) <= bound

@@ -167,15 +167,14 @@ def equivalence_covariance_terms(samp: NormalSampling, prior: NormalPrior):
 def corr_equivalence_closed(samp: NormalSampling, prior: NormalPrior,
                             margin: EquivalenceMargin) -> CorrelationResult:
     """Correlation between combined posterior evidence and the signed
-    combined p-value at the margin center: zero.
+    combined p-value at the margin center: zero, whatever the design.
 
-    Four equal covariance terms make t1 - t2 + t3 - t4 zero by construction;
-    off the center it is not zero (open item 2 of ROADMAP.md).
+    The four covariance terms of :func:`equivalence_covariance_terms` are
+    equal, so t1 - t2 + t3 - t4 is zero by construction; off the center it
+    is not zero (open item 2 of ROADMAP.md).
     """
-    del margin  # the value at the center does not depend on the margin
-    t1, t2, t3, t4 = equivalence_covariance_terms(samp, prior)
-    cov = t1 - t2 + t3 - t4
-    return CorrelationResult(cov, "closed_form")
+    del samp, prior, margin  # the value at the center does not depend on the design
+    return CorrelationResult(0.0, "closed_form")
 
 
 def corr_equivalence_mc(samp: NormalSampling, prior: NormalPrior,
@@ -200,10 +199,10 @@ def corr_equivalence_mc(samp: NormalSampling, prior: NormalPrior,
     xbar *= samp.sigma / samp.root_n
     xbar += center
     p_signed = _combined_tails(xbar.copy(), margin.theta1, margin.theta2,
-                               samp.root_n / samp.sigma, np.subtract)
+                               samp.root_n / samp.sigma, "signed")
     p_b = _combined_tails(xbar, margin.theta1, margin.theta2,
-                          posterior_coefficient(samp, prior), np.add)
-    return _correlation_in_place(np.clip(p_b, 0.0, 1.0, out=p_b), p_signed)
+                          posterior_coefficient(samp, prior), "sum")
+    return _correlation_in_place(p_b, p_signed)
 
 
 def _partial_c(samp: NormalSampling, margin: Optional[EquivalenceMargin],

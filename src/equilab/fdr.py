@@ -3,7 +3,8 @@ evidence values, with D from each row's sorted first passing ranks,
 decision-table bookkeeping, and the FDR power simulation for both evidence
 measures, which draws the replications of each k1 grid point in order from
 one numpy stream and decides each from the values its z cutoffs cannot
-settle.
+settle, the values near the Storey lambda among them, evaluated in one
+evidence call per batch of blocks.
 """
 
 import math
@@ -14,9 +15,9 @@ from typing import Sequence
 import numpy as np
 
 from .equivalence import EquivalenceMargin
-from .normal import NormalPrior, NormalSampling, posterior_coefficient
+from .normal import NormalPrior, NormalSampling, _tail_evidence, posterior_coefficient
 from .rng import spawn_rng
-from .special import SLICE_ELEMENTS, _acklam_quantile, normal_cdf
+from .special import SLICE_ELEMENTS, _acklam_quantile
 
 EVIDENCE_KINDS = ("frequentist", "bayesian")
 SAMPLING_MODES = ("per_tail", "per_tail_literal", "shared")
@@ -271,32 +272,11 @@ def _tail_z_stats(exp: FdrExperiment, truth: np.ndarray, rng, rows: int) -> tupl
     return stats[0], stats[1]
 
 
-# a frequentist max evaluates only its larger argument's tail, the larger
-# value wherever normal_cdf is nondecreasing; where the arguments lie within
-# this relative distance of a tie it evaluates both, so that no rounding
-# step of the kernel can decide
-_TIE = 1e-9
-
-
 def _evidence(exp: FdrExperiment, tails: np.ndarray) -> np.ndarray:
-    """The evidence value from its tails Phi(a) and Phi(b), given the
-    C-contiguous (2, m) array of the arguments (a, b), which it may
-    overwrite: one normal_cdf call, and for the frequentist max of
-    Phi(max(a, b)) alone, with a second call on the other tail of any
-    near-ties (see ``_TIE``).
-    """
-    a, b = tails
-    if exp.evidence == "bayesian" or exp.combination != "max":
-        p_r, p_l = normal_cdf(tails, out=tails)
-        if exp.evidence == "bayesian":
-            return np.clip(p_r + p_l, 0.0, 1.0)
-        return np.abs(p_l - p_r)
-    tie = np.flatnonzero(np.abs(a - b) <= _TIE * np.abs(np.maximum(a, b)))
-    low = np.minimum(a[tie], b[tie])
-    p = normal_cdf(np.maximum(a, b, out=a), out=a)
-    if tie.size:
-        p[tie] = np.maximum(p[tie], normal_cdf(low))
-    return p
+    """The evidence value from the C-contiguous (2, m) array of its tail
+    arguments (upper, lower), which it overwrites (:func:`_tail_evidence`)."""
+    return _tail_evidence(tails, "sum" if exp.evidence == "bayesian" else
+                          "max" if exp.combination == "max" else "folded")
 
 
 # z margin of the screen: a tail whose z lies within it of a cutoff is
@@ -341,11 +321,11 @@ def _screen_cutoffs(exp: FdrExperiment):
 
 def _screen_block(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray, shrink: float,
                   cutoffs, k1: int):
-    """The step-up inputs of one block of replications, with the evidence
-    evaluated only where a z cutoff cannot settle it (adaptively, only at
-    lam): per row the count n1 of values of rank 1 and n1_alt of those
-    among the first k1, then the band's flat indices, its (2, m) tail
-    arguments (:func:`_evidence`) and each row's k0.
+    """The step-up inputs of one block of replications, with no evidence
+    evaluated: per row the count n1 of values of rank 1 and n1_alt of those
+    among the first k1, and, adaptively, the count of values settled above
+    lam; then the flat indices of the values left to evaluate and their
+    (2, m) tail arguments (:func:`_evidence`).
 
     With u_r = -shrink z_r and u_l = shrink z_l the tail values are
     Phi(u_r) and Phi(u_l).  The evidence is at least its larger tail, at
@@ -353,51 +333,61 @@ def _screen_block(exp: FdrExperiment, z_r: np.ndarray, z_l: np.ndarray, shrink: 
     the clipped sum), so it is certainly above t for u > q(t) + slack and at
     or below t for u < q(t / factor) - slack.  A value above its row's
     highest threshold never passes and one at or below the lowest (or NaN)
-    has rank 1; the band between is ranked by :func:`_decide`.  The
-    |p_l - p_r| of ``difference`` has no lower bound: its band is everything.
+    has rank 1; the band between is ranked by :func:`_decide`.  Adaptively
+    the thresholds rest on the row's count above lam, known here only to lie
+    between the values settled above lam and those plus the unsure ones
+    near it (the lam band): the lowest cutoff is taken at the larger count
+    and the highest at the smaller, so the band holds the row's true band.
+    A value left to evaluate, in the band or the lam band, counts in
+    neither n1 nor the settled count.  The |p_l - p_r| of ``difference`` has
+    no lower bound: every value is left to evaluate.
     """
     rows, k = z_r.shape
     u = np.maximum(-z_r, z_l)
     u *= shrink  # shrink > 0: the max of the scaled values, bit for bit
-
-    def tails(band):
-        return shrink * np.stack((-z_r.take(band), z_l.take(band)))
-
-    at_lam, k0, table = cutoffs
-    count = np.zeros(rows, dtype=np.intp)  # each row's index into k0 and table
+    at_lam, _, table = cutoffs
+    above = unsure = np.zeros(rows, dtype=np.intp)
     if at_lam is not None:
         lo, hi = at_lam
-        above = u > hi
-        band = np.flatnonzero((u >= lo) & ~above)
-        np.put(above, band, _evidence(exp, tails(band)) > exp.storey_lambda)
-        count = np.count_nonzero(above, axis=1)
-    lo, hi = table[:, count, np.newaxis]
-    ranked = u >= lo
-    n1 = k - np.count_nonzero(ranked, axis=1)
-    n1_alt = k1 - np.count_nonzero(ranked[:, :k1], axis=1)
-    band = np.flatnonzero(ranked & (u <= hi))
-    return n1, n1_alt, band, tails(band), k0[count]
+        settled = u > hi
+        near_lam = (u >= lo) & ~settled
+        above, unsure = np.count_nonzero(settled, axis=1), np.count_nonzero(near_lam, axis=1)
+    lo, hi = table[0, above + unsure, np.newaxis], table[1, above, np.newaxis]
+    kept = u >= lo  # the values not settled at rank 1
+    left = kept & (u <= hi)
+    if at_lam is not None:
+        above -= np.count_nonzero(settled & left, axis=1)
+        kept |= near_lam
+        left |= near_lam
+    values = np.flatnonzero(left)
+    return (k - np.count_nonzero(kept, axis=1), k1 - np.count_nonzero(kept[:, :k1], axis=1),
+            above, values, shrink * np.stack((-z_r.take(values), z_l.take(values))))
 
 
-def _decide(exp: FdrExperiment, k1: int, blocks: list):
+def _decide(exp: FdrExperiment, k1: int, k0: np.ndarray, blocks: list):
     """(d, s) per row of ``blocks``, the :func:`_screen_block` outputs of
     consecutive blocks, which it empties so that their arrays are freed
     once joined: the step-up's D and its rejections S among the first k1
-    hypotheses, from one evidence call over the joined band.
+    hypotheses, from one evidence call over the joined values left to
+    evaluate.  ``k0`` is indexed by a row's count above lam
+    (:func:`_screen_cutoffs`); without lam it holds k alone and the count
+    is 0.
 
-    D >= n1, so a row rejects all its values of rank 1 and its band values
-    of rank <= D, and never the values above the band.
+    D >= n1, so a row rejects all its values of rank 1 and its evaluated
+    values of rank <= D, and never the values above its band.
     """
     offsets = exp.k * np.cumsum([0] + [blk[0].size for blk in blocks[:-1]])
-    band_sizes = [blk[2].size for blk in blocks]
-    n1, n1_alt, band, tails, k0 = (np.concatenate(part, axis=-1) for part in zip(*blocks))
+    sizes = [blk[3].size for blk in blocks]
+    n1, n1_alt, above, values, tails = (np.concatenate(part, axis=-1) for part in zip(*blocks))
     blocks.clear()
-    band += np.repeat(offsets, band_sizes)  # flat indices into the joined rows
+    values += np.repeat(offsets, sizes)  # flat indices into the joined rows
     p = _evidence(exp, tails)
-    row = band // exp.k
-    rank = _first_ranks(p, exp.alpha, k0[row], exp.k)
+    row = values // exp.k
+    if exp.adaptive:
+        above += np.bincount(row[p > exp.storey_lambda], minlength=n1.size)
+    rank = _first_ranks(p, exp.alpha, k0[above][row], exp.k)
     d = _deciding_counts(n1, row, rank, exp.k)
-    alt = (band % exp.k < k1) & (rank <= d[row])
+    alt = (values % exp.k < k1) & (rank <= d[row])
     return d, n1_alt + np.bincount(row[alt], minlength=n1.size)
 
 
@@ -419,16 +409,16 @@ def fdr_power_simulation(exp: FdrExperiment):
     near lam).  Each tail value is monotone in its z, so z cutoffs at the
     normal quantiles of those thresholds, widened by a z slack far beyond
     any rounding and computed once per experiment (:func:`_screen_cutoffs`),
-    settle every value outside the band (:func:`_screen_block`): a row
-    keeps only its count of rank-1 values and its band.  The bands of
-    consecutive blocks are held until they and their rows reach
+    settle every value outside the band and, adaptively, outside the lam
+    band (:func:`_screen_block`): a row keeps only its counts of rank-1
+    values and of values above lam, and the values left to evaluate.  The
+    values of consecutive blocks are held until they and their rows reach
     ``SLICE_ELEMENTS // 2`` elements, or the point's last block, then
     evaluated with the expressions of the full evaluation in one
     normal_cdf call (erfc works elementwise, so they are bit-identical),
-    ranked exactly, and decided from the rows' sorted band ranks
-    (:func:`_decide`): every result equals that of the full evaluation.
-    Adaptively, the values near lam are evaluated a block at a time, since
-    a row's cutoffs need its count above lam first.
+    counted above lam, ranked exactly at the row's k0, and decided from the
+    rows' sorted band ranks (:func:`_decide`): every result equals that of
+    the full evaluation.
     """
     block = max(1, SLICE_ELEMENTS // exp.k)
     cutoffs = _screen_cutoffs(exp)
@@ -443,15 +433,15 @@ def fdr_power_simulation(exp: FdrExperiment):
         rng = spawn_rng(exp.seed, k1_idx)
         d = np.empty(exp.reps, dtype=np.intp)
         s = np.empty(exp.reps, dtype=np.intp)
-        held = []  # blocks whose band awaits evaluation
+        held = []  # blocks whose values await evaluation
         for start in range(0, exp.reps, block):
             stop = min(start + block, exp.reps)
             held.append(_screen_block(exp, *_tail_z_stats(exp, truth, rng, stop - start),
                                       shrink, cutoffs, k1))
-            # bounding the held rows and band values keeps memory independent of reps
+            # bounding the held rows and values keeps memory independent of reps
             rows = sum(blk[0].size for blk in held)
-            if rows + sum(blk[2].size for blk in held) >= SLICE_ELEMENTS // 2 or stop == exp.reps:
-                d[stop - rows:stop], s[stop - rows:stop] = _decide(exp, k1, held)
+            if rows + sum(blk[3].size for blk in held) >= SLICE_ELEMENTS // 2 or stop == exp.reps:
+                d[stop - rows:stop], s[stop - rows:stop] = _decide(exp, k1, cutoffs[1], held)
         powers = s / max(k1, 1)
         fdps = (d - s) / np.maximum(d, 1)
         results.append(FdrPoint(

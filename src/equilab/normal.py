@@ -3,16 +3,22 @@
 Conjugate normal priors are centered at the tested boundary for each tail,
 so every posterior tail probability is one Phi.  One kernel,
 :func:`_boundary_tails`, gives every pair of tails, each Phi of its own
-signed distance, never 1 - Phi, so accurate down to the underflow.
-The folded p-value |p_upper - p_lower| = Phi(|t| + h) + Phi(|t| - h) - 1
-(t the standardized distance of xbar from the margin center, h = eps
-sqrt(n)/sigma) rises from 0 there to 1.  Each measure's level-t region of
+signed distance, never 1 - Phi, so accurate down to the underflow, and
+one function, :func:`_tail_evidence`, combines a pair into each evidence
+value by name: the clipped posterior sum, the signed and the folded
+difference, and the TOST max; the correlation Monte Carlo and the FDR
+simulation take theirs from it too.  The folded p-value
+|p_upper - p_lower| = Phi(|t| + h) + Phi(|t| - h) - 1 (t the standardized
+distance of xbar from the margin center, h = eps sqrt(n)/sigma) rises
+from 0 there to 1.  Each measure's level-t region of
 xbar is an interval: per-tail quantiles give the TOST (larger one-sided)
 p-value's, a bisection for exact size under C + D = n (theta1 + theta2)
 (``exact_symmetric``) the folded one's, and a bisection around the center
-the posterior evidence's; one kernel, :func:`_interval_prob`, gives each CDF.
+the posterior evidence's; one kernel, :func:`_interval_prob`, gives each CDF,
+relatively accurate also where the interval is narrow and far from theta.
 """
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -117,25 +123,66 @@ def _bisect(past, lo, hi):
     return lo, hi
 
 
-def _boundary_tails(x, theta1: float, theta2: float, scale: float) -> np.ndarray:
-    """Upper tail Phi((theta1 - x) scale) and lower tail Phi((x - theta2) scale),
-    the rows of one new array; a distance past the float range is +-inf."""
+def _boundary_args(x, theta1: float, theta2: float, scale: float) -> np.ndarray:
+    """The signed distances (theta1 - x) scale of the upper tail and
+    (x - theta2) scale of the lower, the rows of one new array; a distance
+    past the float range is +-inf."""
     z = np.empty((2,) + np.shape(x))
     with np.errstate(over="ignore"):
         np.subtract(theta1, x, out=z[0, ...])
         np.subtract(x, theta2, out=z[1, ...])
         z *= scale
+    return z
+
+
+def _boundary_tails(x, theta1: float, theta2: float, scale: float) -> np.ndarray:
+    """Upper tail Phi((theta1 - x) scale) and lower tail Phi((x - theta2) scale),
+    the rows of one new array."""
+    z = _boundary_args(x, theta1, theta2, scale)
     return normal_cdf(z, out=z)
 
 
-def _combined_tails(x: np.ndarray, theta1: float, theta2: float, scale: float, combine):
-    """``combine(lower, upper)`` of the :func:`_boundary_tails` pair, in
-    place over the 1-d float64 array ``x``, one slice at a time: ``np.add``
-    gives the posterior evidence, ``np.subtract`` p_lower - p_upper."""
+# the TOST max evaluates only its larger argument's tail, the larger value
+# wherever normal_cdf is nondecreasing; where the arguments lie within this
+# relative distance of a tie it evaluates both, so that no rounding step of
+# the kernel can decide
+_TIE = 1e-9
+
+
+def _tail_evidence(z: np.ndarray, rule: str) -> np.ndarray:
+    """The evidence value of the combination ``rule`` of the upper tail
+    Phi(z[0]) and the lower tail Phi(z[1]), given the C-contiguous (2, m)
+    float64 array z of their arguments, which it overwrites; the value is
+    the view z[0].
+
+    ``sum``: the posterior evidence, clipped to [0, 1]; ``signed``:
+    p_lower - p_upper; ``folded``: |p_lower - p_upper|; ``max``: the TOST
+    p-value, Phi(max(z)) alone, with a second normal_cdf call on the other
+    tail of any near-tie (see ``_TIE``).
+    """
+    upper, lower = z
+    if rule == "max":
+        tie = np.flatnonzero(np.abs(upper - lower) <= _TIE * np.abs(np.maximum(upper, lower)))
+        low = np.minimum(upper[tie], lower[tie])
+        p = normal_cdf(np.maximum(upper, lower, out=upper), out=upper)
+        if tie.size:
+            p[tie] = np.maximum(p[tie], normal_cdf(low))
+        return p
+    normal_cdf(z, out=z)
+    if rule == "sum":
+        np.add(upper, lower, out=upper)
+        return np.clip(upper, 0.0, 1.0, out=upper)
+    np.subtract(lower, upper, out=upper)
+    return np.abs(upper, out=upper) if rule == "folded" else upper
+
+
+def _combined_tails(x: np.ndarray, theta1: float, theta2: float, scale: float, rule: str):
+    """The ``rule`` combination (:func:`_tail_evidence`) of the
+    :func:`_boundary_tails` pair, in place over the 1-d float64 array ``x``,
+    one slice at a time."""
     for start in range(0, x.size, SLICE_ELEMENTS):
         part = x[start:start + SLICE_ELEMENTS]
-        upper, lower = _boundary_tails(part, theta1, theta2, scale)
-        combine(lower, upper, out=part)
+        part[...] = _tail_evidence(_boundary_args(part, theta1, theta2, scale), rule)
     return x
 
 
@@ -157,8 +204,8 @@ def _combined_pvalue_values(samp: NormalSampling, xbar, margin: EquivalenceMargi
     scale; a float for a scalar ``xbar``, an array of its shape otherwise."""
     xbar = np.array(xbar, dtype=float)
     _combined_tails(xbar.reshape(-1), margin.theta1, margin.theta2,
-                    samp.root_n / samp.sigma, np.subtract)
-    return np.abs(xbar, out=xbar)[()]
+                    samp.root_n / samp.sigma, "folded")
+    return xbar[()]
 
 
 def normal_tost_pvalue(samp: NormalSampling, xbar: float,
@@ -187,13 +234,47 @@ def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float
             EvidenceMeasure(min(1.0, max(0.0, up + lo)), "combined", "bayesian"))
 
 
-def _interval_prob(samp: NormalSampling, theta: float, lo, hi):
-    """P_theta(lo <= xbar <= hi) elementwise, 0 where lo > hi, from the small
-    tails: the interval is first reflected about theta to lie mostly below it."""
+# Gauss-Legendre nodes of a narrow interval's probability (see _interval_prob)
+_NARROW_NODES = 8
+
+
+@functools.lru_cache(maxsize=1)
+def _narrow_rule():
+    """The Gauss-Legendre nodes s of [0, 1] and their weights: built once
+    per process, on first use."""
+    nodes, weights = np.polynomial.legendre.leggauss(_NARROW_NODES)
+    s, w = 0.5 * (nodes + 1.0), 0.5 * weights
+    s.flags.writeable = w.flags.writeable = False
+    return s, w
+
+
+def _interval_prob(samp: NormalSampling, theta: float, lo, hi, count: int = 1):
+    """P_theta(lo <= count xbar <= hi) elementwise, 0 where lo > hi.
+
+    The interval is first reflected about theta to lie mostly below it, at
+    a <= b in z.  Where Phi(a) <= Phi(b) / 2 the probability is the
+    difference of those small tails, which loses at most a bit.  Elsewhere
+    the interval is narrow against its distance from theta, and the
+    difference would cancel: the probability is then its width
+    w = (hi - lo) / count in z, exact in hi - lo where the ends are close,
+    times the mean of phi over it, phi(b) taken out first, a fixed
+    Gauss-Legendre rule on exp(w s (b - w s / 2)) over s in [0, 1].
+    """
+    scale = samp.root_n / samp.sigma
     with np.errstate(over="ignore", invalid="ignore"):  # +-inf distances and bounds
-        a, b = (np.array((lo, hi)) - theta) * (samp.root_n / samp.sigma)
-        phi_a, phi_b = normal_cdf(np.where(a + b > 0.0, (-b, -a), (a, b)))
-    return np.where(lo > hi, 0.0, np.maximum(phi_b - phi_a, 0.0))[()]
+        a, b = (np.array((lo / count, hi / count)) - theta) * scale
+        ends = np.where(a + b > 0.0, (-b, -a), (a, b))
+        phi_a, phi_b = normal_cdf(ends)
+        p = np.array(phi_b - phi_a)
+        narrow = (phi_a > 0.5 * phi_b) & np.less(lo, hi)
+        if narrow.any():
+            s, weights = _narrow_rule()
+            w = np.broadcast_to((hi - lo) / count * scale, p.shape)[narrow]
+            b = ends[1][narrow]
+            ws = np.multiply.outer(w, s)
+            mean = np.exp(ws * (b[:, np.newaxis] - 0.5 * ws)) @ weights
+            p[narrow] = w * np.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi) * mean
+    return np.where(lo > hi, 0.0, np.maximum(p, 0.0))[()]
 
 
 def normal_pvalue_cdf(samp: NormalSampling, theta: float, margin: EquivalenceMargin,
@@ -205,7 +286,7 @@ def normal_pvalue_cdf(samp: NormalSampling, theta: float, margin: EquivalenceMar
     if not ((t > 0.0) & (t < 1.0)).all():
         raise ValueError(f"t must lie in (0, 1), got {t}")
     c, d = normal_critical_constants(samp, margin, t, mode=mode)
-    return _interval_prob(samp, theta, c / samp.n, d / samp.n)
+    return _interval_prob(samp, theta, c, d, samp.n)
 
 
 def _posterior_cdf(samp: NormalSampling, prior: NormalPrior, margin: EquivalenceMargin,

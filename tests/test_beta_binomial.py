@@ -14,7 +14,7 @@ from scipy import integrate, special
 from equilab import (BetaPrior, EquivalenceMargin, SignificanceLevels, beta_binomial,
                      binom_tost_pvalue, binomial_pmf_vector, posterior_prob_equiv,
                      posterior_prob_lower, posterior_prob_upper, posterior_update)
-from equilab.beta_binomial import MAX_PRIOR_SHAPE, posterior_values
+from equilab.beta_binomial import MAX_PRIOR_SHAPE, BetaPosterior, posterior_values
 from equilab.cli import T_GRID
 from equilab.power import CurveSpec, _bayes_region, bayes_combined_level
 from equilab.special import log_gamma, reg_inc_beta, reg_inc_beta_pair
@@ -62,6 +62,11 @@ class TestPriorAndUpdate:
     def test_update_range_check(self):
         with pytest.raises(ValueError):
             posterior_update(BetaPrior(1, 1), 10, 11)
+
+    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -2.0), (-1e-300, 5.0)])
+    def test_posterior_shape_must_be_positive(self, a, b):
+        with pytest.raises(ValueError, match="posterior needs a, b > 0"):
+            BetaPosterior(a, b)
 
 
 class TestTailProbabilities:

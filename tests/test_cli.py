@@ -466,6 +466,31 @@ class TestConfigAndErrors:
         assert code == 2
         assert "margin" in capsys.readouterr().err
 
+    def test_config_comments_and_blank_lines_are_skipped(self, tmp_path):
+        cfg = tmp_path / "notes.cfg"
+        cfg.write_text("# a theta-max run\n\nn = 10  # trials\n   \nmargin = 0.2,0.8\n")
+        code, out = run(tmp_path, "c", ["theta-max", "--config", str(cfg)])
+        assert code == 0
+        assert read_manifest(out)["config"]["n"] == 10
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, name):
+        code, out = run(tmp_path, "x", ["theta-max", "--config", str(tmp_path / name)])
+        assert code == 2
+        assert "cannot read config file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runtime_failure_exits_1(self, tmp_path, capsys, monkeypatch):
+        def fail(opts):
+            raise RuntimeError("kernel failed")
+
+        _, help_text, flags = SUBCOMMANDS["theta-max"]
+        monkeypatch.setitem(SUBCOMMANDS, "theta-max", (fail, help_text, flags))
+        code, out = run(tmp_path, "x", ["theta-max", "--n", "10", "--margin", "0.2,0.8"])
+        assert code == 1
+        assert "runtime error: kernel failed" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_config_file_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("this line has no equals sign\n")
@@ -497,6 +522,12 @@ class TestConfigAndErrors:
           "--t-grid", "0.5,0.2"], "grid must be strictly increasing"),
         (["tables", "--row", "n=0", "--margin", "0.25,0.75"],
          "--row: row n must be positive, got 0"),
+        (["tables", "--row", "m=5", "--margin", "0.25,0.75"],
+         "--row: unsupported row key 'm' (only n=<int>)"),
+        (["power-curve", "--n", "10", "--margin", "0.2,0.8", "--theta-grid", "0:1:0"],
+         "--theta-grid: invalid grid '0:1:0': step must be positive"),
+        (["conservativity", "--n", "10", "--margin", "0.2,0.8", "--t-grid", "0.1:0.9:-0.1"],
+         "--t-grid: invalid grid '0.1:0.9:-0.1': step must be positive"),
         (["noise-cdf", "--n", "30", "--sigma", "2", "--margin", "1,4", "--theta", "1.5",
           "--t-grid", "0.5,1.5"],
          "--t-grid: invalid grid '0.5,1.5': every value must lie in (0, 1)"),

@@ -4,6 +4,7 @@ Monte Carlo, and properties of the correlation estimator itself."""
 import gc
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -19,6 +20,7 @@ from equilab import (EquivalenceMargin, NormalPrior, NormalSampling,
                      equivalence_covariance_terms, expected_phi_product,
                      sample_correlation, spawn_rng)
 from equilab import correlation
+from equilab.correlation import CorrelationResult
 from equilab.special import SLICE_ELEMENTS, normal_cdf
 
 
@@ -76,6 +78,23 @@ class TestSampleCorrelation:
     def test_rejects_degenerate_input(self):
         with pytest.raises(ValueError):
             sample_correlation(np.ones(10), np.arange(10.0))
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: CorrelationResult(1.5, "closed_form"), "correlation must lie in [-1, 1]"),
+        (lambda: CorrelationResult(-1.5, "closed_form"), "correlation must lie in [-1, 1]"),
+        (lambda: CorrelationResult(0.5, "bootstrap"), "unknown method 'bootstrap'"),
+        (lambda: CorrelationResult(0.5, "closed_form", 0.1),
+         "std_error must be present iff method is monte_carlo"),
+        (lambda: CorrelationResult(0.5, "monte_carlo"),
+         "std_error must be present iff method is monte_carlo"),
+        (lambda: sample_correlation(np.arange(10.0), np.arange(9.0)),
+         "two equal-length 1-d samples"),
+        (lambda: corr_two_sided_mc(0.0, draws=100), "w must lie in (0, 1]"),
+        (lambda: corr_two_sided_mc(1.5, draws=100), "w must lie in (0, 1]"),
+    ])
+    def test_invalid_argument_is_refused(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_in_place_equals_expression_form(self, seed):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from equilab import (DecisionTable, EquivalenceMargin, FdrExperiment, NormalPrior,
                      NormalSampling, adaptive_bh, bh_procedure, fdr_power_simulation,
                      normal_cdf, posterior_coefficient, score_decisions, spawn_rng)
-from equilab import fdr, special
+from equilab import fdr, normal, special
 from equilab.fdr import COMBINATIONS, EVIDENCE_KINDS, SAMPLING_MODES
 from equilab.special import SLICE_ELEMENTS
 
@@ -366,6 +366,18 @@ class TestBlockBatching:
                for p in fdr_power_simulation(exp)]
         assert got == reference_simulation(exp)
 
+    @pytest.mark.parametrize("evidence", EVIDENCE_KINDS)
+    def test_adaptive_thresholds_above_lam(self, evidence):
+        # few hypotheses, a large alpha and a small lam: a row's smallest
+        # threshold alpha / k0 can lie above lam, so values near lam can also
+        # lie below the rank-1 cutoff
+        exp = FdrExperiment(k=4, k1_grid=(0, 2, 4), n=40, margin=EquivalenceMargin(0.0, 1.5),
+                            sigma=1.0, tau=0.25, epsilon_star=0.5, alpha=0.6, reps=300,
+                            seed=17, evidence=evidence, adaptive=True, storey_lambda=0.2)
+        got = [(p.k1, p.mean_power, p.mean_fdr, p.se_power, p.se_fdr)
+               for p in fdr_power_simulation(exp)]
+        assert got == reference_simulation(exp)
+
     def test_single_row_blocks(self):
         # k beyond the block bound: one replication per block
         exp = FdrExperiment(k=SLICE_ELEMENTS + 1, k1_grid=(0, 4000), n=40,
@@ -424,6 +436,21 @@ class TestScreen:
         far = np.full_like(u, 40.0)
         return np.concatenate((far, -u, -u)), np.concatenate((u, -far, u))
 
+    @pytest.mark.parametrize("evidence, combination, adaptive",
+                             [("bayesian", "max", False), ("bayesian", "max", True),
+                              *itertools.product(["frequentist"], COMBINATIONS, (False, True))])
+    def test_screen_evaluates_nothing(self, monkeypatch, evidence, combination, adaptive):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the screen evaluated evidence")
+
+        monkeypatch.setattr(normal, "normal_cdf", refuse)
+        monkeypatch.setattr(fdr, "_evidence", refuse)
+        exp = desk_experiment(evidence=evidence, combination=combination, adaptive=adaptive)
+        z_r, z_l = spawn_rng(5, 0).standard_normal((2, 16, exp.k))
+        n1, _, _, values, tails = fdr._screen_block(exp, z_r, z_l, 1.0,
+                                                    fdr._screen_cutoffs(exp), 10)
+        assert tails.shape == (2, values.size) and n1.shape == (16,)
+
     @pytest.mark.parametrize("evidence", EVIDENCE_KINDS)
     def test_adaptive_cutoff_table_equals_per_row_cutoffs(self, evidence):
         # the table, indexed by a row's count above lam, holds the cutoffs
@@ -475,12 +502,21 @@ class TestScreen:
             rows_l.append(np.concatenate((z_l, probe_l)))
             assert rows_r[-1].size == k
         z_r, z_l = np.array(rows_r), np.array(rows_l)
-        rank, d, _ = fdr._step_up(self.evidence(evidence, z_r, z_l), alpha, lam)
+        p = self.evidence(evidence, z_r, z_l)
+        rank, d, _ = fdr._step_up(p, alpha, lam)
         exp = replace(exp, k=k)
         cutoffs = fdr._screen_cutoffs(exp)
         for k1 in (0, 1, k // 2, k):
-            got_d, got_s = fdr._decide(exp, k1, [fdr._screen_block(exp, z_r, z_l, 1.0,
-                                                                    cutoffs, k1)])
+            block = fdr._screen_block(exp, z_r, z_l, 1.0, cutoffs, k1)
+            # every value that can pass after rank 1 is evaluated, n1 counts
+            # true rank-1 values, and the count above lam splits exactly
+            n1, _, above, values, _ = block
+            evaluated = np.isin(np.arange(p.size), values).reshape(p.shape)
+            assert not np.any((rank > 1) & (rank <= k) & ~evaluated)
+            assert np.array_equal(n1, np.sum((rank == 1) & ~evaluated, axis=1))
+            if adaptive:
+                assert np.array_equal(above, np.sum((p > lam) & ~evaluated, axis=1))
+            got_d, got_s = fdr._decide(exp, k1, cutoffs[1], [block])
             assert np.array_equal(got_d, d)
             assert np.array_equal(got_s, np.sum(rank[:, :k1] <= d[:, np.newaxis], axis=1))
         assert d.min() > 0 and np.any((rank > 1) & (rank <= k))
@@ -490,13 +526,19 @@ class TestScreen:
 def evidence_rows(draw):
     """(p, alpha, lam): a (rows x k) evidence matrix with ties, values at
     their row's thresholds alpha j / k0 and one ulp either side, zeros and
-    ones; lam is None or a Storey lambda."""
+    ones; lam is None or a Storey lambda, with values at lam and one ulp
+    either side."""
     rows, k = draw(st.integers(1, 4)), draw(st.integers(1, 25))
     alpha = draw(st.floats(0.01, 0.9))
     lam = draw(st.none() | st.floats(0.05, 0.95))
     pool = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))  # repeats tie
     p = np.array(draw(st.lists(st.sampled_from(pool + [0.0, 1.0]) | st.floats(0.0, 1.0),
                                min_size=rows * k, max_size=rows * k))).reshape(rows, k)
+    ulps = st.sampled_from((-1.0, 0.0, 1.0))
+    if lam is not None:
+        for _ in range(draw(st.integers(0, k))):
+            r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, k - 1))
+            p[r, c] = np.nextafter(lam, lam + draw(ulps))
     # values at or below lam keep the count above lam, and so k0, when they
     # move to a threshold at or below lam
     k0 = (np.full(rows, float(k)) if lam is None
@@ -505,38 +547,42 @@ def evidence_rows(draw):
         r, c, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, k - 1)), draw(
             st.integers(1, k))
         t = alpha * j / k0[r]
-        t = np.nextafter(t, t + draw(st.sampled_from((-1.0, 0.0, 1.0))))
+        t = np.nextafter(t, t + draw(ulps))
         if t <= 1.0 and (lam is None or (p[r, c] <= lam and t <= lam)):
             p[r, c] = t
     return p, alpha, lam
 
 
 class TestBandDecisions:
-    """D and S from rank-1 counts and a band equal the step-up's over the
-    whole matrix, with the evidence of :func:`fdr._decide` taken as given."""
+    """D and S from rank-1 counts, counts above lam and the evaluated values
+    equal the step-up's over the whole matrix, with the evidence of
+    :func:`fdr._decide` taken as given."""
 
     @settings(max_examples=300, deadline=None)
     @given(evidence_rows(), st.data())
     def test_equals_step_up(self, case, data):
         p, alpha, lam = case
         rows, k = p.shape
-        rank, d, k0 = fdr._step_up(p, alpha, lam)
-        # the band holds every value that can pass after rank 1, and any
-        # others; a rank-1 value outside it counts in n1, a never-passing one
-        # is left out
-        in_band = np.array(data.draw(st.lists(st.booleans(), min_size=p.size,
-                                              max_size=p.size))).reshape(p.shape)
-        in_band |= (rank > 1) & (rank <= k)
+        rank, d, _ = fdr._step_up(p, alpha, lam)
+        # the evaluated values hold every one that can pass after rank 1, and
+        # any others; a rank-1 value outside them counts in n1, a value above
+        # lam outside them is settled there, a never-passing one is left out
+        evaluated = np.array(data.draw(st.lists(st.booleans(), min_size=p.size,
+                                                max_size=p.size))).reshape(p.shape)
+        evaluated |= (rank > 1) & (rank <= k)
         exp = FdrExperiment(k=k, k1_grid=(), n=10, margin=EquivalenceMargin(0.0, 2.0),
                             sigma=1.0, tau=0.25, epsilon_star=0.5, alpha=alpha, reps=1,
-                            seed=1)
-        band = np.flatnonzero(in_band)
-        first = (rank == 1) & ~in_band
+                            seed=1, adaptive=lam is not None, storey_lambda=lam or 0.5)
+        k0 = fdr._screen_cutoffs(exp)[1]
+        above = (np.zeros(rows, dtype=np.intp) if lam is None
+                 else np.sum((p > lam) & ~evaluated, axis=1))
+        values = np.flatnonzero(evaluated)
+        first = (rank == 1) & ~evaluated
         with mock.patch.object(fdr, "_evidence", lambda exp, tails: tails[0]):
             for k1 in sorted({0, data.draw(st.integers(0, k)), k}):
-                block = (first.sum(axis=1), first[:, :k1].sum(axis=1), band,
-                         np.stack((p.ravel()[band],) * 2), k0)
-                got_d, got_s = fdr._decide(exp, k1, [block])
+                block = (first.sum(axis=1), first[:, :k1].sum(axis=1), above, values,
+                         np.stack((p.ravel()[values],) * 2))
+                got_d, got_s = fdr._decide(exp, k1, k0, [block])
                 assert np.array_equal(got_d, d)
                 assert np.array_equal(got_s, np.sum(rank[:, :k1] <= d[:, np.newaxis], axis=1))
 
@@ -579,30 +625,35 @@ class TestOneTailMax:
 
 
 class TestEvidenceBatches:
-    """Consecutive blocks of a k1 point share one evidence call, and the
-    calls do not grow with the replications: the blocks held before a call
-    stay under ``SLICE_ELEMENTS // 2`` rows and band values, and the last
-    adds at most one block's band, two tail arguments a value."""
+    """Consecutive blocks of a k1 point share one evidence call, the values
+    near lam among them, and the calls do not grow with the replications:
+    the blocks held before a call stay under ``SLICE_ELEMENTS // 2`` rows
+    and values, and the last adds at most one block's values, two tail
+    arguments a value."""
 
     @staticmethod
-    def sweep(monkeypatch, reps, k1_grid, evidence="frequentist"):
+    def sweep(monkeypatch, reps, k1_grid, evidence="frequentist", adaptive=False):
         sizes = []
 
         def counted(z, out=None):
             sizes.append(z.size)
             return normal_cdf(z, out=out)
 
-        monkeypatch.setattr(fdr, "normal_cdf", counted)
+        monkeypatch.setattr(normal, "normal_cdf", counted)
         exp = FdrExperiment(k=1000, k1_grid=k1_grid, n=100, margin=EquivalenceMargin(0.0, 1.5),
                             sigma=1.0, tau=0.25, epsilon_star=0.5, alpha=0.05, reps=reps,
-                            seed=2024, evidence=evidence)
+                            seed=2024, evidence=evidence, adaptive=adaptive)
         fdr_power_simulation(exp)
         return sizes
 
     def test_fdr_sweep_shape_calls_per_point(self, monkeypatch):
-        # five blocks of 16 replications at each of the 20 points
+        # five blocks of 16 replications at each of the 20 points; the
+        # adaptive values near lam join the band's call, none is evaluated
+        # per block
         grid = tuple(range(10, 991, 50))
-        assert len(self.sweep(monkeypatch, 80, grid)) <= 2 * len(grid)
+        for adaptive in (False, True):
+            calls = len(self.sweep(monkeypatch, 80, grid, adaptive=adaptive))
+            assert len(grid) <= calls <= 2 * len(grid)
 
     @pytest.mark.parametrize("evidence", EVIDENCE_KINDS)
     def test_largest_call_does_not_grow_with_reps(self, monkeypatch, evidence):

@@ -3,6 +3,7 @@ conjugate posterior tails, evidence CDF.  Oracles: direct quantile algebra,
 Monte Carlo at the boundary parameter, quadrature of the posterior density."""
 
 import math
+import re
 import sys
 import warnings
 
@@ -18,7 +19,7 @@ from equilab import (EquivalenceMargin, NormalPrior, NormalSampling,
                      normal_posterior_probs, normal_pvalue_cdf,
                      normal_tost_pvalue, posterior_coefficient)
 from equilab.normal import (CONSTANT_MODES, _bisect, _boundary_tails, _combined_pvalue_values,
-                            _combined_tails, _posterior_cdf)
+                            _combined_tails, _interval_prob, _posterior_cdf)
 from equilab.special import SLICE_ELEMENTS, normal_cdf, normal_quantile
 
 
@@ -274,8 +275,7 @@ class TestBoundaryKernel:
         for samp, prior, margin, xbar in self.designs():
             coef = posterior_coefficient(samp, prior)
             first, second = _boundary_tails(xbar, margin.theta1, margin.theta2, coef)
-            evidence = np.clip(_combined_tails(xbar.copy(), margin.theta1, margin.theta2,
-                                               coef, np.add), 0.0, 1.0)
+            evidence = _combined_tails(xbar.copy(), margin.theta1, margin.theta2, coef, "sum")
             for x, phi1, phi2, pb in zip(xbar.tolist(), first.tolist(), second.tolist(),
                                          evidence.tolist()):
                 upper, lower, combined = normal_posterior_probs(samp, prior, x, margin)
@@ -291,7 +291,7 @@ class TestBoundaryKernel:
         tails = _boundary_tails(xbar, 0.0, 1.0, 2.0)
         assert tails.shape == (2, 7) and not np.shares_memory(tails, xbar)
         assert np.array_equal(xbar, before)
-        assert _combined_tails(xbar, 0.0, 1.0, 2.0, np.add) is xbar
+        assert _combined_tails(xbar, 0.0, 1.0, 2.0, "sum") is xbar
 
     def test_zero_dimensional_input(self):
         # a 0-d level makes 0-d brackets: the rows are two 0-d values
@@ -299,14 +299,21 @@ class TestBoundaryKernel:
         assert tails.shape == (2,)
         assert bits(tails).tolist() == bits([normal_cdf(-1.875), normal_cdf(-0.375)]).tolist()
 
-    @pytest.mark.parametrize("combine", [np.add, np.subtract])
+    # each combination rule as the plain expression of the lower and upper tail
+    RULES = {"sum": lambda lower, upper: np.clip(lower + upper, 0.0, 1.0),
+             "signed": lambda lower, upper: lower - upper,
+             "folded": lambda lower, upper: np.abs(lower - upper),
+             "max": np.maximum}
+
+    @pytest.mark.parametrize("rule", RULES)
     @pytest.mark.parametrize("size", [1, SLICE_ELEMENTS - 1, SLICE_ELEMENTS, SLICE_ELEMENTS + 1,
                                       2 * SLICE_ELEMENTS + 3])
-    def test_slice_loop_is_the_elementwise_kernel_combined(self, combine, size):
+    def test_slice_loop_is_the_elementwise_kernel_combined(self, rule, size):
+        combine = self.RULES[rule]
         rng = np.random.default_rng(size)
         x = rng.normal(0.5, 2.0, size)
         theta1, theta2, scale = -0.25, 1.5, 3.0
-        got = _combined_tails(x.copy(), theta1, theta2, scale, combine)
+        got = _combined_tails(x.copy(), theta1, theta2, scale, rule)
         upper, lower = _boundary_tails(x, theta1, theta2, scale)
         assert np.array_equal(bits(got), bits(combine(lower, upper)))
         # the one-element kernel at every slice edge and at random elements
@@ -388,6 +395,22 @@ class TestBoundaryKernel:
         upper, lower = normal_onesided_pvalues(samp, 1e308, EquivalenceMargin(-1.0, 0.0))
         assert upper.value == pytest.approx(normal_cdf(-2.0), rel=1e-15)
         assert lower.value == pytest.approx(normal_cdf(2.0), rel=1e-15)
+
+
+class TestRefusals:
+    SAMP, MARGIN = NormalSampling(2.0, 30), EquivalenceMargin(1.0, 4.0)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda s, m: normal_critical_constants(s, m, 0.0), "level must lie in (0, 1)"),
+        (lambda s, m: normal_critical_constants(s, m, [0.05, 1.0]), "level must lie in (0, 1)"),
+        (lambda s, m: normal_critical_constants(s, m, 0.05, mode="exact"),
+         "mode must be one of ('approximate', 'exact_symmetric'), got 'exact'"),
+        (lambda s, m: normal_pvalue_cdf(s, 1.0, m, 0.0), "t must lie in (0, 1)"),
+        (lambda s, m: normal_pvalue_cdf(s, 1.0, m, [0.5, 1.5]), "t must lie in (0, 1)"),
+    ])
+    def test_invalid_argument_is_refused(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(self.SAMP, self.MARGIN)
 
 
 class TestSamplingDomain:
@@ -657,11 +680,34 @@ class TestCdfAccuracy:
         assert tiny >= 50 and straddling >= 200, (tiny, straddling)
 
     def test_folded_pvalue_cdf_at_a_tiny_level(self):
-        # the region is narrow and 4 sds from theta: at the parent the two
-        # Phi near 1 left 2.2e-5 relative error here
+        # the region is narrow and 4 sds from theta: two Phi near 1 left
+        # 2.2e-5 relative error here, the difference of the two small tails
+        # still 9.0e-9
         samp, margin = NormalSampling(2.0, 30), EquivalenceMargin(1.0, 4.0)
         c, d = normal_critical_constants(samp, margin, 1e-12, mode="exact_symmetric")
         with mpmath.workdps(40):
             want, _ = self.interval_prob(samp, 1.0, mpmath.mpf(c) / 30, mpmath.mpf(d) / 30)
         got = normal_pvalue_cdf(samp, 1.0, margin, 1e-12, mode="exact_symmetric")
-        assert abs(got - want) <= 1e-7 * want
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_narrow_intervals_down_to_1e_300(self):
+        # widths from one ulp up to where the small tails differ by half,
+        # at 0 to 37.5 sds from theta on either side
+        rng = np.random.default_rng(5)
+        narrow = 0
+        with mpmath.workdps(40):
+            for _ in range(1500):
+                samp = NormalSampling(float(10.0 ** rng.uniform(-2, 2)),
+                                      int(rng.integers(1, 500)))
+                theta = float(rng.uniform(-3, 3))
+                z = float(rng.uniform(-37.5, 37.5))
+                sd = samp.sigma / samp.root_n
+                lo = theta + z * sd
+                hi = lo + float(10.0 ** rng.uniform(-16, 0)) / max(1.0, abs(z)) * sd
+                want, _ = self.interval_prob(samp, theta, mpmath.mpf(lo), mpmath.mpf(hi))
+                if not (lo < hi and want >= 1e-300):
+                    continue
+                got = _interval_prob(samp, theta, lo, hi)
+                assert abs(got - want) <= 1e-12 * want, (samp, theta, lo, hi)
+                narrow += 1
+        assert narrow >= 1000

@@ -66,6 +66,11 @@ class TestMeasureCdf:
 
 
 class TestPower:
+    @pytest.mark.parametrize("grid", [[0.5, 0.2], [0.2, 0.2], [0.1, 0.3, 0.2]])
+    def test_grid_not_increasing_is_refused(self, grid):
+        with pytest.raises(ValueError, match="grid must be strictly increasing"):
+            CurveSpec(n=10, margin=EquivalenceMargin(0.2, 0.8), grid=grid)
+
     def test_size_bounded_at_boundary(self):
         for n in (10, 35, 60):
             spec = spec_binom(n, (0.25, 0.75))

@@ -7,10 +7,11 @@ not read is an error) > defaults, both sources through the flag's converter
 in ``FLAG_TYPES``.  Records go to CSV (default) or JSON, in
 ``<subcommand>.<format>`` unless ``--out`` names the file, plus a
 ``<output>.manifest.json`` sidecar with the command, the effective value of
-every flag read but ``--out``/``--format`` and a digest of them, the seed
-(null where no ``--seed`` is taken), the tool version, timestamps and the
-environment (Python and numpy versions, operating system, release, machine
-and CPU count).
+every flag but ``--out``/``--format`` (null for a flag the run accepts but
+does not read, listed in ``UNREAD``) and a digest of them, the seed (null
+where nothing is drawn), the bit generator of the streams (``RNG_NOTE``),
+the tool version, timestamps and the environment (Python and numpy
+versions, operating system, release, machine and CPU count).
 
 Determinism contract: identical subcommand, flags and seed produce a
 byte-identical data file.  Floats are written to 12 significant digits:
@@ -45,9 +46,11 @@ from .fdr import COMBINATIONS, EVIDENCE_KINDS, SAMPLING_MODES, FdrExperiment, \
 from .normal import NormalPrior, NormalSampling
 from .power import CurveSpec, binom_cdf_curve, binom_power_curve, normal_curves, \
     table_simulation, theta_max
+from .rng import spawn_rng
 
 MAX_GRID_POINTS = 100_000  # the theta-max grid at its finest resolution, 1e-5
-RNG_NOTE = "philox counter-based; streams via SeedSequence(seed, spawn_key=path)"
+RNG_NOTE = (f"{type(spawn_rng(0).bit_generator).__name__}; "
+            "streams via SeedSequence(seed, spawn_key=path)")
 
 
 class ConfigError(Exception):
@@ -395,6 +398,18 @@ SUBCOMMANDS = {
 }
 
 
+# subcommand -> the flags that a run with these options accepts (and checks)
+# but does not read; the manifest records each as null, so one data file has
+# one config digest
+UNREAD = {
+    "conservativity": lambda opts: ("alpha", "alpha_upper", "alpha_lower"),
+    "noise-cdf": lambda opts: ("reps", "seed"),
+    "correlation": lambda opts: () if opts["mc"] else ("draws", "seed"),
+    "fdr-power": lambda opts: ((("tau",) if opts["evidence"] == "frequentist" else ())
+                               + (() if opts["adaptive"] else ("storey_lambda",))),
+}
+
+
 def resolve_options(args: argparse.Namespace) -> dict:
     """The typed value of every flag ``args.command`` reads: flag > config
     file > default, both sources through the same converter."""
@@ -461,14 +476,16 @@ def main(argv=None) -> int:
         opts = resolve_options(args)
         records, fieldnames = SUBCOMMANDS[args.command][0](opts)
         # margins and priors go into the manifest as their two numbers
-        config = {name: list(astuple(value)) if is_dataclass(value) else value
+        unread = UNREAD.get(args.command, lambda opts: ())(opts)
+        config = {name: None if name in unread else
+                  list(astuple(value)) if is_dataclass(value) else value
                   for name, value in opts.items() if name not in OUTPUT}
         manifest = {
             "command": args.command,
             "config": config,
             "config_digest": _digest(config),
             "environment": _environment(),
-            "seed": opts.get("seed"),
+            "seed": config.get("seed"),
             "tool_version": __version__,
             "rng": RNG_NOTE,
             "started": started,

@@ -191,7 +191,7 @@ def corr_equivalence_mc(samp: NormalSampling, prior: NormalPrior,
     the 0 of :func:`corr_equivalence_closed` and this estimate is noise
     with an SE that understates it (the signed p-value is within 1e-8 of 0
     on nearly every draw): n = 30, sigma = 1, tau = 0.25, margin (1, 4) and
-    1e6 draws give 0.357 +- 0.302, -0.764 +- 0.181 and -0.018 +- 0.333 at
+    1e6 draws give -0.619 +- 0.265, -0.371 +- 0.306 and 0.037 +- 0.209 at
     seeds 0-2.
     """
     center = margin.center if theta is None else float(theta)

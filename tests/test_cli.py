@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from conftest import numpy_stream
 from hypothesis import strategies as st
 
 from equilab import correlation, fdr, power
@@ -326,6 +327,59 @@ class TestDeterminismAndManifest:
                                           "--evidence", evidence])
         assert code == 0
         assert read_manifest(out)["config"]["combination"] == combination
+
+    def test_manifest_names_the_bit_generator(self, tmp_path):
+        _, out = run(tmp_path, "g", ["tables", "--row", "n=20", "--margin", "0.25,0.75",
+                                     "--reps", "50"])
+        assert read_manifest(out)["rng"].split(";")[0] == "SFC64"
+
+    NOISE_RUN = ["noise-cdf", "--n", "30", "--sigma", "2", "--margin", "1,4", "--theta", "1.5"]
+    FDR_RUN = ["fdr-power", "--n", "20", "--margin", "0,2", "--k", "20", "--k1-grid", "5",
+               "--reps", "2"]
+
+    # (run, unread flags it accepts, the config keys they leave null, the
+    # seed recorded at the top level)
+    @pytest.mark.parametrize("args, unread, nulls, seed", [
+        (["conservativity", "--n", "20", "--margin", "0.2,0.8"],
+         ["--alpha", "0.1", "--alpha-upper", "0.04", "--alpha-lower", "0.02"],
+         ["alpha", "alpha_upper", "alpha_lower"], None),
+        (NOISE_RUN, ["--reps", "50", "--seed", "9"], ["reps", "seed"], None),
+        (NOISE_RUN + ["--tau", "0.5"], ["--reps", "7", "--seed", "2"], ["reps", "seed"], None),
+        (["correlation", "--partial", "--n", "30", "--sigma", "2", "--margin", "1,4"],
+         ["--draws", "1000", "--seed", "2"], ["draws", "seed"], None),
+        (FDR_RUN, ["--tau", "3", "--storey-lambda", "0.2"], ["tau", "storey_lambda"], 0),
+        (FDR_RUN + ["--adaptive"], ["--tau", "3"], ["tau"], 0),
+        (FDR_RUN + ["--evidence", "bayesian"], ["--storey-lambda", "0.2"],
+         ["storey_lambda", "combination"], 0),
+    ])
+    def test_manifest_records_unread_flags_as_null(self, tmp_path, args, unread, nulls,
+                                                    seed):
+        # a flag the run accepts but does not read changes neither the data
+        # file nor the config and its digest
+        _, plain = run(tmp_path, "plain", args)
+        code, given = run(tmp_path, "given", args + unread)
+        assert code == 0
+        assert given.read_bytes() == plain.read_bytes()
+        manifests = read_manifest(plain), read_manifest(given)
+        assert manifests[0]["config"] == manifests[1]["config"]
+        assert manifests[0]["config_digest"] == manifests[1]["config_digest"]
+        assert all(manifests[1]["config"][name] is None for name in nulls)
+        assert manifests[1]["seed"] == seed
+
+    @pytest.mark.parametrize("args, read", [
+        (["power-curve", "--n", "20", "--margin", "0.2,0.8", "--alpha", "0.1"],
+         {"alpha": 0.1, "alpha_upper": 0.1}),
+        (["correlation", "--two-sided", "--w", "0.5", "--mc", "--draws", "500",
+          "--seed", "4"], {"draws": 500, "seed": 4}),
+        (FDR_RUN + ["--evidence", "bayesian", "--tau", "3"], {"tau": 3.0}),
+        (FDR_RUN + ["--adaptive", "--storey-lambda", "0.2"], {"storey_lambda": 0.2}),
+    ])
+    def test_manifest_records_flags_where_read(self, tmp_path, args, read):
+        code, out = run(tmp_path, "read", args)
+        assert code == 0
+        manifest = read_manifest(out)
+        assert {name: manifest["config"][name] for name in read} == read
+        assert manifest["seed"] == manifest["config"].get("seed")
 
     def test_manifest_environment_outside_the_digest(self, tmp_path):
         args = ["theta-max", "--n", "10", "--margin", "0.2,0.8"]
@@ -721,11 +775,7 @@ class TestClosedFlagSets:
         assert code == 0
         assert read_manifest(out)["seed"] == 2**64 + 5
 
-        def numpy_spawn(seed, *path):
-            return np.random.Generator(np.random.Philox(
-                np.random.SeedSequence(seed, spawn_key=path)))
-
-        monkeypatch.setattr(module, name, numpy_spawn)
+        monkeypatch.setattr(module, name, numpy_stream)
         code, reference = run(tmp_path, "numpy", argv)
         assert code == 0
         assert out.read_bytes() == reference.read_bytes()

@@ -8,6 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from conftest import numpy_stream
 from hypothesis import strategies as st
 
 from equilab import (DecisionTable, EquivalenceMargin, FdrExperiment, NormalPrior,
@@ -288,7 +289,7 @@ class TestPowerSimulation:
 
 def reference_simulation(exp):
     """One replication at a time: grid point i draws from numpy's own
-    stream of SeedSequence(seed, spawn_key=(i,)), each replication taking
+    SFC64 stream of SeedSequence(seed, spawn_key=(i,)), each replication taking
     the next k normals for the first tail and the next k for the second,
     then the public step-up procedures and score_decisions."""
     t1, t2, root_n = exp.margin.theta1, exp.margin.theta2, math.sqrt(exp.n)
@@ -296,8 +297,7 @@ def reference_simulation(exp):
     for k1_idx, k1 in enumerate(exp.k1_grid):
         truth = np.arange(exp.k) < k1
         powers, fdps = np.empty(exp.reps), np.empty(exp.reps)
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(exp.seed, spawn_key=(k1_idx,))))
+        rng = numpy_stream(exp.seed, k1_idx)
         for rep in range(exp.reps):
             first, second = rng.standard_normal(exp.k), rng.standard_normal(exp.k)
             if exp.sampling == "shared":

@@ -9,8 +9,10 @@ An intended numeric change regenerates the files with
 CSV and each digest line that moved, and explains the diff in CHANGES.md.
 """
 
+import csv
 import hashlib
 import importlib.util
+import math
 import os
 import sys
 import tempfile
@@ -58,6 +60,19 @@ def test_golden_csv(tmp_path, name):
     assert main(CONFIGS[name] + ["--out", str(out)]) == 0
     with open(golden_path(name), "rb") as handle:
         assert out.read_bytes() == handle.read()
+
+
+def test_tables_golden_mc_rates_within_5_se_of_exact():
+    # each Monte Carlo rate of the stored tables golden is a binomial
+    # fraction of --reps draws around its exact column
+    reps = int(CONFIGS["tables"][CONFIGS["tables"].index("--reps") + 1])
+    with open(golden_path("tables"), encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    assert rows
+    for row in rows:
+        for rate in ("type1", "power"):
+            exact, mc = float(row[f"{rate}_exact"]), float(row[f"{rate}_mc"])
+            assert abs(mc - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / reps)
 
 
 def bench_module(name):

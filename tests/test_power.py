@@ -7,6 +7,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
+from conftest import numpy_stream
 from scipy import optimize, stats
 
 from equilab import (BetaPrior, CurveSpec, EquivalenceMargin, NormalPrior,
@@ -502,8 +503,7 @@ class TestTableSimulation:
         c, d = _reject_regions(spec)[0]
         for rate, path, theta in ((res.mc_type1, 2 * row, 0.25),
                                   (res.mc_power, 2 * row + 1, 0.45)):
-            bits = np.random.Philox(np.random.SeedSequence(11, spawn_key=(path,)))
-            s = np.random.Generator(bits).binomial(40, theta, size=3000)
+            s = numpy_stream(11, path).binomial(40, theta, size=3000)
             assert rate == float(np.mean((c <= s) & (s <= d)))
 
     def test_builds_only_the_region_it_reads(self, monkeypatch):

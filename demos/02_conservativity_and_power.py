@@ -19,10 +19,9 @@ t_grid = np.round(np.arange(0.05, 0.96, 0.05), 2)
 
 curves = {}
 for label, prior in priors.items():
+    spec = CurveSpec(n=n, margin=margin, prior=prior)
     for theta, panel in ((margin.theta1, "null"), (0.4, "alternative")):
-        spec = CurveSpec(n=n, margin=margin, prior=prior,
-                         grid=t_grid, theta_true=theta)
-        curves[(label, panel)] = binom_cdf_curve(spec)
+        curves[(label, panel)] = binom_cdf_curve(spec, theta, t_grid)
 
 print(f"evidence-measure CDFs, n={n}, margin ({margin.theta1}, {margin.theta2})")
 print("null panel at theta = lower boundary; alternative panel at theta = 0.4\n")

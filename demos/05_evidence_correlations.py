@@ -51,5 +51,6 @@ print("\ntwo-sided problem, correlation vs shrinkage weight w:")
 for w in np.arange(0.2, 1.01, 0.2):
     closed = corr_two_sided(float(w))
     mc = corr_two_sided_mc(float(w), draws=400_000, seed=3)
-    print(f"  w={w:3.1f}: closed {closed.rho:.6f}   mc {mc.rho:.6f} "
-          f"(se {mc.std_error:.6f})")
+    # at w = 1 the twin is the closed form itself and draws nothing
+    drawn = "" if mc.std_error is None else f"   mc {mc.rho:.6f} (se {mc.std_error:.6f})"
+    print(f"  w={w:3.1f}: closed {closed.rho:.6f}{drawn}")

@@ -243,10 +243,9 @@ def write_output(records, fieldnames, out_path: str, fmt: str, manifest: dict) -
         handle.write("\n")
 
 
-def _binomial_spec(opts, **curve) -> CurveSpec:
+def _binomial_spec(opts) -> CurveSpec:
     levels = SignificanceLevels(opts["alpha_upper"], opts["alpha_lower"])
-    return CurveSpec(n=opts["n"], margin=opts["margin"], prior=opts["prior_beta"],
-                     levels=levels, **curve)
+    return CurveSpec(opts["n"], opts["margin"], opts["prior_beta"], levels)
 
 
 def _curve_records(points):
@@ -257,12 +256,11 @@ def _curve_records(points):
 # subcommand runners: each takes the resolved options, returns (records, fieldnames)
 
 def run_conservativity(opts):
-    spec = _binomial_spec(opts, grid=opts["t_grid"], theta_true=opts["theta"])
-    return _curve_records(binom_cdf_curve(spec))
+    return _curve_records(binom_cdf_curve(_binomial_spec(opts), opts["theta"], opts["t_grid"]))
 
 
 def run_power_curve(opts):
-    return _curve_records(binom_power_curve(_binomial_spec(opts, grid=opts["theta_grid"])))
+    return _curve_records(binom_power_curve(_binomial_spec(opts), opts["theta_grid"]))
 
 
 def run_theta_max(opts):
@@ -404,7 +402,8 @@ SUBCOMMANDS = {
 UNREAD = {
     "conservativity": lambda opts: ("alpha", "alpha_upper", "alpha_lower"),
     "noise-cdf": lambda opts: ("reps", "seed"),
-    "correlation": lambda opts: () if opts["mc"] else ("draws", "seed"),
+    # the flat-prior (w = 1) twin is its closed form
+    "correlation": lambda opts: () if opts["mc"] and opts["w"] != 1.0 else ("draws", "seed"),
     "fdr-power": lambda opts: ((("tau",) if opts["evidence"] == "frequentist" else ())
                                + (() if opts["adaptive"] else ("storey_lambda",))),
 }

@@ -9,7 +9,8 @@ for Z standard normal, and on its bivariate form
     Phi2(h, h; r) - Phi(h)^2 = (1 / 2 pi) int_0^arcsin(r) exp(-h^2 / (1 + sin t)) dt.
 
 Each closed form has a seeded Monte Carlo twin (``*_mc``, or
-:func:`corr_partial_pvalues`) as its cross-check.  The MC correlation
+:func:`corr_partial_pvalues`) as its cross-check, which draws nothing
+where the measures are one array or its mirror image.  The MC correlation
 estimator carries a moment-based standard error: the evidence pairs here
 are deterministic transforms of a single normal draw, so the naive
 1/sqrt(N) error badly understates the real uncertainty and the
@@ -22,7 +23,6 @@ product slice by slice (:func:`_slice_sum`), so a path holds two
 draw-sized float arrays, the two evidence arrays (16 MB at 1e6 draws).
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -32,7 +32,7 @@ import numpy as np
 from .equivalence import EquivalenceMargin
 from .normal import NormalPrior, NormalSampling, _combined_tails, posterior_coefficient
 from .rng import spawn_rng
-from .special import SLICE_ELEMENTS, normal_cdf
+from .special import SLICE_ELEMENTS, gauss_legendre, normal_cdf
 
 _TWO_PI = 2.0 * math.pi
 # Gauss-Legendre nodes of the partial correlation's two integrals over
@@ -216,16 +216,6 @@ def _partial_c(samp: NormalSampling, margin: Optional[EquivalenceMargin],
     return eps * samp.root_n / samp.sigma
 
 
-@functools.lru_cache(maxsize=1)
-def _partial_rule():
-    """sin t at the Gauss-Legendre nodes t of [0, pi/6], and the weights:
-    built once per process, on first use."""
-    nodes, weights = np.polynomial.legendre.leggauss(_PARTIAL_NODES)
-    s = np.sin((nodes + 1.0) * (math.pi / 12.0))
-    s.flags.writeable = weights.flags.writeable = False
-    return s, weights
-
-
 def corr_partial_closed(samp: NormalSampling, margin: Optional[EquivalenceMargin] = None,
                         *, half_width: Optional[float] = None) -> CorrelationResult:
     """Correlation between the two one-sided p-values, in closed form.
@@ -248,7 +238,8 @@ def corr_partial_closed(samp: NormalSampling, margin: Optional[EquivalenceMargin
     if c > _PARTIAL_C_ZERO:
         return CorrelationResult(0.0, "closed_form")
     k = 0.5 * c ** 2
-    s, weights = _partial_rule()
+    nodes, weights = gauss_legendre(_PARTIAL_NODES)
+    s = np.sin((nodes + 1.0) * (math.pi / 12.0))  # sin t at the nodes t of [0, pi/6]
     # the covariance and variance integrals, each over its integrand's maximum
     cov = weights @ np.exp(-k * s / (1.0 - s))
     var = weights @ np.exp(-k * (1.0 - 2.0 * s) / (3.0 * (1.0 + s)))
@@ -299,20 +290,19 @@ def corr_two_sided_mc(w: float, draws: int = 1_000_000, seed: int = 0) -> Correl
     integrates over.  Both measures are taken as the tails Phi(-a z) and
     Phi(-b z): the signed two-sided forms 2 Phi(-.) are the same positive
     multiple of them, which changes neither the correlation nor its SE.
+    At w = 1 both are the one indicator z < 0, so nothing is drawn and the
+    closed form's exact 1 is returned.
     """
     if not 0.0 < w <= 1.0:
         raise ValueError(f"w must lie in (0, 1], got {w}")
-    z = _standard_normal_draws(draws, seed)
     if w == 1.0:
-        # both measures are one array, (z < 0) in the draws; the core needs
-        # it in two buffers
-        p_f = np.less(z, 0.0, out=z)
-        p_b = p_f.copy()
-    else:
-        # p_f = Phi(-a z) and p_b = Phi(-b z), the latter in the draws
-        p_f = np.multiply(z, -1.0 / math.sqrt(1.0 - w))
-        p_b = z
-        p_b *= -math.sqrt(w / (1.0 - w))
-        for p in (p_f, p_b):
-            normal_cdf(p, out=p)
+        check_draws(draws)
+        return corr_two_sided(w)
+    # p_f = Phi(-a z) and p_b = Phi(-b z), the latter in the draws
+    z = _standard_normal_draws(draws, seed)
+    p_f = np.multiply(z, -1.0 / math.sqrt(1.0 - w))
+    p_b = z
+    p_b *= -math.sqrt(w / (1.0 - w))
+    for p in (p_f, p_b):
+        normal_cdf(p, out=p)
     return _correlation_in_place(p_b, p_f)

@@ -18,7 +18,6 @@ the posterior evidence's; one kernel, :func:`_interval_prob`, gives each CDF,
 relatively accurate also where the interval is narrow and far from theta.
 """
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivalence import EquivalenceMargin, EvidenceMeasure
-from .special import SLICE_ELEMENTS, normal_cdf, normal_quantile
+from .special import SLICE_ELEMENTS, gauss_legendre, normal_cdf, normal_quantile
 
 CONSTANT_MODES = ("approximate", "exact_symmetric")
 
@@ -238,16 +237,6 @@ def normal_posterior_probs(samp: NormalSampling, prior: NormalPrior, xbar: float
 _NARROW_NODES = 8
 
 
-@functools.lru_cache(maxsize=1)
-def _narrow_rule():
-    """The Gauss-Legendre nodes s of [0, 1] and their weights: built once
-    per process, on first use."""
-    nodes, weights = np.polynomial.legendre.leggauss(_NARROW_NODES)
-    s, w = 0.5 * (nodes + 1.0), 0.5 * weights
-    s.flags.writeable = w.flags.writeable = False
-    return s, w
-
-
 def _interval_prob(samp: NormalSampling, theta: float, lo, hi, count: int = 1):
     """P_theta(lo <= count xbar <= hi) elementwise, 0 where lo > hi.
 
@@ -268,7 +257,8 @@ def _interval_prob(samp: NormalSampling, theta: float, lo, hi, count: int = 1):
         p = np.array(phi_b - phi_a)
         narrow = (phi_a > 0.5 * phi_b) & np.less(lo, hi)
         if narrow.any():
-            s, weights = _narrow_rule()
+            nodes, weights = gauss_legendre(_NARROW_NODES)
+            s, weights = 0.5 * (nodes + 1.0), 0.5 * weights  # the rule on [0, 1]
             w = np.broadcast_to((hi - lo) / count * scale, p.shape)[narrow]
             b = ends[1][narrow]
             ws = np.multiply.outer(w, s)

@@ -2,8 +2,8 @@
 the power-maximizing parameter and the exact size over the whole null, and
 the simulation-table protocol.  A single level or parameter is a
 one-point grid of the curve functions.
-The binomial studies take a :class:`CurveSpec`; :func:`normal_curves` takes
-the normal model's ``NormalSampling`` and ``NormalPrior``.
+A binomial study takes its test, a :class:`CurveSpec`, and its points;
+:func:`normal_curves` takes ``NormalSampling`` and ``NormalPrior``.
 
 Every curve is exact; Monte Carlo appears only where it mirrors a
 simulation protocol (and then against seeded, replayable streams).  The
@@ -51,20 +51,17 @@ def _check_grid(grid) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """One binomial study: n, margin, optional Beta prior (None leaves the
-    Bayesian column NaN), tail levels, grid and the CDF curve's true theta."""
+    """One binomial test: n, margin, optional Beta prior (None leaves the
+    Bayesian column NaN) and tail levels; each study takes its own points."""
 
     n: int
     margin: EquivalenceMargin
     prior: Optional[BetaPrior] = None
     levels: SignificanceLevels = field(default_factory=SignificanceLevels)
-    grid: Sequence[float] = ()
-    theta_true: float = 0.5
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be positive, got {self.n}")
-        _check_grid(self.grid)
 
 
 @dataclass(frozen=True)
@@ -133,20 +130,22 @@ def _power_arrays(spec: CurveSpec, thetas):
     return y[0], (y[1] if len(y) > 1 else np.full(np.shape(thetas), math.nan))
 
 
-def binom_cdf_curve(spec: CurveSpec):
-    """Exact P_theta(measure <= t) at theta_true for each t of the grid."""
+def binom_cdf_curve(spec: CurveSpec, theta: float, grid: Sequence[float]):
+    """Exact P_theta(measure <= t) at the true theta for each t of the grid."""
+    grid = _check_grid(grid)
     pf, pb = binom_evidence_values(spec.n, spec.margin, spec.prior)
-    pmf = binomial_pmf_vector(spec.n, spec.theta_true)
+    pmf = binomial_pmf_vector(spec.n, theta)
     return [CurvePoint(float(t), float(pmf @ (pf <= t)),
                        math.nan if pb is None else float(pmf @ (pb <= t)))
-            for t in spec.grid]
+            for t in grid]
 
 
-def binom_power_curve(spec: CurveSpec):
+def binom_power_curve(spec: CurveSpec, grid: Sequence[float]):
     """Exact rejection probability at each parameter theta of the grid."""
-    y_f, y_b = _power_arrays(spec, spec.grid)
+    grid = _check_grid(grid)
+    y_f, y_b = _power_arrays(spec, grid)
     return [CurvePoint(float(theta), float(f), float(b))
-            for theta, f, b in zip(spec.grid, y_f, y_b)]
+            for theta, f, b in zip(grid, y_f, y_b)]
 
 
 TIE_TOL = 1e-12  # grid powers this close to the top tie
@@ -280,7 +279,8 @@ def table_simulation(spec: CurveSpec, reps: int, seed: int,
     Follows the seeded-replication protocol with the deterministic
     decision rule at the spec's levels; the exact enumeration values are
     returned alongside so simulation noise can be checked directly.  Table
-    row ``row`` draws from the streams (seed, 2 row) and (seed, 2 row + 1).
+    row ``row`` draws from the streams (seed, 2 row) and (seed, 2 row + 1),
+    unless its region, empty or the whole support, fixes both rates.
     """
     if reps < 1:
         raise ValueError(f"reps must be positive, got {reps}")
@@ -288,14 +288,12 @@ def table_simulation(spec: CurveSpec, reps: int, seed: int,
         raise ValueError(f"theta_alt must lie in [0, 1], got {theta_alt}")
     c, d = (binom_critical_constants(spec.n, spec.margin, spec.levels) if spec.prior is None
             else _bayes_region(spec))
-    s_null = spawn_rng(seed, 2 * row).binomial(spec.n, spec.margin.theta1, size=reps)
-    s_alt = spawn_rng(seed, 2 * row + 1).binomial(spec.n, theta_alt, size=reps)
-    exact_type1, exact_power = binomial_interval_prob(spec.n, c, d,
-                                                      (spec.margin.theta1, theta_alt))
-    return TableResult(
-        mc_type1=float(np.mean((c <= s_null) & (s_null <= d))),
-        mc_power=float(np.mean((c <= s_alt) & (s_alt <= d))),
-        exact_type1=float(exact_type1),
-        exact_power=float(exact_power),
-        reps=reps,
-    )
+    thetas = (spec.margin.theta1, theta_alt)
+    exact = binomial_interval_prob(spec.n, c, d, thetas)
+    if c > d or (c <= 0 and d >= spec.n):
+        mc = exact  # exactly 0 or 1, whatever is drawn
+    else:
+        mc = [np.mean((c <= s) & (s <= d)) for s in
+              (spawn_rng(seed, 2 * row + i).binomial(spec.n, theta, size=reps)
+               for i, theta in enumerate(thetas))]
+    return TableResult(*map(float, mc), *map(float, exact), reps)

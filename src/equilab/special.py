@@ -1,6 +1,6 @@
 """Numeric kernel: log-gamma, regularized incomplete beta, binomial interval
-probabilities, erfc and the normal CDF and quantile, and the binomial PMF
-and tail vectors.
+probabilities, erfc and the normal CDF and quantile, the binomial PMF and
+tail vectors, and the Gauss-Legendre rules of the quadratures.
 
 Everything here is self-contained (stdlib ``math`` plus numpy).  One
 saddle-point density, :func:`_beta_front` (C. Loader's form of
@@ -538,6 +538,14 @@ def normal_quantile(u):
         pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         z = z - np.divide(normal_cdf(z) - u, pdf, out=np.zeros_like(z), where=pdf > 0.0)
     return float(z) if z.ndim == 0 else z
+
+
+@functools.cache
+def gauss_legendre(nodes: int):
+    """Read-only Gauss-Legendre nodes of [-1, 1] and weights, built once per count."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
 
 
 def _check_binomial_args(n: int, theta: float) -> None:

@@ -131,6 +131,26 @@ class TestSubcommands:
                                               "--seed", "1"])[0] == 0
         assert keys == [(1, 0), (1, 1), (1, 2), (1, 3), (1, 4), (1, 5)]
 
+    def test_decided_row_leaves_the_open_rows_bytes(self, tmp_path, monkeypatch):
+        # n = 10's empty region draws nothing; n = 50's row reads what it
+        # reads after a row that draws
+        base = ["tables", "--margin", "0.25,0.75", "--reps", "2000", "--seed", "5"]
+        keys = []
+
+        def recording_spawn(seed, *path):
+            keys.append((seed, *path))
+            return spawn_rng(seed, *path)
+
+        monkeypatch.setattr(power, "spawn_rng", recording_spawn)
+        code, mixed = run(tmp_path, "mixed", base + ["--row", "n=10", "--row", "n=50"])
+        assert code == 0 and keys == [(5, 2), (5, 3)]
+        code, drawn = run(tmp_path, "drawn", base + ["--row", "n=20", "--row", "n=50"])
+        assert code == 0
+        decided, open_row = read_csv(mixed)
+        assert [decided[name] for name in ("type1_mc", "power_mc", "type1_exact",
+                                           "power_exact")] == ["0"] * 4
+        assert open_row == read_csv(drawn)[1]
+
     def test_conservativity_defaults_to_lower_boundary(self, tmp_path):
         code, out = run(tmp_path, "cons", [
             "conservativity", "--n", "20", "--margin", "0.25,0.75",
@@ -346,6 +366,8 @@ class TestDeterminismAndManifest:
         (NOISE_RUN, ["--reps", "50", "--seed", "9"], ["reps", "seed"], None),
         (NOISE_RUN + ["--tau", "0.5"], ["--reps", "7", "--seed", "2"], ["reps", "seed"], None),
         (["correlation", "--partial", "--n", "30", "--sigma", "2", "--margin", "1,4"],
+         ["--draws", "1000", "--seed", "2"], ["draws", "seed"], None),
+        (["correlation", "--two-sided", "--w", "1", "--mc"],
          ["--draws", "1000", "--seed", "2"], ["draws", "seed"], None),
         (FDR_RUN, ["--tau", "3", "--storey-lambda", "0.2"], ["tau", "storey_lambda"], 0),
         (FDR_RUN + ["--adaptive"], ["--tau", "3"], ["tau"], 0),
@@ -808,10 +830,13 @@ class TestClosedFlagSets:
         assert not out.exists()
 
 
+def readme_text():
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+
 def readme_commands():
     """The ``equilab ...`` lines of the README's command-line block."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    section = readme.split("## Command-line interface", 1)[1]
+    section = readme_text().split("## Command-line interface", 1)[1]
     block = section.split("```sh", 1)[1].split("```", 1)[0].replace("\\\n", " ")
     return [shlex.split(line)[1:] for line in block.splitlines()
             if line.startswith("equilab ")]
@@ -823,6 +848,18 @@ def test_readme_commands_parse():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv)
+
+
+def test_readme_python_examples_run():
+    # both python blocks, in order and in one namespace, as a reader runs them
+    blocks = [part.split("```", 1)[0] for part in readme_text().split("```python")[1:]]
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    spec = namespace["spec"]
+    assert namespace["theta_max"](spec, 1e-3) == (0.5, 0.5)
+    assert [p.x for p in namespace["binom_power_curve"](spec, [0.4, 0.5])] == [0.4, 0.5]
 
 
 def benchmark_workloads():

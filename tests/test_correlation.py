@@ -19,8 +19,9 @@ from equilab import (EquivalenceMargin, NormalPrior, NormalSampling,
                      corr_two_sided_mc,
                      equivalence_covariance_terms, expected_phi_product,
                      sample_correlation, spawn_rng)
-from equilab import correlation
+from equilab import correlation, normal, special
 from equilab.correlation import CorrelationResult
+from equilab.normal import _interval_prob
 from equilab.special import SLICE_ELEMENTS, normal_cdf
 
 
@@ -245,19 +246,25 @@ class TestPartialClosedForm:
         assert abs(mc.rho - closed.rho) <= 5 * mc.std_error
 
     def test_rule_built_once_per_process(self, monkeypatch):
+        # one shared builder: each node count is built once, whichever
+        # quadrature asks first
         built = []
         leggauss = np.polynomial.legendre.leggauss
         monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                             lambda deg: built.append(deg) or leggauss(deg))
-        correlation._partial_rule.cache_clear()
+        special.gauss_legendre.cache_clear()
         first = corr_partial_closed(self.UNIT, half_width=1.0)
         corr_partial_closed(self.UNIT, half_width=2.0)
-        assert built == [correlation._PARTIAL_NODES]
+        for lo in (5.0, 6.0):  # narrow intervals far from theta take the 8-node rule
+            _interval_prob(self.UNIT, 0.0, lo, lo + 1e-3)
+        assert built == [correlation._PARTIAL_NODES, normal._NARROW_NODES]
         assert corr_partial_closed(self.UNIT, half_width=1.0) == first
+        nodes, weights = special.gauss_legendre(correlation._PARTIAL_NODES)
+        assert not nodes.flags.writeable and not weights.flags.writeable
 
     def test_rule_not_built_at_import(self):
-        code = ("import equilab.cli, equilab.correlation as c; "
-                "print(c._partial_rule.cache_info().currsize)")
+        code = ("import equilab.cli, equilab.special as s; "
+                "print(s.gauss_legendre.cache_info().currsize)")
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                 check=True, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
         assert result.stdout.strip() == "0"
@@ -351,7 +358,7 @@ class TestMonteCarloMemory:
 
     @pytest.mark.parametrize("name, hexes", [
         ("two_sided", ("0x1.fdcdf9c9793fdp-1", "0x1.4e9a8db9400d1p-18")),
-        ("two_sided_flat", ("0x1.fffffffffffffp-1", "0x1.9e7b38980f109p-63")),
+        ("two_sided_flat", ("0x1.0000000000000p+0", None)),  # the closed form, no draws
         ("equivalence", ("-0x1.f602d65b934adp-1", "0x1.419798be473b2p-14")),
         ("partial", ("-0x1.c2b169c00cbfap-6", "0x1.46390e7ddfb94p-12")),
     ])
@@ -368,7 +375,7 @@ class TestMonteCarloMemory:
         res, peak, left = _traced_peak(lambda: calls[name](self.DRAWS))
         assert peak <= 2.25 * 8 * self.DRAWS
         assert left <= 0.01 * 8 * self.DRAWS
-        assert (res.rho.hex(), res.std_error.hex()) == hexes
+        assert (res.rho.hex(), res.std_error and res.std_error.hex()) == hexes
 
 
 class TestPartialPvalueCorrelation:
@@ -415,15 +422,15 @@ class TestTwoSidedCorrelation:
         mc = corr_two_sided_mc(0.5, draws=10**6, seed=8)
         assert abs(mc.rho - closed) <= 3 * mc.std_error
 
-    def test_mc_degenerate_limit(self):
-        # at w = 1 both measures are one array, which the in-place estimator
-        # gets in two buffers, so neither is centred twice
+    def test_mc_degenerate_limit(self, monkeypatch):
+        # at w = 1 both measures are the one indicator z < 0: the twin is
+        # the closed form's exact 1 and draws nothing, after the same refusals
+        monkeypatch.setattr(correlation, "spawn_rng", None)
         for seed in (2, 8):
             mc = corr_two_sided_mc(1.0, draws=10**4, seed=seed)
-            p = 2.0 * (spawn_rng(seed, 0).standard_normal(10**4) < 0.0).astype(float)
-            assert mc == sample_correlation(p, p.copy())
-            assert mc.rho == pytest.approx(1.0, abs=1e-12)
-            assert mc.std_error <= 1e-17
+            assert mc == corr_two_sided(1.0) == CorrelationResult(1.0, "closed_form")
+        with pytest.raises(ValueError, match="draws must be at least 4"):
+            corr_two_sided_mc(1.0, draws=3)
 
     def test_monotone_in_weight(self):
         values = [corr_two_sided(w).rho for w in np.arange(0.1, 1.01, 0.1)]

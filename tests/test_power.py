@@ -2,7 +2,7 @@
 
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import mpmath
 import numpy as np
@@ -24,20 +24,19 @@ from test_golden import bench_module
 mpmath.mp.dps = 40
 
 
-def spec_binom(n, margin, prior=None, levels=None, theta=0.5):
+def spec_binom(n, margin, prior=None, levels=None):
     return CurveSpec(n=n, margin=EquivalenceMargin(*margin),
-                     prior=prior, levels=levels or SignificanceLevels(),
-                     theta_true=theta)
+                     prior=prior, levels=levels or SignificanceLevels())
 
 
-def cdf_at(spec, t):
-    """The conservativity curve on the one-point grid (t,)."""
-    return binom_cdf_curve(replace(spec, grid=(t,)))[0]
+def cdf_at(spec, t, theta=0.5):
+    """The conservativity curve at the true theta on the one-point grid (t,)."""
+    return binom_cdf_curve(spec, theta, (t,))[0]
 
 
 def power_at(spec, theta):
     """The power curve on the one-point grid (theta,)."""
-    return binom_power_curve(replace(spec, grid=(theta,)))[0]
+    return binom_power_curve(spec, (theta,))[0]
 
 
 class TestMeasureCdf:
@@ -52,25 +51,32 @@ class TestMeasureCdf:
         assert point.y_bayes == 0.0
 
     def test_small_prior_less_conservative_than_pvalue(self):
-        spec = spec_binom(50, (0.25, 0.75), BetaPrior(0.5, 0.5), theta=0.25)
+        spec = spec_binom(50, (0.25, 0.75), BetaPrior(0.5, 0.5))
         for t in np.arange(0.1, 0.95, 0.1):
-            point = cdf_at(spec, float(t))
+            point = cdf_at(spec, float(t), theta=0.25)
             assert point.y_bayes >= point.y_frequentist - 1e-12
 
     def test_matches_direct_enumeration(self):
-        spec = spec_binom(30, (0.2, 0.8), BetaPrior(2, 5), theta=0.4)
+        spec = spec_binom(30, (0.2, 0.8), BetaPrior(2, 5))
         pf, pb = binom_evidence_values(30, spec.margin, spec.prior)
         pmf = binomial_pmf_vector(30, 0.4)
-        point = cdf_at(spec, 0.3)
+        point = cdf_at(spec, 0.3, theta=0.4)
         assert point.y_frequentist == pytest.approx(float(pmf @ (pf <= 0.3)), abs=1e-14)
         assert point.y_bayes == pytest.approx(float(pmf @ (pb <= 0.3)), abs=1e-14)
 
 
 class TestPower:
+    def test_spec_is_the_test_alone(self):
+        # the points a study evaluates are its own arguments
+        assert [f.name for f in fields(CurveSpec)] == ["n", "margin", "prior", "levels"]
+
     @pytest.mark.parametrize("grid", [[0.5, 0.2], [0.2, 0.2], [0.1, 0.3, 0.2]])
     def test_grid_not_increasing_is_refused(self, grid):
+        spec = spec_binom(10, (0.2, 0.8))
         with pytest.raises(ValueError, match="grid must be strictly increasing"):
-            CurveSpec(n=10, margin=EquivalenceMargin(0.2, 0.8), grid=grid)
+            binom_power_curve(spec, grid)
+        with pytest.raises(ValueError, match="grid must be strictly increasing"):
+            binom_cdf_curve(spec, 0.5, grid)
 
     def test_size_bounded_at_boundary(self):
         for n in (10, 35, 60):
@@ -96,8 +102,9 @@ class TestPower:
 
     def test_pvalue_power_unimodal(self):
         for n in (10, 30):
-            spec = replace(spec_binom(n, (0.2, 0.8)), grid=np.arange(1, 1000) * 1e-3)
-            power = np.array([p.y_frequentist for p in binom_power_curve(spec)])
+            spec = spec_binom(n, (0.2, 0.8))
+            power = np.array([p.y_frequentist
+                              for p in binom_power_curve(spec, np.arange(1, 1000) * 1e-3)])
             peak = int(np.argmax(power))
             assert np.all(np.diff(power[: peak + 1]) >= -1e-12)
             assert np.all(np.diff(power[peak:]) <= 1e-12)
@@ -110,7 +117,7 @@ class TestIntervalEngine:
     def test_tiny_powers_match_mpmath(self):
         spec = spec_binom(20, (0.2, 0.8), BetaPrior(2, 3))
         thetas = [0.01, 0.02, 0.1, 0.5, 0.9, 0.99]
-        points = binom_power_curve(replace(spec, grid=thetas))
+        points = binom_power_curve(spec, thetas)
         for (c, d), column in zip(_reject_regions(spec), ("y_frequentist", "y_bayes")):
             for point in points:
                 t = mpmath.mpf(point.x)
@@ -136,15 +143,15 @@ class TestIntervalEngine:
 
     def test_empty_bayesian_region(self):
         # Beta(50, 50) at margin (0.05, 0.15): no count reaches the level
-        spec = replace(spec_binom(10, (0.05, 0.15), BetaPrior(50, 50)), grid=[0.1, 0.5])
+        spec = spec_binom(10, (0.05, 0.15), BetaPrior(50, 50))
         c, d = _reject_regions(spec)[1]
         assert c > d
-        assert [p.y_bayes for p in binom_power_curve(spec)] == [0.0, 0.0]
+        assert [p.y_bayes for p in binom_power_curve(spec, [0.1, 0.5])] == [0.0, 0.0]
         result = table_simulation(spec, reps=50, seed=0)
         assert result.mc_type1 == result.mc_power == result.exact_power == 0.0
 
     def test_empty_grid_gives_no_points(self):
-        assert binom_power_curve(spec_binom(10, (0.2, 0.8), BetaPrior(1, 1))) == []
+        assert binom_power_curve(spec_binom(10, (0.2, 0.8), BetaPrior(1, 1)), []) == []
 
     def test_theta_max_large_n_ties_resolve_to_center(self):
         # power is 1 to double precision all around the centre at n = 1e4
@@ -518,6 +525,17 @@ class TestTableSimulation:
                 patch.setattr(power, unread, lambda *args: pytest.fail(f"{unread} called"))
                 res = table_simulation(spec, reps=500, seed=3)
             assert (res.exact_type1, res.exact_power) == tuple(want.tolist())
+
+    @pytest.mark.parametrize("prior, region, rate", [
+        (None, (6, 4), 0.0),                # empty: both rates 0
+        (BetaPrior(100, 100), (0, 10), 1.0),  # the whole support: both rates 1
+    ])
+    def test_decided_region_draws_nothing(self, monkeypatch, prior, region, rate):
+        spec = spec_binom(10, (0.25, 0.75), prior)
+        assert _reject_regions(spec)[-1] == region
+        monkeypatch.setattr(power, "spawn_rng", lambda *args: pytest.fail("drew a stream"))
+        res = table_simulation(spec, reps=10_000, seed=1, row=2)
+        assert (res.mc_type1, res.mc_power, res.exact_type1, res.exact_power) == (rate,) * 4
 
     @pytest.mark.parametrize("theta_alt", [1.5, -0.5, math.nan])
     def test_theta_alt_outside_unit_interval_is_refused(self, theta_alt):

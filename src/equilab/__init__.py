@@ -30,13 +30,13 @@ from .power import (CurvePoint, CurveSpec, TableResult, bayes_combined_level,
                     binom_cdf_curve, binom_evidence_values, binom_power_curve,
                     exact_size, normal_curves, table_simulation, theta_max)
 from .rng import spawn_rng
-from .special import (binomial_interval_prob, binomial_pmf_vector, log_gamma,
-                      normal_cdf, normal_quantile, reg_inc_beta, reg_inc_beta_pair)
+from .special import (binomial_interval_prob, binomial_pmf_vector, erfc, normal_cdf,
+                      normal_quantile, reg_inc_beta, reg_inc_beta_pair)
 
 __all__ = [
     "__version__",
     # special functions
-    "log_gamma", "reg_inc_beta", "reg_inc_beta_pair", "normal_cdf", "normal_quantile",
+    "reg_inc_beta", "reg_inc_beta_pair", "erfc", "normal_cdf", "normal_quantile",
     "binomial_pmf_vector", "binomial_interval_prob",
     # equivalence core
     "EquivalenceMargin", "SignificanceLevels", "EvidenceMeasure",

@@ -53,10 +53,6 @@ class SignificanceLevels:
             if not 0.0 < a < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {a}")
 
-    @classmethod
-    def symmetric(cls, alpha: float) -> "SignificanceLevels":
-        return cls(alpha, alpha)
-
 
 @dataclass(frozen=True)
 class EvidenceMeasure:

@@ -225,6 +225,9 @@ class FdrExperiment:
             raise ValueError(f"sampling must be one of {SAMPLING_MODES}")
         if self.combination not in COMBINATIONS:
             raise ValueError(f"combination must be one of {COMBINATIONS}")
+        if self.evidence == "bayesian" and self.combination != "max":
+            raise ValueError(f"bayesian evidence sums its tails, so combination must be 'max', "
+                             f"got {self.combination!r}")
 
 
 @dataclass(frozen=True)
@@ -314,7 +317,7 @@ def _screen_cutoffs(exp: FdrExperiment):
     t_low, t_high = np.append(lam, exp.alpha / k0), np.append(lam, exp.alpha * exp.k / k0)
     sides = np.array([[-1.0], [1.0]])
     pairs = _z_cutoff(np.stack((t_low / factor, t_high)), sides)  # column 0 at lam
-    if exp.evidence != "bayesian" and exp.combination != "max":
+    if exp.combination != "max":
         pairs = np.broadcast_to(sides * math.inf, pairs.shape)
     return (pairs[:, 0] if exp.adaptive else None), k0, pairs[:, 1:]
 

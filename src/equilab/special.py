@@ -1,4 +1,4 @@
-"""Numeric kernel: log-gamma, regularized incomplete beta, binomial interval
+"""Numeric kernel: regularized incomplete beta, binomial interval
 probabilities, erfc and the normal CDF and quantile, the binomial PMF and
 tail vectors, and the Gauss-Legendre rules of the quadratures.
 
@@ -53,19 +53,6 @@ _NO_CONVERGENCE = ("incomplete beta continued fraction did not converge for {} e
 # slices of 65536 (best of 7, six runs, shared 2-CPU Xeon): past 16384 the
 # gain is small, and the scratch of 9 slice-sized rows grows with the slice.
 SLICE_ELEMENTS = 16384
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
-
-    Raises
-    ------
-    ValueError
-        If ``x <= 0`` (poles and the reflection branch are out of scope).
-    """
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
 
 
 def _beta_front(a, b, x):

@@ -12,17 +12,17 @@ import pytest
 from scipy import integrate, special
 
 from equilab import (BetaPrior, EquivalenceMargin, SignificanceLevels, beta_binomial,
-                     binom_tost_pvalue, binomial_pmf_vector, posterior_prob_equiv,
+                     binom_tost_pvalue, binomial_pmf_vector, decide, posterior_prob_equiv,
                      posterior_prob_lower, posterior_prob_upper, posterior_update)
-from equilab.beta_binomial import MAX_PRIOR_SHAPE, BetaPosterior, posterior_values
+from equilab.beta_binomial import MAX_PRIOR_SHAPE, posterior_values
 from equilab.cli import T_GRID
 from equilab.power import CurveSpec, _bayes_region, bayes_combined_level
-from equilab.special import log_gamma, reg_inc_beta, reg_inc_beta_pair
+from equilab.special import reg_inc_beta, reg_inc_beta_pair
 from test_golden import bench_module
 
 
 def beta_tail_by_quadrature(a, b, lo, hi):
-    norm = math.exp(log_gamma(a + b) - log_gamma(a) - log_gamma(b))
+    norm = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
     val, err = integrate.quad(lambda u: norm * u ** (a - 1) * (1 - u) ** (b - 1),
                               lo, hi, epsabs=1e-13, epsrel=1e-13)
     assert err < 1e-11
@@ -59,14 +59,10 @@ class TestPriorAndUpdate:
         post = posterior_update(BetaPrior(p, q), n, s)
         assert (post.a, post.b) == (a, b)
 
-    def test_update_range_check(self):
-        with pytest.raises(ValueError):
-            posterior_update(BetaPrior(1, 1), 10, 11)
-
-    @pytest.mark.parametrize("a, b", [(0.0, 1.0), (1.0, -2.0), (-1e-300, 5.0)])
-    def test_posterior_shape_must_be_positive(self, a, b):
-        with pytest.raises(ValueError, match="posterior needs a, b > 0"):
-            BetaPosterior(a, b)
+    @pytest.mark.parametrize("n, s", [(10, 11), (10, -1), (-1, 0)])
+    def test_update_range_check(self, n, s):
+        with pytest.raises(ValueError, match="need 0 <= s <= n"):
+            posterior_update(BetaPrior(1, 1), n, s)
 
 
 class TestTailProbabilities:
@@ -237,9 +233,9 @@ class TestPosteriorVector:
     rationals and the per-count kernel it replaced."""
 
     def test_equals_the_scalar_update(self):
-        # 300 designs, both ends of the support and 10 random counts of each;
-        # the vector's tails are cumulative sums, the scalar's one kernel call
-        # per tail, so they agree to rounding, each within 1e-12 of mpmath
+        # 300 designs, both ends of the support and 10 random counts of each:
+        # the single test is the vector's element, bit for bit, within 1e-12
+        # of mpmath
         rng = np.random.default_rng(22)
         for _ in range(300):
             n = int(rng.integers(5, 201))
@@ -251,21 +247,20 @@ class TestPosteriorVector:
             for s in {0, n, *rng.integers(0, n + 1, 10).tolist()}:
                 value = float(values[s])
                 scalar = posterior_prob_equiv(posterior_update(prior, n, s), margin).value
+                assert scalar.hex() == value.hex(), (n, prior, margin, s)
                 ref = mp_posterior(n, s, prior, margin)
-                for got in (value, scalar):
-                    assert abs(got - ref) <= 1e-12 * ref, (n, prior, margin, s)
-                assert abs(value - scalar) <= 2e-12 * ref, (n, prior, margin, s)
+                assert abs(value - ref) <= 1e-12 * ref, (n, prior, margin, s)
 
     MARGINS = (EquivalenceMargin(0.3, 0.7), EquivalenceMargin(0.05, 0.3),
                EquivalenceMargin(0.48, 0.52))
 
-    @pytest.mark.parametrize("n", [1, 10, 300, 10_000])
-    @pytest.mark.parametrize("p, q", [(5e-324, 1.0), (1e-300, 0.5), (0.5, 0.5), (2.7, 15.0),
-                                      (1e6, 0.3)])
+    @pytest.mark.parametrize("n", [0, 1, 10, 300, 10_000])
+    @pytest.mark.parametrize("p, q", [(5e-324, 1.0), (1.0, 5e-324), (1e-300, 0.5), (0.5, 0.5),
+                                      (0.05, 50.0), (2.7, 15.0), (1e6, 0.3)])
     def test_relative_accuracy_against_mpmath(self, n, p, q):
         # every count up to n = 300; at n = 1e4 the ends, a spread and the
         # counts where each margin's posterior mass turns over; the vector
-        # and the scalar rule alike
+        # and the sum of the two scalar tail rules alike
         prior = BetaPrior(p, q)
         for margin in self.MARGINS:
             values = posterior_values(n, margin, prior)
@@ -277,7 +272,9 @@ class TestPosteriorVector:
             for s in counts:
                 ref = mp_posterior(n, s, prior, margin)
                 if ref >= 1e-290:
-                    scalar = posterior_prob_equiv(posterior_update(prior, n, s), margin).value
+                    post = posterior_update(prior, n, s)
+                    scalar = (posterior_prob_upper(post, margin.theta1).value
+                              + posterior_prob_lower(post, margin.theta2).value)
                     for got in (values[s], scalar):
                         assert abs(got - ref) <= 1e-12 * ref, (n, prior, margin, s, got)
 
@@ -335,12 +332,34 @@ class TestPosteriorVector:
             spec = CurveSpec(n=n, margin=margin, prior=prior, levels=levels)
             assert _bayes_region(spec) == want, (n, margin, prior, levels)
 
+    @pytest.mark.parametrize("p, q", [(p, q) for p in (1, 2, 3) for q in (1, 2, 3)])
+    def test_single_test_decides_as_the_region(self, p, q):
+        # dyadic margins and levels, where a posterior value can equal a level
+        # exactly (Beta(1, 1), n = 1, margin (1/4, 3/4): 1/2 at both counts):
+        # the single test is the study's element, so it falls on the region's
+        # side of every tie
+        prior = BetaPrior(p, q)
+        eighths = [k / 8 for k in range(1, 8)]
+        levels = [SignificanceLevels(k / 16, k / 16) for k in range(1, 16)]
+        for margin in (EquivalenceMargin(t1, t2) for t1 in eighths for t2 in eighths if t1 < t2):
+            for n in range(1, 4):
+                values = posterior_values(n, margin, prior)
+                singles = [posterior_prob_equiv(posterior_update(prior, n, s), margin)
+                           for s in range(n + 1)]
+                assert [v.value.hex() for v in singles] == [v.hex() for v in values.tolist()]
+                for level in levels:
+                    c, d = _bayes_region(CurveSpec(n=n, margin=margin, prior=prior, levels=level))
+                    assert ([decide(v, bayes_combined_level(level)) for v in singles]
+                            == [c <= s <= d for s in range(n + 1)]), (n, margin, level)
+
     def test_tiny_prior_shape_survives_the_update(self):
         # q + (n - s) keeps q = 1e-15 at s = n, where q + n - s rounds it away
-        values = posterior_values(30, EquivalenceMargin(0.2, 0.8), BetaPrior(1.0, 1e-15))
-        last = posterior_prob_equiv(posterior_update(BetaPrior(1.0, 1e-15), 30, 30),
-                                    EquivalenceMargin(0.2, 0.8)).value
-        assert values[-1] == last
+        margin, prior = EquivalenceMargin(0.2, 0.8), BetaPrior(1.0, 1e-15)
+        post = posterior_update(prior, 30, 30)
+        assert post.b == 1e-15
+        tails = (posterior_prob_upper(post, margin.theta1).value
+                 + posterior_prob_lower(post, margin.theta2).value)
+        assert posterior_values(30, margin, prior)[-1] == tails
 
     def test_margin_outside_the_unit_interval(self):
         with pytest.raises(ValueError, match="binomial margin must lie inside"):

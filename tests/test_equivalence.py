@@ -37,7 +37,7 @@ class TestTypes:
     def test_levels_validation(self):
         with pytest.raises(ValueError):
             SignificanceLevels(0.0, 0.05)
-        assert SignificanceLevels.symmetric(0.1).alpha_lower == 0.1
+        assert SignificanceLevels(0.1, 0.1).alpha_lower == 0.1
 
     def test_evidence_validation(self):
         with pytest.raises(ValueError):

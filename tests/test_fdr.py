@@ -223,6 +223,8 @@ class TestExperimentValidation:
             desk_experiment(sampling="resample")
         with pytest.raises(ValueError):
             desk_experiment(combination="sum")
+        with pytest.raises(ValueError, match="combination must be 'max', got 'difference'"):
+            desk_experiment(evidence="bayesian", combination="difference")
 
 
 class TestPowerSimulation:
@@ -334,6 +336,11 @@ def reference_simulation(exp):
     return results
 
 
+# every (evidence, sampling, combination, adaptive) an experiment accepts:
+# Bayesian evidence sums its tails and combines them no other way
+MODES = [mode for mode in itertools.product(EVIDENCE_KINDS, SAMPLING_MODES, COMBINATIONS,
+                                            (False, True))
+         if mode[0] == "frequentist" or mode[2] == "max"]
 DESK_DESIGN = {"alpha": 0.1, "n": 40}
 SWEEP_DESIGN = {"alpha": 0.05, "n": 100}  # the fdr-sweep benchmark studies
 
@@ -346,9 +353,7 @@ class TestBlockBatching:
 
     @pytest.mark.parametrize(
         "evidence, sampling, combination, adaptive, design",
-        [pytest.param(*mode, DESK_DESIGN, id="-".join(map(str, mode)))
-         for mode in itertools.product(EVIDENCE_KINDS, SAMPLING_MODES, COMBINATIONS,
-                                       (False, True))]
+        [pytest.param(*mode, DESK_DESIGN, id="-".join(map(str, mode))) for mode in MODES]
         + [pytest.param(evidence, "per_tail", "max", adaptive, SWEEP_DESIGN,
                         id=f"fdr-sweep-{name}")
            for name, evidence, adaptive in (("frequentist", "frequentist", False),
@@ -387,9 +392,7 @@ class TestBlockBatching:
                for p in fdr_power_simulation(exp)]
         assert got == reference_simulation(exp)
 
-    @pytest.mark.parametrize("evidence, sampling, combination, adaptive",
-                             list(itertools.product(EVIDENCE_KINDS, SAMPLING_MODES,
-                                                    COMBINATIONS, (False, True))))
+    @pytest.mark.parametrize("evidence, sampling, combination, adaptive", MODES)
     def test_results_do_not_depend_on_the_block_size(self, monkeypatch, evidence, sampling,
                                                      combination, adaptive):
         exp = FdrExperiment(k=300, k1_grid=(0, 111, 300), n=40,

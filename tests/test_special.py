@@ -18,30 +18,10 @@ from equilab import special as equilab_special
 from equilab.special import (_ERX, _HIGH_WORD, _ONE_OVER_035, _PA, _PP, _QA, _QQ, _RA, _RB,
                              _SA, _SB, FLOAT_LOOP_ELEMENTS, LENTZ_BLOCK_STEPS, SLICE_ELEMENTS,
                              _acklam_quantile, _lentz, _lentz_array, binomial_interval_prob,
-                             binomial_pmf_vector, binomial_tail_vectors, erfc, log_gamma,
+                             binomial_pmf_vector, binomial_tail_vectors, erfc,
                              normal_cdf, normal_quantile, reg_inc_beta, reg_inc_beta_pair)
 
 mpmath.mp.dps = 40
-
-
-class TestLogGamma:
-    def test_exact_points(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-15)
-        assert log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-13)
-        assert log_gamma(0.5) == pytest.approx(math.log(math.sqrt(math.pi)), abs=1e-13)
-
-    def test_against_mpmath_grid(self):
-        # absolute 1e-12 where float spacing allows; relative 1e-13 else
-        for x in [1e-3, 0.02, 0.5, 1.5, 7.0, 20.0, 123.456, 5e3, 1e6]:
-            ref = float(mpmath.loggamma(mpmath.mpf(x)).real)
-            err = abs(log_gamma(x) - ref)
-            assert err <= max(1e-12, 1e-13 * abs(ref)), f"x={x}: err={err}"
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            log_gamma(0.0)
-        with pytest.raises(ValueError):
-            log_gamma(-2.5)
 
 
 class TestRegIncBeta:
@@ -54,7 +34,7 @@ class TestRegIncBeta:
     def test_quadrature_oracle(self):
         # adaptive quadrature of the Beta(3.5, 47.5) density
         a, b = 3.5, 47.5
-        norm = math.exp(log_gamma(a + b) - log_gamma(a) - log_gamma(b))
+        norm = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b))
         density = lambda u: norm * u ** (a - 1) * (1 - u) ** (b - 1)
         ref, est_err = integrate.quad(density, 0.0, 0.25, epsabs=1e-12, epsrel=1e-12)
         assert est_err < 1e-10
